@@ -47,7 +47,7 @@ from .groups import (
     orbit_sample,
 )
 from .properties import PROPERTY_NAMES, builtin_property
-from .config import ConfigError, load_config
+from .config import ConfigError, check_seed, load_config
 from .reports import ValueReport, serialize_report, format_number
 
 __all__ = ["main", "entrypoint", "builtin_property"]
@@ -145,6 +145,7 @@ def _require_seed(args):
     if args.seed is None:
         raise GeometryError("randomized commands require an explicit --seed "
                             "(flag or config file)")
+    check_seed(args.seed)
 
 
 def _run_check_invariance(args) -> int:
@@ -175,6 +176,11 @@ def _run_axioms(args) -> int:
 def _run_distance(args) -> int:
     px, py = _floats(args.p, 2, "--p")
     qx, qy = _floats(args.q, 2, "--q")
+    if args.metric == "klein-disk":
+        for flag, (x, y) in (("--p", (px, py)), ("--q", (qx, qy))):
+            if not x * x + y * y < 1.0:
+                raise GeometryError(f"{flag}: klein-disk points must lie inside the "
+                                    f"unit disk x^2 + y^2 < 1, got {x},{y}")
     metric = klein_disk_metric() if args.metric == "klein-disk" else elliptic_metric()
     value = ck_distance(ProjPoint([px, py, 1.0]), ProjPoint([qx, qy, 1.0]), metric)
     shown = abs(value)

@@ -9,13 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RunConfig", "ConfigError", "load_config", "parse_config_text"]
+__all__ = ["RunConfig", "ConfigError", "check_seed", "load_config", "parse_config_text"]
 
 _KNOWN_KEYS = ("seed", "trials", "tolerance", "group", "dimension")
 
 
 class ConfigError(Exception):
     pass
+
+
+def check_seed(seed: int) -> int:
+    """The seed range that both the config file and --seed accept: seeds
+    are reduced to 64 bits, so a wider one would silently alias another."""
+    if not (-(1 << 63) <= seed < (1 << 64)):
+        raise ConfigError("seed must fit in 64 bits")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -31,8 +39,7 @@ class RunConfig:
             raise ConfigError("trials must be >= 1")
         if not self.tolerance > 0:
             raise ConfigError("tolerance must be positive")
-        if not (-(1 << 63) <= self.seed < (1 << 64)):
-            raise ConfigError("seed must fit in 64 bits")
+        check_seed(self.seed)
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")
         if not self.group.replace("_", "").replace("-", "").isalnum():

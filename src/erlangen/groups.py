@@ -9,26 +9,41 @@ executed trials, never as a proof.
 
 Per-trial randomness is always derived from the run seed and the trial
 index through the splitmix64 rule in numerics.mix_seed, which makes
-every trial independently reproducible (and the loops embarrassingly
-parallel, although this implementation runs them serially).
+every trial independently reproducible.  Trials are therefore
+independent, and for groups that act by plain matrices (descriptors
+with the block fields ``sample_matrices``/``contains_matrices``: the
+built-in euclidean_isometries, principal, affine and projective) the
+trial loops sample, validate and check a block of trials at once on
+stacked matrices.  Each trial still draws from its own generator, so
+verdicts, witness seeds and output bytes are those of the per-trial
+loop, which every other descriptor runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .numerics import (
     GeometryError,
     equal_up_to_scale,
-    haar_orthogonal,
+    equal_up_to_scale_stack,
     mix_seed,
+    orthogonal_from_normals,
     proportionality,
     rng_from,
 )
-from .projective import Hyperplane, ProjMap, ProjPoint, Quadric
+from .projective import (
+    PROJMAP_FAULTS,
+    Hyperplane,
+    ProjMap,
+    ProjPoint,
+    Quadric,
+    projmap_faults,
+)
 from .moebius import MoebiusMap, moebius_transform_circle
 from .transfers import random_inversive_map, random_lie_map
 
@@ -240,6 +255,14 @@ class GroupDescriptor:
     ``sample`` must be a pure function of its seed.  ``contains`` is a
     numeric predicate with tolerance; "invariant" verdicts built on it
     are statistical statements, not proofs.
+
+    A group of 'projective' transformations may also give the block
+    fields: ``sample_matrices(seeds)`` returns the (B, n, n) complex stack
+    of the matrices ``sample`` would wrap, one per seed, and
+    ``contains_matrices(stack, tol)`` the (B,) verdicts of ``contains``.
+    With both set, check_group_axioms, invariance_test and orbit_sample
+    work on blocks of trials and call neither ``sample`` nor ``contains``
+    per trial.
     """
 
     name: str
@@ -247,6 +270,13 @@ class GroupDescriptor:
     identity: Transformation
     sample: Callable[[int], Transformation]
     contains: Callable[..., bool]
+    sample_matrices: Optional[Callable[[Sequence[int]], np.ndarray]] = None
+    contains_matrices: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+
+    @property
+    def blocked(self) -> bool:
+        """Whether the trial loops take the block path for this group."""
+        return self.sample_matrices is not None and self.contains_matrices is not None
 
     def compose(self, t1: Transformation, t2: Transformation) -> Transformation:
         return t1.compose(t2)
@@ -266,67 +296,106 @@ BUILTIN_GROUP_NAMES = (
 )
 
 
-def _affine_from_parts(linear: np.ndarray, translation: np.ndarray) -> ProjMap:
-    d = linear.shape[0]
-    m = np.eye(d + 1, dtype=complex)
-    m[:d, :d] = linear
-    m[:d, d] = translation
-    return ProjMap(m)
-
-
-def _normalized_affine(matrix: np.ndarray, tol: float):
-    """Affine normal form m / m[-1,-1], or None when the map moves the
-    hyperplane at infinity."""
-    scale = float(np.max(np.abs(matrix)))
-    d = matrix.shape[0] - 1
-    if abs(matrix[d, d]) < 1e-12 * scale:
-        return None
-    m = matrix / matrix[d, d]
-    if float(np.max(np.abs(m[d, :d]))) > tol * float(np.max(np.abs(m))):
-        return None
+def _affine_stack(linear: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """(B, d+1, d+1) complex affine matrices from (B, d, d) linear parts
+    and (B, d) translations."""
+    b, d = translation.shape
+    m = np.zeros((b, d + 1, d + 1), dtype=complex)
+    m[:, :d, :d] = linear
+    m[:, :d, d] = translation
+    m[:, d, d] = 1.0
     return m
 
 
-def _contains_isometry(t: Transformation, tol: float = 1e-8) -> bool:
-    if t.kind != "projective":
-        return False
-    m = _normalized_affine(t.forward.matrix, tol)
-    if m is None:
-        return False
-    d = m.shape[0] - 1
-    lin = m[:d, :d]
-    gram = lin.T @ lin
-    return bool(np.max(np.abs(gram - np.eye(d))) <= tol)
+def _similarity_matrices(dim: int, scaled: bool):
+    """Sampler of isometries (``scaled`` False) or similarities."""
+    def sample_matrices(seeds) -> np.ndarray:
+        normals = np.empty((len(seeds), dim, dim))
+        scale = np.ones(len(seeds))
+        tr = np.empty((len(seeds), dim))
+        for b, seed in enumerate(seeds):
+            rng = rng_from(seed)
+            normals[b] = rng.normal(size=(dim, dim))
+            if scaled:
+                scale[b] = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
+            tr[b] = rng.uniform(-1.0, 1.0, size=dim)
+        return _affine_stack(scale[:, None, None] * orthogonal_from_normals(normals), tr)
+    return sample_matrices
 
 
-def _contains_similarity(t: Transformation, tol: float = 1e-8) -> bool:
-    if t.kind != "projective":
-        return False
-    m = _normalized_affine(t.forward.matrix, tol)
-    if m is None:
-        return False
-    d = m.shape[0] - 1
-    lin = m[:d, :d]
-    gram = lin.T @ lin
-    mu = np.trace(gram) / d
-    if abs(mu) <= tol:
-        return False
-    return bool(np.max(np.abs(gram - mu * np.eye(d))) <= tol * max(1.0, abs(mu)))
+def _affine_matrices(dim: int):
+    def sample_matrices(seeds) -> np.ndarray:
+        normals = np.empty((2, len(seeds), dim, dim))
+        stretch = np.zeros((len(seeds), dim, dim))
+        tr = np.empty((len(seeds), dim))
+        diag = np.arange(dim)
+        for b, seed in enumerate(seeds):
+            rng = rng_from(seed)
+            normals[0, b] = rng.normal(size=(dim, dim))
+            normals[1, b] = rng.normal(size=(dim, dim))
+            stretch[b, diag, diag] = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=dim))
+            tr[b] = rng.uniform(-1.0, 1.0, size=dim)
+        q1, q2 = orthogonal_from_normals(normals)
+        return _affine_stack(q1 @ stretch @ q2, tr)
+    return sample_matrices
 
 
-def _contains_affine(t: Transformation, tol: float = 1e-8) -> bool:
-    if t.kind != "projective":
-        return False
-    m = _normalized_affine(t.forward.matrix, tol)
-    if m is None:
-        return False
-    d = m.shape[0] - 1
-    lin = m[:d, :d] / np.max(np.abs(m))
-    return bool(abs(np.linalg.det(lin)) > 1e-10)
+def _projective_matrices(dim: int):
+    def sample_matrices(seeds) -> np.ndarray:
+        shape = (dim + 1, dim + 1)
+        rngs = [rng_from(seed) for seed in seeds]
+        m = np.empty((len(seeds),) + shape)
+        redo = np.arange(len(seeds))
+        # rejection sampling, each redraw on the trial's own generator
+        while redo.size:
+            m[redo] = [rngs[b].uniform(-1.0, 1.0, size=shape) for b in redo]
+            redo = redo[~(np.linalg.cond(m[redo]) < 50.0)]
+        return m.astype(complex)
+    return sample_matrices
 
 
-def _contains_projective(t: Transformation, tol: float = 1e-8) -> bool:
-    return t.kind == "projective"
+def _normalized_affine(stack: np.ndarray, tol: float):
+    """Affine normal forms m / m[-1,-1] of a stack, and a mask of the
+    matrices that keep the hyperplane at infinity."""
+    d = stack.shape[-1] - 1
+    corner = stack[:, d, d]
+    ok = ~(np.abs(corner) < 1e-12 * np.max(np.abs(stack), axis=(1, 2)))
+    m = stack / np.where(ok, corner, 1.0)[:, None, None]
+    ok &= ~(np.max(np.abs(m[:, d, :d]), axis=1) > tol * np.max(np.abs(m), axis=(1, 2)))
+    return m, ok
+
+
+def _linear_gram(stack: np.ndarray, tol: float):
+    m, ok = _normalized_affine(stack, tol)
+    d = m.shape[-1] - 1
+    lin = m[:, :d, :d]
+    return lin.transpose(0, 2, 1) @ lin, ok
+
+
+def _contains_isometries(stack: np.ndarray, tol: float) -> np.ndarray:
+    gram, ok = _linear_gram(stack, tol)
+    d = gram.shape[-1]
+    return ok & (np.max(np.abs(gram - np.eye(d)), axis=(1, 2)) <= tol)
+
+
+def _contains_similarities(stack: np.ndarray, tol: float) -> np.ndarray:
+    gram, ok = _linear_gram(stack, tol)
+    d = gram.shape[-1]
+    mu = np.trace(gram, axis1=1, axis2=2) / d
+    ok &= ~(np.abs(mu) <= tol)
+    dev = np.max(np.abs(gram - mu[:, None, None] * np.eye(d)), axis=(1, 2))
+    return ok & (dev <= tol * np.maximum(1.0, np.abs(mu)))
+
+
+def _contains_affine(stack: np.ndarray, tol: float) -> np.ndarray:
+    m, ok = _normalized_affine(stack, tol)
+    d = m.shape[-1] - 1
+    lin = m[:, :d, :d] / np.max(np.abs(m), axis=(1, 2))[:, None, None]
+    return ok & (np.abs(np.linalg.det(lin)) > 1e-10)
+
+
+def _contains_projective(stack: np.ndarray, tol: float) -> np.ndarray:
+    return np.ones(len(stack), dtype=bool)
 
 
 def _contains_moebius(t: Transformation, tol: float = 1e-8) -> bool:
@@ -342,48 +411,6 @@ def _contains_form_preserving(n: int):
     return contains
 
 
-def _sample_isometry(dim: int):
-    def sample(seed: int) -> Transformation:
-        rng = rng_from(seed)
-        lin = haar_orthogonal(rng, dim)
-        tr = rng.uniform(-1.0, 1.0, size=dim)
-        return Transformation("projective", _affine_from_parts(lin, tr), check=False)
-    return sample
-
-
-def _sample_similarity(dim: int):
-    def sample(seed: int) -> Transformation:
-        rng = rng_from(seed)
-        lin = haar_orthogonal(rng, dim)
-        scale = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
-        tr = rng.uniform(-1.0, 1.0, size=dim)
-        return Transformation("projective", _affine_from_parts(scale * lin, tr),
-                              check=False)
-    return sample
-
-
-def _sample_affine(dim: int):
-    def sample(seed: int) -> Transformation:
-        rng = rng_from(seed)
-        q1 = haar_orthogonal(rng, dim)
-        q2 = haar_orthogonal(rng, dim)
-        s = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=dim))
-        tr = rng.uniform(-1.0, 1.0, size=dim)
-        return Transformation("projective", _affine_from_parts(q1 @ np.diag(s) @ q2, tr),
-                              check=False)
-    return sample
-
-
-def _sample_projective(dim: int):
-    def sample(seed: int) -> Transformation:
-        rng = rng_from(seed)
-        while True:
-            m = rng.uniform(-1.0, 1.0, size=(dim + 1, dim + 1))
-            if np.linalg.cond(m) < 50.0:
-                return Transformation("projective", ProjMap(m), check=False)
-    return sample
-
-
 def _sample_moebius(seed: int) -> Transformation:
     from .moebius import random_moebius
     return Transformation("moebius", random_moebius(seed), check=False)
@@ -394,6 +421,30 @@ def _sample_pentaspherical(n: int):
         m = random_inversive_map(seed) if n == 4 else random_lie_map(seed)
         return Transformation("pentaspherical", m, check=False)
     return sample
+
+
+_MATRIX_GROUPS = {
+    "euclidean_isometries": (partial(_similarity_matrices, scaled=False),
+                             _contains_isometries),
+    "principal": (partial(_similarity_matrices, scaled=True), _contains_similarities),
+    "affine": (_affine_matrices, _contains_affine),
+    "projective": (_projective_matrices, _contains_projective),
+}
+
+
+def _matrix_group(name: str, dimension: int, sample_matrices, contains_matrices):
+    """A projective-family group from its stacked sampler and membership
+    test; the scalar ``sample`` and ``contains`` are batches of one."""
+    def sample(seed: int) -> Transformation:
+        return Transformation("projective", ProjMap(sample_matrices([seed])[0]), check=False)
+
+    def contains(t: Transformation, tol: float = 1e-8) -> bool:
+        return t.kind == "projective" and bool(contains_matrices(t.forward.matrix[None], tol)[0])
+
+    identity = Transformation(
+        "projective", ProjMap(np.eye(dimension + 1, dtype=complex)), check=False)
+    return GroupDescriptor(name, dimension, identity, sample, contains,
+                           sample_matrices, contains_matrices)
 
 
 def builtin_group(name: str, dimension: int = 2) -> GroupDescriptor:
@@ -418,20 +469,9 @@ def builtin_group(name: str, dimension: int = 2) -> GroupDescriptor:
             and dimension != 2:
         raise GeometryError(f"{name} is planar (dimension 2)")
 
-    proj_identity = Transformation(
-        "projective", ProjMap(np.eye(dimension + 1, dtype=complex)), check=False)
-    if name == "euclidean_isometries":
-        return GroupDescriptor(name, dimension, proj_identity,
-                               _sample_isometry(dimension), _contains_isometry)
-    if name == "principal":
-        return GroupDescriptor(name, dimension, proj_identity,
-                               _sample_similarity(dimension), _contains_similarity)
-    if name == "affine":
-        return GroupDescriptor(name, dimension, proj_identity,
-                               _sample_affine(dimension), _contains_affine)
-    if name == "projective":
-        return GroupDescriptor(name, dimension, proj_identity,
-                               _sample_projective(dimension), _contains_projective)
+    if name in _MATRIX_GROUPS:
+        sample_matrices, contains_matrices = _MATRIX_GROUPS[name]
+        return _matrix_group(name, dimension, sample_matrices(dimension), contains_matrices)
     if name == "moebius":
         identity = Transformation("moebius", MoebiusMap(1, 0, 0, 1), check=False)
         return GroupDescriptor(name, dimension, identity, _sample_moebius,
@@ -467,6 +507,69 @@ class AxiomReport:
         return self.total_failures == 0
 
 
+#: the most trials one block of the block path holds
+_BLOCK = 64
+
+
+def _block_bounds(trials: int, first: int):
+    """(start, stop) of consecutive blocks covering range(trials): the
+    first holds ``first`` trials, and each next one twice as many as the
+    one before, up to _BLOCK."""
+    start, size = 0, first
+    while start < trials:
+        stop = min(trials, start + size)
+        yield start, stop
+        start, size = stop, min(2 * size, _BLOCK)
+
+
+def _checked(stack: np.ndarray, faults: list) -> np.ndarray:
+    """Append the ProjMap faults of ``stack`` to ``faults``, and return the
+    stack with each failed matrix replaced by the identity so that later
+    stacked operations see only valid matrices."""
+    f = projmap_faults(stack)
+    faults.append(f)
+    if not f.any():
+        return stack
+    return np.where((f == 0)[:, None, None], stack, np.eye(stack.shape[-1]))
+
+
+def _raise_first(faults: np.ndarray) -> None:
+    """Raise the first fault of a (trials, stages) code array, in trial
+    order and within a trial in stage order, as the per-trial loop would."""
+    bad = np.flatnonzero(faults)
+    if bad.size:
+        raise GeometryError(PROJMAP_FAULTS[faults.flat[bad[0]]])
+
+
+def _block_element(forward: np.ndarray, inverse: np.ndarray, fault: int) -> Transformation:
+    if fault:
+        raise GeometryError(PROJMAP_FAULTS[fault])
+    return Transformation("projective", ProjMap.from_checked(forward),
+                          ProjMap.from_checked(inverse), check=False)
+
+
+def _elements(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
+              first_block: int):
+    """Yield (i, s, make) for trial i < trials, where s is
+    mix_seed(seed, stride * i + offset) and make() returns g.sample(s) or
+    raises what it would raise.  On the block path the elements are
+    sampled and checked a block at a time, and only when the caller asks
+    for the block's first trial."""
+    if not g.blocked:
+        for i in range(trials):
+            s = mix_seed(seed, stride * i + offset)
+            yield i, s, partial(g.sample, s)
+        return
+    for start, stop in _block_bounds(trials, first_block):
+        seeds = [mix_seed(seed, stride * i + offset) for i in range(start, stop)]
+        faults = []
+        forward = _checked(g.sample_matrices(seeds), faults)
+        inverse = _checked(np.linalg.inv(forward), faults)
+        first_fault = np.where(faults[0] != 0, faults[0], faults[1])
+        for k, s in enumerate(seeds):
+            yield start + k, s, partial(_block_element, forward[k], inverse[k], first_fault[k])
+
+
 def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
                        tol: float = 1e-8) -> AxiomReport:
     """Sample-based checks of closure, inverses and the identity.
@@ -483,6 +586,10 @@ def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
     report = AxiomReport(group=g.name, trials=trials, tol=tol)
     if not g.contains(g.identity, tol):
         report.identity_failures.append((-1, 0, 0))
+    if g.blocked:
+        for start, stop in _block_bounds(trials, _BLOCK):
+            _axioms_block(g, report, seed, start, stop, tol)
+        return report
     for i in range(trials):
         s1 = mix_seed(seed, 2 * i)
         s2 = mix_seed(seed, 2 * i + 1)
@@ -496,6 +603,39 @@ def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
         if not g.identity.compose(t1).approx_equal(t1, 1e-8):
             report.identity_failures.append((i, s1, s2))
     return report
+
+
+def _axioms_block(g: GroupDescriptor, report: AxiomReport, seed: int, start: int,
+                  stop: int, tol: float) -> None:
+    """Trials start..stop-1 of check_group_axioms on stacks.  Every matrix
+    the per-trial loop wraps in a ProjMap is checked as ProjMap would, in
+    the same order: both samples and their inverses, then the forward and
+    inverse products of t1*t2, t1*t1^-1 and identity*t1."""
+    s1 = [mix_seed(seed, 2 * i) for i in range(start, stop)]
+    s2 = [mix_seed(seed, 2 * i + 1) for i in range(start, stop)]
+    e = g.identity
+    faults = []
+    m1 = _checked(g.sample_matrices(s1), faults)
+    i1 = _checked(np.linalg.inv(m1), faults)
+    m2 = _checked(g.sample_matrices(s2), faults)
+    i2 = _checked(np.linalg.inv(m2), faults)
+    closure = g.contains_matrices(_checked(m1 @ m2, faults), tol)
+    _checked(i2 @ i1, faults)
+    inverse = g.contains_matrices(i1, tol)
+    # t1*t1^-1 is only formed when t1^-1 passes contains; its forward and
+    # inverse products are both m1 @ i1
+    unit = _checked(m1 @ i1, faults)
+    faults[-1] = np.where(inverse, faults[-1], 0)
+    left = _checked(e.forward.matrix @ m1, faults)
+    _checked(i1 @ e.inverse_map.matrix, faults)
+    _raise_first(np.stack(faults, axis=1))
+    eye = np.broadcast_to(np.eye(m1.shape[-1]), m1.shape)
+    inverse = inverse & equal_up_to_scale_stack(unit, eye, 1e-8)
+    same = equal_up_to_scale_stack(left, m1, 1e-8)
+    for failures, ok in ((report.closure_failures, closure),
+                         (report.inverse_failures, inverse),
+                         (report.identity_failures, same)):
+        failures.extend((start + k, s1[k], s2[k]) for k in np.flatnonzero(~ok).tolist())
 
 
 def stabilizes(t: Transformation, c: Configuration, tol: float = 1e-8) -> bool:
@@ -561,11 +701,11 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
         raise ValueError("trials must be >= 1")
     skipped = 0
     executed = 0
-    for i in range(trials):
+    # blocks grow from one trial, so a witness at trial 0 samples one element
+    for i, tseed, make in _elements(g, seed, trials, 3, 1, 1):
         cseed = mix_seed(seed, 3 * i)
-        tseed = mix_seed(seed, 3 * i + 1)
         config = config_sampler(cseed)
-        t = g.sample(tseed)
+        t = make()
         try:
             before = prop(config)
             image = transform_configuration(t, config)
@@ -625,8 +765,8 @@ def orbit_sample(c: Configuration, g: GroupDescriptor, seed: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [transform_configuration(g.sample(mix_seed(seed, i)), c)
-            for i in range(count)]
+    return [transform_configuration(make(), c)
+            for _, _, make in _elements(g, seed, count, 1, 0, _BLOCK)]
 
 
 def sample_quadric_preserving_map(q: Quadric, seed: int) -> ProjMap:

@@ -71,6 +71,24 @@ def equal_up_to_scale(v, w, tol: float = DEFAULT_TOL) -> bool:
     return float(np.max(np.abs(vn - wn))) <= tol * max(1.0, float(np.max(np.abs(vn))))
 
 
+def equal_up_to_scale_stack(v: np.ndarray, w: np.ndarray,
+                            tol: float = DEFAULT_TOL) -> np.ndarray:
+    """equal_up_to_scale applied pairwise to two stacks of equal shape:
+    entry b compares v[b] with w[b], each flattened, and gives the same
+    verdict."""
+    v = v.reshape(len(v), -1)
+    w = w.reshape(len(w), -1)
+    av, aw = np.abs(v), np.abs(w)
+    k = np.argmax(av, axis=1)[:, None]
+    vk, wk = np.take_along_axis(v, k, 1), np.take_along_axis(w, k, 1)
+    wmax = np.max(aw, axis=1)
+    ok = (np.abs(vk[:, 0]) != 0.0) & (wmax != 0.0) & ~(np.abs(wk[:, 0]) < 0.5 * wmax)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vn, wn = v / vk, w / wk
+        dev = np.max(np.abs(vn - wn), axis=1)
+        return ok & (dev <= tol * np.maximum(1.0, np.max(np.abs(vn), axis=1)))
+
+
 def proportionality(a, b):
     """Best least-squares factor mu with a ~ mu*b plus the relative residual."""
     a = np.asarray(a, dtype=complex)
@@ -107,14 +125,15 @@ def lex_key(v) -> tuple:
     return tuple(parts)
 
 
-def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-uniform sample from O(n) (both components, so reflections occur
-    with probability 1/2 for n >= 1)."""
-    g = rng.normal(size=(n, n))
+def orthogonal_from_normals(g: np.ndarray) -> np.ndarray:
+    """Haar-uniform samples from O(n), one per (n, n) matrix of standard
+    normal draws in the stack ``g``: QR with the signs of R's diagonal
+    moved into Q (both components, so reflections occur with probability
+    1/2 for n >= 1)."""
     q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d = np.where(d == 0, 1.0, d)
+    return q * d[..., None, :]
 
 
 def random_antisymmetric(rng: np.random.Generator, n: int, scale: float = 0.8,

@@ -32,6 +32,8 @@ __all__ = [
     "Hyperplane",
     "Quadric",
     "ProjMap",
+    "PROJMAP_FAULTS",
+    "projmap_faults",
     "apply_map",
     "cross_ratio",
     "line_quadric_intersections",
@@ -142,6 +144,12 @@ class Quadric:
         return f"Quadric({self.matrix.tolist()!r})"
 
 
+#: messages of the value checks of ProjMap.__init__, indexed by the codes
+#: projmap_faults returns (0: passed)
+PROJMAP_FAULTS = ("", "ProjMap: non-finite entries", "ProjMap matrix must not vanish",
+                  "ProjMap matrix is (numerically) singular")
+
+
 class ProjMap:
     """Projectivity of P^n given by an invertible matrix, up to scale."""
 
@@ -153,10 +161,18 @@ class ProjMap:
             raise GeometryError("ProjMap needs a square matrix of size >= 2")
         scale = float(np.max(np.abs(arr)))
         if scale == 0.0:
-            raise GeometryError("ProjMap matrix must not vanish")
+            raise GeometryError(PROJMAP_FAULTS[2])
         if abs(np.linalg.det(arr / scale)) <= singular_tol:
-            raise GeometryError("ProjMap matrix is (numerically) singular")
+            raise GeometryError(PROJMAP_FAULTS[3])
         self.matrix = arr
+
+    @classmethod
+    def from_checked(cls, matrix: np.ndarray) -> "ProjMap":
+        """Wrap a complex matrix that projmap_faults has passed, without
+        checking it again."""
+        obj = cls.__new__(cls)
+        obj.matrix = matrix
+        return obj
 
     @property
     def dim(self) -> int:
@@ -192,6 +208,27 @@ class ProjMap:
 
     def __repr__(self):
         return f"ProjMap({self.matrix.tolist()!r})"
+
+
+def projmap_faults(stack: np.ndarray, singular_tol: float = 1e-12) -> np.ndarray:
+    """The checks of ProjMap.__init__ on a (B, n, n) complex stack at once.
+
+    Entry b is the index in PROJMAP_FAULTS of the first check stack[b]
+    fails, or 0; ProjMap(stack[b]) raises GeometryError with that message.
+    """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 2:
+        raise GeometryError("ProjMap needs a square matrix of size >= 2")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    scale = np.max(np.abs(stack), axis=(1, 2))
+    ok = finite & (scale != 0.0)
+    faults = np.zeros(len(stack), dtype=np.int8)
+    if not ok.all():
+        faults[~ok] = np.where(finite[~ok], 2, 1)
+        # det sees the identity in place of a matrix that failed already
+        stack = np.where(ok[:, None, None], stack, np.eye(stack.shape[1]))
+        scale = np.where(ok, scale, 1.0)
+    faults[np.abs(np.linalg.det(stack / scale[:, None, None])) <= singular_tol] = 3
+    return faults
 
 
 def apply_map(m: ProjMap, p: ProjPoint) -> ProjPoint:

@@ -21,7 +21,8 @@ from .numerics import GeometryError, rng_from
 from .projective import Hyperplane, ProjPoint, Quadric, cross_ratio, incident
 from .groups import Configuration, PropertyUndefined
 from .moebius import circle_quadric, circle_from_quadric
-from .cayley_klein import CKMetric, ck_distance, klein_disk_metric, elliptic_metric
+from .cayley_klein import (CKMetric, _sign_normalized, ck_distance, klein_disk_metric,
+                           elliptic_metric)
 
 __all__ = ["BuiltinProperty", "builtin_property", "PROPERTY_NAMES"]
 
@@ -203,7 +204,9 @@ def _ck_distance_prop(metric: CKMetric):
         if len(c) < 2:
             raise PropertyUndefined("needs two points")
         try:
-            return ck_distance(c[0], c[1], metric)
+            # the value is defined up to sign: the labels of the two points
+            # on the absolute follow a lexicographic rule, which a map can swap
+            return _sign_normalized(ck_distance(c[0], c[1], metric))
         except GeometryError:
             raise PropertyUndefined("outside the metric domain") from None
     return evaluate

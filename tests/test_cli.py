@@ -68,6 +68,25 @@ class TestExitCodes:
         assert code == 2
         assert "grup" in err
 
+    @pytest.mark.parametrize("seed,code", [(-(1 << 63), 0), ((1 << 64) - 1, 0),
+                                           (-(1 << 63) - 1, 2), (1 << 64, 2),
+                                           (18446744073709551621, 2)])
+    def test_seed_must_fit_in_64_bits(self, capsys, seed, code):
+        # 2**64 + 5 would otherwise run as seed 5
+        got, out, err = run(capsys, "axioms", "--group", "principal", "--trials", "3",
+                            "--seed", str(seed))
+        assert got == code
+        assert ("64 bits" in err) == (code == 2)
+        assert ("RESULT:" in out) == (code == 0)
+
+    @pytest.mark.parametrize("p,q", [("2,0", "0.5,0"), ("0,0", "0.6,0.8"),
+                                     ("0.5,0", "-1,0")])
+    def test_klein_disk_points_outside_the_disk_exit_two(self, capsys, p, q):
+        code, out, err = run(capsys, "distance", "--metric", "klein-disk",
+                             f"--p={p}", f"--q={q}")
+        assert code == 2 and out == ""
+        assert "unit disk" in err
+
     def test_distance_exit_zero(self, capsys):
         code, out, _ = run(capsys, "distance", "--metric", "klein-disk",
                            "--p", "0,0", "--q", "0.5,0")

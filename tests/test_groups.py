@@ -17,9 +17,11 @@ from erlangen.groups import (
     invariance_test,
     is_similarity_via_circular_points,
     orbit_sample,
+    sample_quadric_preserving_map,
     stabilizes,
     transform_configuration,
 )
+from erlangen.cayley_klein import klein_disk_metric
 from erlangen.properties import builtin_property
 
 
@@ -290,6 +292,21 @@ class TestInvarianceTest:
         col = builtin_property("collinearity")
         assert isinstance(invariance_test(col.evaluate, g, col.sample_config,
                                           9, 150), Invariant)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ck_distance_invariant_under_disk_preserving_maps(self, seed):
+        # the distance is defined up to sign; compared signed, these seeds
+        # each reported after = -before
+        absolute = klein_disk_metric().absolute
+        identity = Transformation("projective", ProjMap(np.eye(3)), check=False)
+        g = GroupDescriptor(
+            "disk_preserving", 2, identity,
+            lambda s: Transformation(
+                "projective", sample_quadric_preserving_map(absolute, s), check=False),
+            lambda t, tol=1e-8: True)
+        prop = builtin_property("ck-distance", metric="klein-disk")
+        verdict = invariance_test(prop.evaluate, g, prop.sample_config, seed, 20)
+        assert isinstance(verdict, Invariant)
 
     def test_undefined_sampler_mismatch(self):
         def always_undefined(c):
