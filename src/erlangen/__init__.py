@@ -101,6 +101,5 @@ from .config import RunConfig, ConfigError, load_config
 from .reports import serialize_report, parse_report_trailer, ValueReport
 from .fixtures import FixtureSet, FixtureValue, builtin_fixtures, regenerate
 from .properties import builtin_property, PROPERTY_NAMES
-from .cli import main
 
 __version__ = "0.1.0"

@@ -70,13 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dimension", type=int, default=None)
 
     p = sub.add_parser("check-invariance", help="randomized invariance check")
-    p.add_argument("--group", required=True, choices=BUILTIN_GROUP_NAMES)
+    p.add_argument("--group", choices=BUILTIN_GROUP_NAMES)
     p.add_argument("--property", required=True, dest="prop", choices=PROPERTY_NAMES)
     p.add_argument("--metric", choices=("klein-disk", "elliptic"))
     add_common(p)
 
     p = sub.add_parser("axioms", help="randomized group-axiom check")
-    p.add_argument("--group", required=True, choices=BUILTIN_GROUP_NAMES)
+    p.add_argument("--group", choices=BUILTIN_GROUP_NAMES)
     add_common(p)
 
     p = sub.add_parser("distance", help="projective measurement of a point pair")
@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("orbit", help="sample the orbit of a configuration")
-    p.add_argument("--group", required=True, choices=BUILTIN_GROUP_NAMES)
+    p.add_argument("--group", choices=BUILTIN_GROUP_NAMES)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--point", help="x,y[,z] configuration point")
     p.add_argument("--circle", help="cx,cy,r configuration circle")
@@ -141,6 +141,11 @@ def _merge_defaults(args):
     return args
 
 
+def _require_group(args):
+    if args.group is None:
+        raise GeometryError("--group is required (flag or config file)")
+
+
 def _require_seed(args):
     if args.seed is None:
         raise GeometryError("randomized commands require an explicit --seed "
@@ -150,6 +155,7 @@ def _require_seed(args):
 
 def _run_check_invariance(args) -> int:
     _merge_defaults(args)
+    _require_group(args)
     _require_seed(args)
     prop = builtin_property(args.prop, dimension=args.dimension, metric=args.metric)
     group = builtin_group(args.group, args.dimension)
@@ -164,6 +170,7 @@ def _run_axioms(args) -> int:
     # a flag or config value overrides it
     explicit_tol = args.tol
     _merge_defaults(args)
+    _require_group(args)
     _require_seed(args)
     group = builtin_group(args.group, args.dimension)
     tol = explicit_tol if explicit_tol is not None else (
@@ -285,6 +292,7 @@ def _run_contact_check(args) -> int:
 
 def _run_orbit(args) -> int:
     _merge_defaults(args)
+    _require_group(args)
     _require_seed(args)
     count = args.count if args.count is not None else 10
     if args.circle:

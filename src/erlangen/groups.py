@@ -14,9 +14,11 @@ independent, and for groups that act by plain matrices (descriptors
 with the block fields ``sample_matrices``/``contains_matrices``: the
 built-in euclidean_isometries, principal, affine and projective) the
 trial loops sample, validate and check a block of trials at once on
-stacked matrices.  Each trial still draws from its own generator, so
-verdicts, witness seeds and output bytes are those of the per-trial
-loop, which every other descriptor runs.
+stacked matrices.  With a property that has stacked forms (see
+invariance_test), the invariance trials also sample, map and evaluate
+their configurations a block at a time.  Each trial still draws from its
+own generators, so verdicts, witness seeds and output bytes are those of
+the per-trial loop, which every other descriptor and property runs.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from .projective import (
     ProjMap,
     ProjPoint,
     Quadric,
+    coords_faulty,
+    map_hyperplanes,
+    map_points,
     projmap_faults,
 )
 from .moebius import MoebiusMap, moebius_transform_circle
@@ -548,6 +553,21 @@ def _block_element(forward: np.ndarray, inverse: np.ndarray, fault: int) -> Tran
                           ProjMap.from_checked(inverse), check=False)
 
 
+def _element_blocks(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
+                    first_block: int):
+    """For a blocked descriptor, yield (start, seeds, forward, inverse,
+    faults) per block of _block_bounds(trials, first_block): the seeds
+    mix_seed(seed, stride * i + offset) of its trials i, the stacks of
+    their checked matrices and inverses, and per trial the PROJMAP_FAULTS
+    code of the first check g.sample would fail (0: none)."""
+    for start, stop in _block_bounds(trials, first_block):
+        seeds = [mix_seed(seed, stride * i + offset) for i in range(start, stop)]
+        faults = []
+        forward = _checked(g.sample_matrices(seeds), faults)
+        inverse = _checked(np.linalg.inv(forward), faults)
+        yield start, seeds, forward, inverse, np.where(faults[0] != 0, faults[0], faults[1])
+
+
 def _elements(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
               first_block: int):
     """Yield (i, s, make) for trial i < trials, where s is
@@ -560,14 +580,10 @@ def _elements(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: i
             s = mix_seed(seed, stride * i + offset)
             yield i, s, partial(g.sample, s)
         return
-    for start, stop in _block_bounds(trials, first_block):
-        seeds = [mix_seed(seed, stride * i + offset) for i in range(start, stop)]
-        faults = []
-        forward = _checked(g.sample_matrices(seeds), faults)
-        inverse = _checked(np.linalg.inv(forward), faults)
-        first_fault = np.where(faults[0] != 0, faults[0], faults[1])
+    for start, seeds, forward, inverse, faults in _element_blocks(
+            g, seed, trials, stride, offset, first_block):
         for k, s in enumerate(seeds):
-            yield start + k, s, partial(_block_element, forward[k], inverse[k], first_fault[k])
+            yield start + k, s, partial(_block_element, forward[k], inverse[k], faults[k])
 
 
 def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
@@ -696,37 +712,119 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     PropertyUndefined to skip a trial; if more than 90% of trials are
     skipped the sampler does not fit the property and an error is
     raised.
+
+    Trial i draws its configuration from mix_seed(seed, 3i) and its
+    transformation from mix_seed(seed, 3i + 1).  For a blocked group, a
+    functional with ``evaluate_stacks`` and a sampler of g's dimension
+    with ``sample_stacks`` (the built-in properties but tangency and
+    ck-distance), whole blocks of trials are sampled, mapped and
+    evaluated on stacks; the verdict is that of the per-trial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    stacked = (g.blocked and hasattr(prop, "evaluate_stacks")
+               and getattr(config_sampler, "dimension", None) == g.dimension
+               and hasattr(config_sampler, "sample_stacks"))
+    outcomes = (_block_outcomes if stacked else _trial_outcomes)(prop, g, config_sampler,
+                                                                 seed, trials)
     skipped = 0
     executed = 0
-    # blocks grow from one trial, so a witness at trial 0 samples one element
-    for i, tseed, make in _elements(g, seed, trials, 3, 1, 1):
-        cseed = mix_seed(seed, 3 * i)
-        config = config_sampler(cseed)
-        t = make()
-        try:
-            before = prop(config)
-            image = transform_configuration(t, config)
-            after = prop(image)
-        except PropertyUndefined:
+    for i, outcome in outcomes:
+        if outcome is None:
             skipped += 1
             continue
         executed += 1
+        before, after, witness = outcome
         if isinstance(before, (bool, np.bool_)) or isinstance(after, (bool, np.bool_)):
             agree = bool(before) == bool(after)
         else:
             b, a = complex(before), complex(after)
             agree = abs(b - a) <= tol * max(1.0, abs(b), abs(a))
         if not agree:
-            return Violated(trial=i, config_seed=cseed, transform_seed=tseed,
+            config, t = witness()
+            return Violated(trial=i, config_seed=mix_seed(seed, 3 * i),
+                            transform_seed=mix_seed(seed, 3 * i + 1),
                             before=before, after=after, config=config,
                             transformation=t, trials_executed=executed, tol=tol)
     if skipped > 0.9 * trials:
         raise GeometryError(
             f"property undefined on {skipped}/{trials} samples (sampler mismatch)")
     return Invariant(trials_executed=executed, trials_skipped=skipped, tol=tol)
+
+
+def _trial(prop, config_sampler, cseed: int, make):
+    """One trial of invariance_test: None if the property is undefined on
+    the configuration or its image, else (before, after, witness), where
+    witness() returns the configuration and the transformation."""
+    config = config_sampler(cseed)
+    t = make()
+    try:
+        before = prop(config)
+        image = transform_configuration(t, config)
+        after = prop(image)
+    except PropertyUndefined:
+        return None
+    return before, after, lambda: (config, t)
+
+
+def _trial_outcomes(prop, g, config_sampler, seed: int, trials: int):
+    """Yield (i, outcome of _trial) for each trial i of invariance_test."""
+    # blocks grow from one trial, so a witness at trial 0 samples one element
+    for i, _, make in _elements(g, seed, trials, 3, 1, 1):
+        yield i, _trial(prop, config_sampler, mix_seed(seed, 3 * i), make)
+
+
+def _block_outcomes(prop, g, config_sampler, seed: int, trials: int):
+    """_trial_outcomes on stacks: each block of trials samples its
+    configurations, maps them and evaluates the property before and after
+    at once.  A trial whose configuration, element or image the scalar
+    objects would refuse runs as _trial, which raises that error."""
+    for start, _, forward, inverse, faults in _element_blocks(g, seed, trials, 3, 1, 1):
+        cseeds = [mix_seed(seed, 3 * i) for i in range(start, start + len(faults))]
+        points, hyperplanes = config_sampler.sample_stacks(cseeds)
+        irregular = (faults != 0) | _faulty(points, hyperplanes)
+        points, hyperplanes = _sanitized(points, irregular), _sanitized(hyperplanes, irregular)
+        images = map_points(forward, points), map_hyperplanes(inverse, hyperplanes)
+        refused = _faulty(*images)
+        images = [_sanitized(x, refused) for x in images]
+        # the configurations and their images in one stack: rows are independent
+        values, undefined = prop.evaluate_stacks(np.concatenate([points, images[0]]),
+                                                 np.concatenate([hyperplanes, images[1]]))
+        b = len(faults)
+        # an image is made only when the property is defined before
+        irregular |= (undefined[:b] == 0) & refused
+        undefined = undefined[:b] | undefined[b:]
+        before, after = values[:b].tolist(), values[b:].tolist()
+        for k, cseed in enumerate(cseeds):
+            make = partial(_block_element, forward[k], inverse[k], faults[k])
+            if irregular[k]:
+                yield start + k, _trial(prop, config_sampler, cseed, make)
+            elif undefined[k]:
+                yield start + k, None
+            else:
+                witness = partial(_witness, config_sampler, points[k], hyperplanes[k], make)
+                yield start + k, (before[k], after[k], witness)
+
+
+def _faulty(points: np.ndarray, hyperplanes: np.ndarray) -> np.ndarray:
+    """Mask of the configurations whose stacked rows ProjPoint or
+    Hyperplane would refuse."""
+    faulty = coords_faulty(points).any(axis=1)
+    if hyperplanes.size:
+        faulty |= coords_faulty(hyperplanes).any(axis=1)
+    return faulty
+
+
+def _sanitized(stack: np.ndarray, irregular: np.ndarray) -> np.ndarray:
+    """The stack with the rows of irregular trials set to ones, so stacked
+    evaluation sees finite coordinates only."""
+    if not irregular.any():
+        return stack
+    return np.where(irregular[:, None, None], 1.0, stack)
+
+
+def _witness(config_sampler, points: np.ndarray, hyperplanes: np.ndarray, make):
+    return config_sampler.configuration(points, hyperplanes), make()
 
 
 _CIRCULAR_PLUS = np.array([1.0, 1.0j, 0.0])

@@ -89,6 +89,39 @@ def equal_up_to_scale_stack(v: np.ndarray, w: np.ndarray,
         return ok & (dev <= tol * np.maximum(1.0, np.max(np.abs(vn), axis=1)))
 
 
+# -- stacked counterparts of scalar steps, bit for bit -------------------------
+#
+# numpy's complex array multiply and absolute value round differently from
+# the same operations on one numpy or Python complex scalar (the array loops
+# may fuse multiply-adds), so code that works on stacks and must give the
+# bits of a scalar computation uses these.  Division, addition and
+# subtraction agree already.
+
+
+def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, rounded as for complex scalars: each part is two
+    float products and one sum."""
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def complex_abs(z: np.ndarray) -> np.ndarray:
+    """abs() of each entry, as for a complex scalar."""
+    return np.hypot(z.real, z.imag)
+
+
+def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[..., :] @ y[..., :] for each pair of rows, as ``@`` of two 1-d
+    arrays gives it."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a complex stack, as for a 1-d array."""
+    return np.sqrt(row_dot(x.real, x.real) + row_dot(x.imag, x.imag))
+
+
 def proportionality(a, b):
     """Best least-squares factor mu with a ~ mu*b plus the relative residual."""
     a = np.asarray(a, dtype=complex)

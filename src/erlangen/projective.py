@@ -19,9 +19,13 @@ from .numerics import (
     DimensionMismatch,
     GeometryError,
     as_complex_array,
+    complex_abs,
+    complex_product,
     equal_up_to_scale,
     lex_key,
     normalize_leading,
+    row_dot,
+    row_norm,
 )
 
 __all__ = [
@@ -35,11 +39,17 @@ __all__ = [
     "PROJMAP_FAULTS",
     "projmap_faults",
     "apply_map",
+    "map_points",
+    "map_hyperplanes",
+    "coords_faulty",
+    "CROSS_RATIO_FAULTS",
     "cross_ratio",
+    "cross_ratio_stack",
     "line_quadric_intersections",
     "ChordIntersections",
     "on_quadric",
     "incident",
+    "incident_stack",
     "join_line",
     "meet_point",
 ]
@@ -231,25 +241,65 @@ def projmap_faults(stack: np.ndarray, singular_tol: float = 1e-12) -> np.ndarray
     return faults
 
 
+def map_points(matrices: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """ProjMap.apply on stacks: row [b, j] of the result holds the
+    coordinates of ProjMap(matrices[b]).apply(ProjPoint(coords[b, j])),
+    for (B, n, n) matrices and (B, k, n) coordinates.  A row that ProjPoint
+    would refuse comes back non-finite or zero (see coords_faulty)."""
+    out = (matrices[:, None] @ coords[..., None])[..., 0]
+    return out / np.max(np.abs(out), axis=-1, keepdims=True)
+
+
+def map_hyperplanes(inverses: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """ProjMap.apply_hyperplane on stacks, given the (B, n, n) inverses of
+    the maps' matrices."""
+    if not coeffs.size:
+        return coeffs
+    return map_points(inverses.transpose(0, 2, 1), coeffs)
+
+
+def coords_faulty(coords: np.ndarray) -> np.ndarray:
+    """Mask of the rows (last axis) of a coordinate stack that ProjPoint
+    and Hyperplane refuse: non-finite, or all zero."""
+    # NaN propagates through the max, and a zero or infinite max fails too
+    m = np.max(np.abs(coords), axis=-1, initial=0.0)
+    return ~((m > 0.0) & (m < np.inf))
+
+
 def apply_map(m: ProjMap, p: ProjPoint) -> ProjPoint:
     return m.apply(p)
 
 
-def _line_coordinates(points, tol):
-    """Projective parameters (alpha_i : beta_i) of points on a common line.
+#: messages of the errors cross_ratio raises, indexed by the codes
+#: cross_ratio_stack returns (0: no error)
+CROSS_RATIO_FAULTS = ("", "cross-ratio requires collinear points",
+                      "cross-ratio is indeterminate (0/0 coincidence)",
+                      "cross-ratio is infinite for this coincidence")
 
-    Returns None if the points fail the collinearity test: the stacked
-    coordinate matrix must have numerical rank 2.
+
+def cross_ratio_stack(coords: np.ndarray, tol: float = DEFAULT_TOL):
+    """cross_ratio of each quadruple in a (B, 4, n+1) stack of point
+    coordinates: the (B,) values, and the (B,) indices in
+    CROSS_RATIO_FAULTS of the error cross_ratio raises (0: none).
+
+    The points' projective parameters (alpha_i : beta_i) on their common
+    line come from the SVD of the scaled coordinate matrix, which must
+    have numerical rank 2.
     """
-    stack = np.array([p.coords for p in points])
-    stack = stack / np.max(np.abs(stack))
+    stack = coords / np.max(np.abs(coords), axis=(1, 2), keepdims=True)
     _, s, vh = np.linalg.svd(stack)
-    if s.size > 2 and s[2] > max(tol, 1e-12) * s[0] * 100:
-        return None
-    u, v = vh[0], vh[1]
-    alphas = stack @ np.conj(u)
-    betas = stack @ np.conj(v)
-    return alphas, betas
+    # projective parameters (alpha : beta) of the points on their line
+    a, b = ((stack @ np.conj(vh[:, k])[..., None])[..., 0] for k in (0, 1))
+    # the brackets [02], [13], [03], [12], then num = [02][13], den = [03][12]
+    i, j = [0, 1, 0, 1], [2, 3, 3, 2]
+    brackets = complex_product(a[:, i], b[:, j]) - complex_product(a[:, j], b[:, i])
+    num, den = complex_product(brackets[:, 0::2], brackets[:, 1::2]).T
+    abs_num, abs_den = complex_abs(num), complex_abs(den)
+    m = np.where(abs_den > abs_num, abs_den, abs_num)
+    faults = np.where(m == 0.0, 2, np.where(abs_den < 1e-14 * m, 3, 0))
+    if s.shape[-1] > 2:
+        faults[s[:, 2] > max(tol, 1e-12) * s[:, 0] * 100] = 1
+    return num / np.where(faults == 0, den, 1.0), faults
 
 
 def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint,
@@ -265,22 +315,10 @@ def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint,
     dims = {p.dim for p in pts}
     if len(dims) != 1:
         raise DimensionMismatch("cross-ratio points live in different spaces")
-    coords = _line_coordinates(pts, tol)
-    if coords is None:
-        raise GeometryError("cross-ratio requires collinear points")
-    a, b = coords
-
-    def det(i, j):
-        return a[i] * b[j] - a[j] * b[i]
-
-    num = det(0, 2) * det(1, 3)
-    den = det(0, 3) * det(1, 2)
-    m = max(abs(num), abs(den))
-    if m == 0.0:
-        raise GeometryError("cross-ratio is indeterminate (0/0 coincidence)")
-    if abs(den) < 1e-14 * m:
-        raise GeometryError("cross-ratio is infinite for this coincidence")
-    return complex(num / den)
+    values, faults = cross_ratio_stack(np.array([[p.coords for p in pts]]), tol)
+    if faults[0]:
+        raise GeometryError(CROSS_RATIO_FAULTS[faults[0]])
+    return complex(values[0])
 
 
 class ChordIntersections(NamedTuple):
@@ -343,8 +381,15 @@ def incident(p: ProjPoint, h: Hyperplane, tol: float = DEFAULT_TOL) -> bool:
     """Scale-free incidence test |<h, p>| / (||h|| ||p||) < tol."""
     if p.dim != h.dim:
         raise DimensionMismatch("point/hyperplane dimension mismatch")
-    val = abs(h.coeffs @ p.coords)
-    return bool(val / (np.linalg.norm(h.coeffs) * np.linalg.norm(p.coords)) < tol)
+    return bool(incident_stack(p.coords[None], h.coeffs[None], tol)[0])
+
+
+def incident_stack(points: np.ndarray, hyperplanes: np.ndarray,
+                   tol: float = DEFAULT_TOL) -> np.ndarray:
+    """incident on each pair of rows of a (B, n+1) point stack and a
+    (B, n+1) hyperplane stack."""
+    val = complex_abs(row_dot(hyperplanes, points))
+    return val / (row_norm(hyperplanes) * row_norm(points)) < tol
 
 
 def join_line(p: ProjPoint, q: ProjPoint) -> Hyperplane:

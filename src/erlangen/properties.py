@@ -8,6 +8,13 @@ properties in the group-theoretic sense include relations as well as
 magnitudes.  A property raises PropertyUndefined on configurations
 outside its domain (for example circle-specific functionals on conics
 that are no longer circles); such trials are skipped.
+
+Euclidean distance, angle, cross-ratio, incidence and collinearity are
+written once, for stacks: each functional is a Functional and each
+sampler a Sampler, whose scalar calls are batches of one, and
+invariance_test runs them a block of trials at a time.  The stacked
+steps round as the scalar ones did (numerics.complex_product and friends),
+so values and verdicts are bit for bit those of the former scalar bodies.
 """
 
 from __future__ import annotations
@@ -17,14 +24,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import GeometryError, rng_from
-from .projective import Hyperplane, ProjPoint, Quadric, cross_ratio, incident
+from .numerics import GeometryError, complex_abs, rng_from, row_dot, row_norm
+from .projective import Hyperplane, ProjPoint, Quadric, cross_ratio_stack, incident_stack
 from .groups import Configuration, PropertyUndefined
 from .moebius import circle_quadric, circle_from_quadric
 from .cayley_klein import (CKMetric, _sign_normalized, ck_distance, klein_disk_metric,
                            elliptic_metric)
 
-__all__ = ["BuiltinProperty", "builtin_property", "PROPERTY_NAMES"]
+__all__ = ["BuiltinProperty", "Functional", "Sampler", "builtin_property", "PROPERTY_NAMES"]
 
 PROPERTY_NAMES = (
     "euclidean-distance",
@@ -45,72 +52,165 @@ class BuiltinProperty:
     boolean: bool
 
 
-def _affine(p: ProjPoint) -> np.ndarray:
-    v = p.normalized()
-    if abs(v[-1]) < 1e-10:
-        raise PropertyUndefined("point at infinity")
-    return (v / v[-1])[:-1]
+class Functional:
+    """A property functional written once, for stacks of configurations.
+
+    ``evaluate_stacks(points, hyperplanes)`` takes the (B, k, n+1) point
+    and (B, h, n+1) hyperplane coordinate stacks of B configurations and
+    returns their (B,) values, complex or bool, and (B,) codes: 0 where
+    the value is defined, else the index in ``reasons`` of why it is not.
+    The functional reads a configuration's points and hyperplanes, each in
+    order.  Called on one Configuration it is the batch of one: it
+    returns the value as a Python complex or bool, or raises
+    PropertyUndefined.  invariance_test evaluates whole blocks of trials
+    through ``evaluate_stacks``.
+    """
+
+    def __init__(self, evaluate_stacks, reasons):
+        self.evaluate_stacks = evaluate_stacks
+        self.reasons = reasons
+
+    def __call__(self, c: Configuration):
+        values, undefined = self.evaluate_stacks(*_stacks(c))
+        if undefined[0]:
+            raise PropertyUndefined(self.reasons[undefined[0]])
+        return values.tolist()[0]
 
 
-def _point(coords) -> ProjPoint:
-    return ProjPoint(list(coords) + [1.0])
+class Sampler:
+    """A configuration sampler written once, for stacks of seeds.
+
+    ``draw(rng)`` makes one configuration's draws on its generator and
+    returns its point and hyperplane coordinate rows, (k, n+1) and
+    (h, n+1).  ``sample_stacks(seeds)`` draws one configuration per seed,
+    each from its own ``rng_from(seed)``, and stacks them as (B, k, n+1)
+    point and (B, h, n+1) hyperplane arrays.  Called on one seed it is
+    the batch of one and returns the Configuration of the points, then
+    the hyperplanes (``configuration`` of its rows).
+    """
+
+    def __init__(self, dimension: int, draw):
+        self.dimension = dimension
+        self.draw = draw
+
+    def sample_stacks(self, seeds):
+        rows = [self.draw(rng_from(seed)) for seed in seeds]
+        return tuple(np.array([r[j] for r in rows], dtype=complex)
+                     .reshape(len(rows), len(rows[0][j]), self.dimension + 1)
+                     for j in (0, 1))
+
+    def __call__(self, seed: int) -> Configuration:
+        points, hyperplanes = self.sample_stacks([seed])
+        return self.configuration(points[0], hyperplanes[0])
+
+    @staticmethod
+    def configuration(points: np.ndarray, hyperplanes: np.ndarray) -> Configuration:
+        """The Configuration of one configuration's coordinate rows."""
+        return Configuration([ProjPoint(p) for p in points] + [Hyperplane(h) for h in hyperplanes])
 
 
-def _sampler_points(count: int, dimension: int):
-    def sample(seed: int) -> Configuration:
-        rng = rng_from(seed)
-        return Configuration([_point(rng.uniform(-1, 1, dimension))
-                              for _ in range(count)])
-    return sample
+_NO_HYPERPLANES = np.empty((0, 0))
 
 
-def _euclidean_distance(c: Configuration):
-    if len(c) < 2:
-        raise PropertyUndefined("needs two points")
-    a, b = _affine(c[0]), _affine(c[1])
-    return complex(np.sqrt(complex((a - b) @ (a - b))))
+def _stacks(c: Configuration):
+    """The point and hyperplane coordinate stacks of one configuration."""
+    points = [e.coords for e in c if isinstance(e, ProjPoint)]
+    hyperplanes = [e.coeffs for e in c if isinstance(e, Hyperplane)]
+    sizes = {v.size for v in points + hyperplanes}
+    if len(sizes) > 1:
+        raise PropertyUndefined("elements live in different spaces")
+    n = sizes.pop() if sizes else 0
+    return (np.array(points, dtype=complex).reshape(1, len(points), n),
+            np.array(hyperplanes, dtype=complex).reshape(1, len(hyperplanes), n))
 
 
-def _angle_at_vertex(c: Configuration):
-    if len(c) < 3:
-        raise PropertyUndefined("needs three points")
-    o, a, b = (_affine(p) for p in c.elements[:3])
-    u, v = a - o, b - o
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < 1e-12 or nv < 1e-12:
-        raise PropertyUndefined("degenerate ray")
-    cosv = complex(u @ v) / (nu * nv)
-    return complex(np.arccos(np.clip(cosv.real, -1.0, 1.0)))
+# why a property is undefined, indexed by the codes of its evaluate_stacks
+_DISTANCE_REASONS = ("", "needs two points", "point at infinity")
+_ANGLE_REASONS = ("", "needs three points", "point at infinity", "degenerate ray")
+_CROSS_RATIO_REASONS = ("", "needs four points", "points not collinear")
+_INCIDENCE_REASONS = ("", "needs a point and a hyperplane")
+_COLLINEARITY_REASONS = ("", "needs three points", "all points of P^1 are collinear")
 
 
-def _sampler_collinear_quadruple(dimension: int):
-    def sample(seed: int) -> Configuration:
-        rng = rng_from(seed)
-        base = rng.uniform(-1, 1, dimension)
-        direction = rng.uniform(-1, 1, dimension)
-        direction /= np.linalg.norm(direction)
+def _undefined(points: np.ndarray, code: int, dtype=complex):
+    b = len(points)
+    return np.zeros(b, dtype=dtype), np.full(b, code, dtype=np.int8)
+
+
+def _affine(points: np.ndarray):
+    """Affine coordinates of a stack of point rows (last axis), and the
+    mask of the points at infinity, whose coordinates are meaningless."""
+    m = points.shape[-1]
+    # each row divided by its largest-magnitude entry, then by its last one
+    lead = points[np.eye(m, dtype=bool)[np.argmax(np.abs(points), axis=-1)]]
+    v = points / lead.reshape(points.shape[:-1] + (1,))
+    last = v[..., -1:]
+    at_infinity = complex_abs(last[..., 0]) < 1e-10
+    if at_infinity.any():
+        last = np.where(at_infinity[..., None], 1.0, last)
+    return (v / last)[..., :-1], at_infinity
+
+
+def _homogeneous(coords: np.ndarray) -> np.ndarray:
+    """Rows of affine coordinates with a last coordinate 1 appended."""
+    out = np.ones(coords.shape[:-1] + (coords.shape[-1] + 1,))
+    out[..., :-1] = coords
+    return out
+
+
+def _points_draw(count: int, dimension: int):
+    def draw(rng):
+        return _homogeneous(rng.uniform(-1, 1, (count, dimension))), _NO_HYPERPLANES
+    return draw
+
+
+def _euclidean_distance(points, hyperplanes):
+    if points.shape[1] < 2:
+        return _undefined(points, 1)
+    affine, at_infinity = _affine(points[:, :2])
+    d = affine[:, 0] - affine[:, 1]
+    return np.sqrt(row_dot(d, d)), np.where(at_infinity.any(axis=1), 2, 0)
+
+
+def _angle_at_vertex(points, hyperplanes):
+    if points.shape[1] < 3:
+        return _undefined(points, 1)
+    affine, at_infinity = _affine(points[:, :3])
+    rays = affine[:, 1:] - affine[:, :1]
+    norms = row_norm(rays)
+    degenerate = (norms < 1e-12).any(axis=1)
+    cosv = row_dot(rays[:, 0], rays[:, 1]).real / np.where(degenerate, 1.0,
+                                                          norms[:, 0] * norms[:, 1])
+    undefined = np.where(at_infinity.any(axis=1), 2, np.where(degenerate, 3, 0))
+    return np.arccos(np.clip(cosv, -1.0, 1.0)).astype(complex), undefined
+
+
+def _collinear_quadruple_draw(dimension: int):
+    def draw(rng):
+        # one draw of 2d numbers takes the same stream as two of d
+        base, direction = rng.uniform(-1, 1, (2, dimension))
+        # np.linalg.norm of a real vector, without its dispatch
+        direction /= np.sqrt(direction.dot(direction))
         while True:
             ts = rng.uniform(-2, 2, 4)
-            if min(abs(ts[i] - ts[j]) for i in range(4) for j in range(i + 1, 4)) > 0.05:
+            # the closest pair of parameters is a neighbouring pair in order
+            t = sorted(ts.tolist())
+            if min(t[1] - t[0], t[2] - t[1], t[3] - t[2]) > 0.05:
                 break
-        return Configuration([_point(base + t * direction) for t in ts])
-    return sample
+        return _homogeneous(base + ts[:, None] * direction), _NO_HYPERPLANES
+    return draw
 
 
-def _cross_ratio_prop(c: Configuration):
-    if len(c) < 4:
-        raise PropertyUndefined("needs four points")
-    try:
-        return cross_ratio(*c.elements[:4])
-    except GeometryError:
-        raise PropertyUndefined("points not collinear") from None
+def _cross_ratio_prop(points, hyperplanes):
+    if points.shape[1] < 4:
+        return _undefined(points, 1)
+    values, faults = cross_ratio_stack(points[:, :4])
+    return values, np.where(faults != 0, 2, 0)
 
 
-def _sampler_incidence(dimension: int):
-    def sample(seed: int) -> Configuration:
-        rng = rng_from(seed)
+def _incidence_draw(dimension: int):
+    def draw(rng):
         coeffs = rng.uniform(-1, 1, dimension + 1)
-        h = Hyperplane(coeffs)
         if rng.random() < 0.5:
             # construct an incident point inside the hyperplane
             basis = np.eye(dimension + 1)
@@ -118,19 +218,17 @@ def _sampler_incidence(dimension: int):
             vecs = [basis[:, i] - (coeffs[i] / coeffs[k]) * basis[:, k]
                     for i in range(dimension + 1) if i != k]
             weights = rng.uniform(-1, 1, len(vecs))
-            pt = ProjPoint(sum(w * v for w, v in zip(weights, vecs)))
+            pt = sum(w * v for w, v in zip(weights, vecs))
         else:
-            pt = _point(rng.uniform(-1, 1, dimension))
-        return Configuration([pt, h])
-    return sample
+            pt = _homogeneous(rng.uniform(-1, 1, dimension))
+        return pt[None], coeffs[None]
+    return draw
 
 
-def _incidence_prop(c: Configuration):
-    pt = next((e for e in c if isinstance(e, ProjPoint)), None)
-    h = next((e for e in c if isinstance(e, Hyperplane)), None)
-    if pt is None or h is None:
-        raise PropertyUndefined("needs a point and a hyperplane")
-    return incident(pt, h, 1e-8)
+def _incidence_prop(points, hyperplanes):
+    if points.shape[1] < 1 or hyperplanes.shape[1] < 1:
+        return _undefined(points, 1, bool)
+    return incident_stack(points[:, 0], hyperplanes[:, 0], 1e-8), np.zeros(len(points), np.int8)
 
 
 def _sampler_circle_pair(seed: int) -> Configuration:
@@ -176,27 +274,27 @@ def _tangency_prop(c: Configuration):
     return bool(min(abs(d - (r1 + r2)), abs(d - abs(r1 - r2))) < 1e-7 * max(1.0, scale))
 
 
-def _sampler_triple_maybe_collinear(dimension: int):
-    def sample(seed: int) -> Configuration:
-        rng = rng_from(seed)
+def _triple_maybe_collinear_draw(dimension: int):
+    def draw(rng):
         if rng.random() < 0.5:
-            base = rng.uniform(-1, 1, dimension)
-            direction = rng.uniform(-1, 1, dimension)
+            base, direction = rng.uniform(-1, 1, (2, dimension))
             ts = rng.uniform(-1.5, 1.5, 2)
-            pts = [base, base + ts[0] * direction, base + ts[1] * direction]
+            pts = np.array([base, base + ts[0] * direction, base + ts[1] * direction])
         else:
-            pts = [rng.uniform(-1, 1, dimension) for _ in range(3)]
-        return Configuration([_point(p) for p in pts])
-    return sample
+            pts = rng.uniform(-1, 1, (3, dimension))
+        return _homogeneous(pts), _NO_HYPERPLANES
+    return draw
 
 
-def _collinearity_prop(c: Configuration):
-    if len(c) < 3:
-        raise PropertyUndefined("needs three points")
-    stack = np.array([p.coords for p in c.elements[:3]])
-    stack = stack / np.max(np.abs(stack))
+def _collinearity_prop(points, hyperplanes):
+    if points.shape[1] < 3:
+        return _undefined(points, 1, bool)
+    if points.shape[2] < 3:
+        return _undefined(points, 2, bool)
+    stack = points[:, :3]
+    stack = stack / np.max(np.abs(stack), axis=(1, 2), keepdims=True)
     s = np.linalg.svd(stack, compute_uv=False)
-    return bool(s[2] < 1e-8 * s[0])
+    return s[:, 2] < 1e-8 * s[:, 0], np.zeros(len(points), np.int8)
 
 
 def _ck_distance_prop(metric: CKMetric):
@@ -212,14 +310,13 @@ def _ck_distance_prop(metric: CKMetric):
     return evaluate
 
 
-def _sampler_disk_pair(seed: int) -> Configuration:
-    rng = rng_from(seed)
+def _disk_pair_draw(rng):
     pts = []
     while len(pts) < 2:
         p = rng.uniform(-1, 1, 2)
         if np.linalg.norm(p) < 0.9:
             pts.append(p)
-    return Configuration([_point(p) for p in pts])
+    return _homogeneous(np.array(pts)), _NO_HYPERPLANES
 
 
 def builtin_property(name: str, dimension: int = 2,
@@ -232,32 +329,37 @@ def builtin_property(name: str, dimension: int = 2,
     if name != "ck-distance" and metric is not None:
         raise GeometryError(f"property {name!r} takes no metric parameter")
     if name == "euclidean-distance":
-        return BuiltinProperty(name, _euclidean_distance,
-                               _sampler_points(2, dimension), False)
+        return BuiltinProperty(name, Functional(_euclidean_distance, _DISTANCE_REASONS),
+                               Sampler(dimension, _points_draw(2, dimension)), False)
     if name == "angle":
-        return BuiltinProperty(name, _angle_at_vertex,
-                               _sampler_points(3, dimension), False)
+        return BuiltinProperty(name, Functional(_angle_at_vertex, _ANGLE_REASONS),
+                               Sampler(dimension, _points_draw(3, dimension)), False)
     if name == "cross-ratio":
-        return BuiltinProperty(name, _cross_ratio_prop,
-                               _sampler_collinear_quadruple(dimension), False)
+        return BuiltinProperty(name, Functional(_cross_ratio_prop, _CROSS_RATIO_REASONS),
+                               Sampler(dimension, _collinear_quadruple_draw(dimension)),
+                               False)
     if name == "incidence":
-        return BuiltinProperty(name, _incidence_prop,
-                               _sampler_incidence(dimension), True)
+        return BuiltinProperty(name, Functional(_incidence_prop, _INCIDENCE_REASONS),
+                               Sampler(dimension, _incidence_draw(dimension)), True)
     if name == "tangency":
         if dimension != 2:
             raise GeometryError("tangency is a plane property")
         return BuiltinProperty(name, _tangency_prop, _sampler_circle_pair, True)
     if name == "collinearity":
-        return BuiltinProperty(name, _collinearity_prop,
-                               _sampler_triple_maybe_collinear(dimension), True)
+        if dimension < 2:
+            raise GeometryError("collinearity needs dimension >= 2: all points of "
+                                "P^1 lie on its one line")
+        return BuiltinProperty(name, Functional(_collinearity_prop, _COLLINEARITY_REASONS),
+                               Sampler(dimension, _triple_maybe_collinear_draw(dimension)),
+                               True)
     if name == "ck-distance":
         if metric is None:
             raise GeometryError("ck-distance requires a metric parameter")
         if metric == "klein-disk":
             return BuiltinProperty(name, _ck_distance_prop(klein_disk_metric()),
-                                   _sampler_disk_pair, False)
+                                   Sampler(2, _disk_pair_draw), False)
         if metric == "elliptic":
             return BuiltinProperty(name, _ck_distance_prop(elliptic_metric()),
-                                   _sampler_points(2, 2), False)
+                                   Sampler(2, _points_draw(2, 2)), False)
         raise GeometryError(f"unknown metric {metric!r}")
     raise GeometryError(f"unknown property: {name}")

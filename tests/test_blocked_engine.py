@@ -2,9 +2,13 @@
 
 The projective-family groups carry stacked samplers and membership tests,
 so check_group_axioms, invariance_test and orbit_sample run them a block
-of trials at a time.  Rebuilding the same group without those fields
-gives the per-trial loop, which is the reference here: every verdict,
-witness seed and output byte must be the same on both paths.
+of trials at a time; the built-in properties but tangency and ck-distance
+carry stacked samplers and functionals, so invariance_test also samples,
+maps and evaluates configurations a block at a time.  Rebuilding the same
+group without the block fields gives the per-trial loop, and the scalar
+property bodies and samplers the stacked ones replaced are kept below:
+together they are the reference here.  Every verdict, witness seed and
+output byte must be the same on both paths.
 """
 
 import dataclasses
@@ -12,19 +16,36 @@ import dataclasses
 import numpy as np
 import pytest
 
-from erlangen.numerics import GeometryError, mix_seed, rng_from
-from erlangen.projective import ProjMap, ProjPoint
+from erlangen.numerics import (
+    GeometryError,
+    complex_abs,
+    complex_product,
+    mix_seed,
+    rng_from,
+    row_dot,
+    row_norm,
+)
+from erlangen.projective import (
+    Hyperplane,
+    ProjMap,
+    ProjPoint,
+    coords_faulty,
+    map_hyperplanes,
+    map_points,
+)
 from erlangen.groups import (
     Configuration,
     GroupDescriptor,
+    PropertyUndefined,
     Transformation,
     Violated,
     builtin_group,
     check_group_axioms,
     invariance_test,
     orbit_sample,
+    transform_configuration,
 )
-from erlangen.properties import builtin_property
+from erlangen.properties import Sampler, builtin_property
 from erlangen.reports import serialize_report
 
 GROUP_DIMS = [("euclidean_isometries", 2), ("euclidean_isometries", 3),
@@ -348,3 +369,377 @@ def test_invariance_raises_only_if_no_earlier_trial_is_a_witness():
     # with no witness before it, the bad element raises on both paths
     g = faulty_group({tseed(0): eye, tseed(1): eye, tseed(2): BAD["nan"]})
     assert run(g) == run(per_trial(g)) == (GeometryError, "ProjMap: non-finite entries")
+
+
+# -- the scalar property bodies and samplers the stacked ones replace ----------
+
+def _old_affine(p):
+    v = p.coords / p.coords[int(np.argmax(np.abs(p.coords)))]
+    if abs(v[-1]) < 1e-10:
+        raise PropertyUndefined("point at infinity")
+    return (v / v[-1])[:-1]
+
+
+def _old_point(coords):
+    return ProjPoint(list(coords) + [1.0])
+
+
+def old_distance(c):
+    if len(c) < 2:
+        raise PropertyUndefined("needs two points")
+    a, b = _old_affine(c[0]), _old_affine(c[1])
+    return complex(np.sqrt(complex((a - b) @ (a - b))))
+
+
+def old_angle(c):
+    if len(c) < 3:
+        raise PropertyUndefined("needs three points")
+    o, a, b = (_old_affine(p) for p in c.elements[:3])
+    u, v = a - o, b - o
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < 1e-12 or nv < 1e-12:
+        raise PropertyUndefined("degenerate ray")
+    cosv = complex(u @ v) / (nu * nv)
+    return complex(np.arccos(np.clip(cosv.real, -1.0, 1.0)))
+
+
+def old_cross_ratio(pts, tol=1e-10):
+    stack = np.array([p.coords for p in pts])
+    stack = stack / np.max(np.abs(stack))
+    _, s, vh = np.linalg.svd(stack)
+    if s.size > 2 and s[2] > max(tol, 1e-12) * s[0] * 100:
+        raise GeometryError("cross-ratio requires collinear points")
+    a, b = stack @ np.conj(vh[0]), stack @ np.conj(vh[1])
+
+    def det(i, j):
+        return a[i] * b[j] - a[j] * b[i]
+
+    num = det(0, 2) * det(1, 3)
+    den = det(0, 3) * det(1, 2)
+    m = max(abs(num), abs(den))
+    if m == 0.0:
+        raise GeometryError("cross-ratio is indeterminate (0/0 coincidence)")
+    if abs(den) < 1e-14 * m:
+        raise GeometryError("cross-ratio is infinite for this coincidence")
+    return complex(num / den)
+
+
+def old_cross_ratio_prop(c):
+    if len(c) < 4:
+        raise PropertyUndefined("needs four points")
+    try:
+        return old_cross_ratio(c.elements[:4])
+    except GeometryError:
+        raise PropertyUndefined("points not collinear") from None
+
+
+def old_incident(p, h, tol):
+    val = abs(h.coeffs @ p.coords)
+    return bool(val / (np.linalg.norm(h.coeffs) * np.linalg.norm(p.coords)) < tol)
+
+
+def old_incidence(c):
+    pt = next((e for e in c if isinstance(e, ProjPoint)), None)
+    h = next((e for e in c if isinstance(e, Hyperplane)), None)
+    if pt is None or h is None:
+        raise PropertyUndefined("needs a point and a hyperplane")
+    return old_incident(pt, h, 1e-8)
+
+
+def old_collinearity(c):
+    if len(c) < 3:
+        raise PropertyUndefined("needs three points")
+    stack = np.array([p.coords for p in c.elements[:3]])
+    stack = stack / np.max(np.abs(stack))
+    s = np.linalg.svd(stack, compute_uv=False)
+    return bool(s[2] < 1e-8 * s[0])
+
+
+def old_points_sampler(count, dimension):
+    def sample(seed):
+        rng = rng_from(seed)
+        return Configuration([_old_point(rng.uniform(-1, 1, dimension))
+                              for _ in range(count)])
+    return sample
+
+
+def old_quadruple_sampler(dimension):
+    def sample(seed):
+        rng = rng_from(seed)
+        base = rng.uniform(-1, 1, dimension)
+        direction = rng.uniform(-1, 1, dimension)
+        direction /= np.linalg.norm(direction)
+        while True:
+            ts = rng.uniform(-2, 2, 4)
+            if min(abs(ts[i] - ts[j]) for i in range(4) for j in range(i + 1, 4)) > 0.05:
+                break
+        return Configuration([_old_point(base + t * direction) for t in ts])
+    return sample
+
+
+def old_incidence_sampler(dimension):
+    def sample(seed):
+        rng = rng_from(seed)
+        coeffs = rng.uniform(-1, 1, dimension + 1)
+        h = Hyperplane(coeffs)
+        if rng.random() < 0.5:
+            basis = np.eye(dimension + 1)
+            k = int(np.argmax(np.abs(coeffs)))
+            vecs = [basis[:, i] - (coeffs[i] / coeffs[k]) * basis[:, k]
+                    for i in range(dimension + 1) if i != k]
+            weights = rng.uniform(-1, 1, len(vecs))
+            pt = ProjPoint(sum(w * v for w, v in zip(weights, vecs)))
+        else:
+            pt = _old_point(rng.uniform(-1, 1, dimension))
+        return Configuration([pt, h])
+    return sample
+
+
+def old_triple_sampler(dimension):
+    def sample(seed):
+        rng = rng_from(seed)
+        if rng.random() < 0.5:
+            base = rng.uniform(-1, 1, dimension)
+            direction = rng.uniform(-1, 1, dimension)
+            ts = rng.uniform(-1.5, 1.5, 2)
+            pts = [base, base + ts[0] * direction, base + ts[1] * direction]
+        else:
+            pts = [rng.uniform(-1, 1, dimension) for _ in range(3)]
+        return Configuration([_old_point(p) for p in pts])
+    return sample
+
+
+OLD_PROPERTIES = {
+    "euclidean-distance": (old_distance, lambda d: old_points_sampler(2, d)),
+    "angle": (old_angle, lambda d: old_points_sampler(3, d)),
+    "cross-ratio": (old_cross_ratio_prop, old_quadruple_sampler),
+    "incidence": (old_incidence, old_incidence_sampler),
+    "collinearity": (old_collinearity, old_triple_sampler),
+}
+
+# every projective-family group with every blocked property, in dimensions 1-3
+# where both are defined (collinearity needs a plane)
+CELLS = [(name, dim, prop) for name, dim in GROUP_DIMS for prop in OLD_PROPERTIES
+         if not (prop == "collinearity" and dim == 1)]
+
+
+def _outcome_of(fn):
+    """An invariance verdict's report bytes and fields, or the error raised."""
+    try:
+        verdict = fn()
+    except (GeometryError, ValueError) as exc:
+        return type(exc), str(exc)
+    fields = {"report": serialize_report(verdict), "type": type(verdict)}
+    if isinstance(verdict, Violated):
+        fields.update(trial=verdict.trial, seeds=(verdict.config_seed, verdict.transform_seed),
+                      executed=verdict.trials_executed,
+                      values=(repr(verdict.before), repr(verdict.after)),
+                      config=repr(verdict.config),
+                      matrix=verdict.transformation.forward.matrix.tobytes())
+    else:
+        fields.update(executed=verdict.trials_executed, skipped=verdict.trials_skipped)
+    return fields
+
+
+def _value(fn, c):
+    try:
+        v = fn(c)
+    except PropertyUndefined:
+        return "undefined"
+    return repr(v), type(v)
+
+
+@pytest.mark.parametrize("name,dim,prop_name", CELLS)
+def test_property_stacks_match_the_scalar_bodies(name, dim, prop_name):
+    old_eval, old_sampler = OLD_PROPERTIES[prop_name]
+    prop = builtin_property(prop_name, dim)
+    old_sample = old_sampler(dim)
+    g = builtin_group(name, dim)
+    seeds = [mix_seed(13, k) for k in range(40)]
+    points, hyperplanes = prop.sample_config.sample_stacks(seeds)
+    for k, seed in enumerate(seeds):
+        config = old_sample(seed)
+        assert repr(prop.sample_config(seed)) == repr(config)
+        assert repr(prop.sample_config.configuration(points[k], hyperplanes[k])) == repr(config)
+        image = transform_configuration(g.sample(mix_seed(14, k)), config)
+        for c in (config, image):
+            assert _value(prop.evaluate, c) == _value(old_eval, c)
+
+
+@pytest.mark.parametrize("prop_name", sorted(OLD_PROPERTIES))
+def test_functionals_match_the_scalar_bodies_on_complex_points(prop_name):
+    old_eval, _ = OLD_PROPERTIES[prop_name]
+    prop = builtin_property(prop_name, 2)
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        def vec():
+            return rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        a, b = vec(), vec()
+        # collinear points, so cross-ratio is defined, and points in general position
+        line = [ProjPoint(a * rng.uniform(-2, 2) + b * rng.uniform(-2, 2)) for _ in range(4)]
+        general = [ProjPoint(vec()) for _ in range(4)]
+        # a point next to the hyperplane at infinity, on either side of the cut
+        far = ProjPoint(vec() * np.array([1.0, 1.0, 10.0 ** rng.uniform(-14, -8)]))
+        configs = [Configuration(line), Configuration(general),
+                   Configuration([far] + general[1:])]
+        if prop_name == "incidence":
+            configs.append(Configuration([general[0], Hyperplane(vec())]))
+        for c in configs:
+            assert _value(prop.evaluate, c) == _value(old_eval, c)
+
+
+@pytest.mark.parametrize("name,dim,prop_name", CELLS)
+def test_blocked_invariance_matches_the_scalar_loop(name, dim, prop_name):
+    """The block path with the stacked property against the per-trial loop
+    with the scalar bodies, at the default tolerance and at one where the
+    verdict hinges on the last bits of the values."""
+    old_eval, old_sampler = OLD_PROPERTIES[prop_name]
+    prop = builtin_property(prop_name, dim)
+    g = builtin_group(name, dim)
+    ref = per_trial(g)
+    verdicts = set()
+    for seed in SEEDS:
+        for tol in (1e-9, 4e-16):
+            blocked = _outcome_of(lambda: invariance_test(prop.evaluate, g, prop.sample_config,
+                                                          seed, 12, tol))
+            serial = _outcome_of(lambda: invariance_test(old_eval, ref, old_sampler(dim),
+                                                         seed, 12, tol))
+            assert blocked == serial
+            verdicts.add(blocked["type"])
+    # relations are compared exactly, and angles on a line are 0 or pi; any
+    # other value at a tolerance of 4e-16 hinges on its last bits
+    assert prop.boolean or (prop_name, dim) == ("angle", 1) or Violated in verdicts
+
+
+def test_stacked_steps_round_as_scalar_ones():
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-1, 1, (200, 3)) + 1j * rng.uniform(-1, 1, (200, 3))
+    w = rng.uniform(-1, 1, (200, 3)) + 1j * rng.uniform(-1, 1, (200, 3))
+    product, size = complex_product(z, w), complex_abs(z)
+    for b in range(200):
+        assert row_dot(z, w)[b] == z[b] @ w[b]
+        assert row_norm(z)[b] == np.linalg.norm(z[b])
+        for j in range(3):
+            assert product[b, j] == complex(z[b, j]) * complex(w[b, j])
+            assert size[b, j] == abs(complex(z[b, j]))
+
+
+def test_a_property_undefined_on_the_image_skips_the_trial():
+    """A map that sends the first point to infinity leaves the distance
+    undefined after, but not before: the trial is skipped."""
+    def draw(rng):
+        pts = np.ones((2, 3))
+        pts[:, 1] = rng.uniform(-1, 1, 2)
+        pts[1, 0] = rng.uniform(-1, 1)
+        return pts, np.empty((0, 3))
+
+    # the plane projective map (x, y, 1) -> (x, y, 1 - x) moves the line x = 1
+    # to infinity
+    to_infinity = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    g = faulty_group({mix_seed(2, 3 * i + 1): to_infinity for i in (0, 3, 4, 9)})
+    prop = builtin_property("euclidean-distance", 2)
+    blocked = _outcome_of(lambda: invariance_test(prop.evaluate, g, Sampler(2, draw), 2, 12))
+    serial = _outcome_of(lambda: invariance_test(prop.evaluate, per_trial(g), Sampler(2, draw),
+                                                 2, 12))
+    assert blocked == serial
+    assert blocked["type"] is Violated and blocked["trial"] == 1
+    assert blocked["executed"] == 1
+
+
+def _counting_sampler(prop):
+    """The property's sampler, recording the seeds of each sample_stacks call."""
+    requested = []
+
+    class Counting(Sampler):
+        def sample_stacks(self, seeds):
+            requested.append(list(seeds))
+            return super().sample_stacks(seeds)
+
+    return Counting(prop.sample_config.dimension, prop.sample_config.draw), requested
+
+
+def test_a_wrapped_functional_takes_the_per_trial_loop():
+    g = builtin_group("projective", 2)
+    prop = builtin_property("cross-ratio", 2)
+    sampler, requested = _counting_sampler(prop)
+    blocked = invariance_test(prop.evaluate, g, sampler, 3, 20)
+    assert [len(seeds) for seeds in requested] == [1, 2, 4, 8, 5]
+    del requested[:]
+    wrapped = invariance_test(lambda c: prop.evaluate(c), g, sampler, 3, 20)
+    # one batch of one per trial: the scalar sampler
+    assert [len(seeds) for seeds in requested] == [1] * 20
+    assert serialize_report(wrapped) == serialize_report(blocked)
+
+
+def test_witness_at_trial_zero_samples_one_configuration():
+    prop = builtin_property("euclidean-distance", 2)
+    sampler, requested = _counting_sampler(prop)
+    verdict = invariance_test(prop.evaluate, builtin_group("affine", 2), sampler,
+                              seed=1, trials=100)
+    assert isinstance(verdict, Violated) and verdict.trial == 0
+    assert requested == [[verdict.config_seed]]
+    assert repr(verdict.config) == repr(prop.sample_config(verdict.config_seed))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stacked_action_matches_projmap(dim):
+    g = builtin_group("projective", dim)
+    forward = g.sample_matrices(range(30))
+    inverse = np.linalg.inv(forward)
+    rng = np.random.default_rng(dim)
+    coords = rng.uniform(-1, 1, (30, 3, dim + 1)) + 1j * rng.uniform(-1, 1, (30, 3, dim + 1))
+    points, planes = map_points(forward, coords), map_hyperplanes(inverse, coords)
+    assert not coords_faulty(points).any() and not coords_faulty(planes).any()
+    for b in range(30):
+        m = ProjMap(forward[b])
+        for j in range(3):
+            assert np.array_equal(points[b, j], m.apply(ProjPoint(coords[b, j])).coords)
+            assert np.array_equal(planes[b, j],
+                                  m.apply_hyperplane(Hyperplane(coords[b, j])).coeffs)
+
+
+def test_coordinate_faults_are_the_rows_projpoint_refuses():
+    rows = np.array([[1.0, 0.0], [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0],
+                     [1.0, complex(0.0, np.inf)], [-1e-300, 0.0]], dtype=complex)
+    refused = []
+    for row in rows:
+        try:
+            ProjPoint(row)
+            refused.append(False)
+        except GeometryError:
+            refused.append(True)
+    assert list(coords_faulty(rows)) == refused == [False, True, True, True, True, False]
+
+
+def _triangle_or(bad_row):
+    """A sampler of three plane points, which replaces the second point
+    by ``bad_row`` for about one seed in four."""
+    def draw(rng):
+        pts = np.ones((3, 3))
+        pts[:, :2] = rng.uniform(-1, 1, (3, 2))
+        if rng.random() < 0.25:
+            pts[1] = bad_row
+        return pts, np.empty((0, 3))
+    return Sampler(2, draw)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad_row", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                     [1e308, 1e308, 1e308]])
+def test_invariance_errors_in_trial_order(bad_row):
+    """Configurations ProjPoint refuses, and (for the huge row, whose image
+    under a projective map may overflow) images it refuses, raise at their
+    trial on both paths, unless an earlier trial is a witness."""
+    sampler = _triangle_or(bad_row)
+    outcomes = set()
+    for name, prop_name in [("euclidean_isometries", "angle"), ("projective", "angle"),
+                            ("projective", "collinearity")]:
+        g = builtin_group(name, 2)
+        prop = builtin_property(prop_name, 2)
+        for seed in range(12):
+            blocked = _outcome_of(lambda: invariance_test(prop.evaluate, g, sampler, seed, 30))
+            serial = _outcome_of(lambda: invariance_test(prop.evaluate, per_trial(g), sampler,
+                                                         seed, 30))
+            assert blocked == serial
+            outcomes.add(blocked[0] if isinstance(blocked, tuple) else blocked["type"])
+    assert GeometryError in outcomes and Violated in outcomes

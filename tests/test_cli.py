@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,41 @@ class TestValues:
         assert code == 0
         assert parse_report_trailer(out)["trials"] == 50
 
+    @pytest.mark.parametrize("verb,extra", [
+        ("axioms", ["--trials", "10"]),
+        ("check-invariance", ["--property", "angle", "--trials", "10"]),
+        ("orbit", ["--point", "0.2,0.3", "--count", "3"]),
+    ])
+    def test_config_supplies_the_group(self, capsys, tmp_path, verb, extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\ntrials = 10\ntolerance = 1e-9\n"
+                       "group = principal\ndimension = 2\n", encoding="utf-8")
+        from_config = run(capsys, verb, "--config", str(cfg), *extra)
+        assert from_config == run(capsys, verb, "--config", str(cfg), "--group", "principal",
+                                  *extra)
+        assert from_config[0] == 0
+        # the flag wins over the config file
+        flagged = run(capsys, verb, "--config", str(cfg), "--group", "affine", *extra)
+        assert flagged[1] != from_config[1]
+
+    @pytest.mark.parametrize("verb,extra", [
+        ("axioms", []),
+        ("check-invariance", ["--property", "cross-ratio"]),
+        ("orbit", ["--point", "0.2,0.3"]),
+    ])
+    def test_missing_group_exits_two(self, capsys, verb, extra):
+        code, out, err = run(capsys, verb, "--seed", "3", *extra)
+        assert code == 2 and out == ""
+        assert "--group" in err
+
+    def test_collinearity_in_dimension_one_exits_two(self, capsys):
+        code, out, err = run(capsys, "check-invariance", "--group", "projective",
+                             "--property", "collinearity", "--dimension", "1",
+                             "--seed", "1", "--trials", "5")
+        assert code == 2 and out == ""
+        assert err == ("error: collinearity needs dimension >= 2: all points of P^1 "
+                       "lie on its one line\n")
+
     def test_ck_distance_requires_metric(self):
         with pytest.raises(GeometryError):
             builtin_property("ck-distance")
@@ -158,6 +197,31 @@ class TestValues:
         assert prop.boolean
         with pytest.raises(GeometryError):
             builtin_property("perimeter")
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_module_run_writes_nothing_to_stderr():
+    """``python -m erlangen.cli`` runs the module once, so no warning about
+    it being imported before execution."""
+    proc = _python("-m", "erlangen.cli", "distance", "--metric", "elliptic",
+                   "--p", "0,0", "--q", "1,0")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("distance")
+
+
+def test_package_import_leaves_the_cli_unloaded():
+    proc = _python("-c", "import sys, erlangen; "
+                         "print('erlangen.cli' in sys.modules, hasattr(erlangen, 'main'))")
+    assert proc.stdout.split() == ["False", "False"], proc.stderr
 
 
 class TestDeterminism:
