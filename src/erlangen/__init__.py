@@ -13,7 +13,6 @@ from .projective import (
     Quadric,
     ProjMap,
     GeneratorChord,
-    apply_map,
     cross_ratio,
     line_quadric_intersections,
     on_quadric,
@@ -24,7 +23,6 @@ from .moebius import (
     INFINITY,
     MoebiusMap,
     SpherePoint,
-    moebius_apply,
     stereographic,
     inverse_stereographic,
     moebius_to_sphere,

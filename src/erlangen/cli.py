@@ -11,6 +11,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -53,6 +54,10 @@ from .reports import ValueReport, serialize_report, format_number
 __all__ = ["main", "entrypoint", "builtin_property"]
 
 _CONTACT_MAPS = ("legendre", "swap-zp", "prolonged-shear", "prolonged-quadratic")
+
+#: flags whose value is a comma-separated list of numbers
+_COORDINATE_FLAGS = ("--p", "--q", "--point", "--circle", "--z", "--a", "--b", "--center")
+_NEGATIVE = re.compile(r"-[\d.]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,15 +130,29 @@ def _floats(text: str, expect: int, what: str) -> list:
     return vals
 
 
-def _merge_defaults(args):
-    """Flag > config file > hard default, with seed mandatory."""
+def _joined_coordinates(argv: list) -> list:
+    """The arguments with each coordinate flag joined to a following value
+    that starts with a minus sign ("--q -0.3,0.4" becomes "--q=-0.3,0.4"),
+    which argparse would otherwise take for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _COORDINATE_FLAGS and _NEGATIVE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _merge_defaults(args, tol: float = 1e-9):
+    """Flag > config file > hard default, with seed mandatory; ``tol`` is
+    the verb's default tolerance."""
     cfg = load_config(args.config) if getattr(args, "config", None) else None
     if getattr(args, "seed", None) is None and cfg is not None:
         args.seed = cfg.seed
     if getattr(args, "trials", None) is None:
         args.trials = cfg.trials if cfg is not None else 100
     if getattr(args, "tol", None) is None:
-        args.tol = cfg.tolerance if cfg is not None else 1e-9
+        args.tol = cfg.tolerance if cfg is not None else tol
     if getattr(args, "dimension", None) is None:
         args.dimension = cfg.dimension if cfg is not None else 2
     if getattr(args, "group", None) is None and cfg is not None:
@@ -166,16 +185,12 @@ def _run_check_invariance(args) -> int:
 
 
 def _run_axioms(args) -> int:
-    # axiom checks default to the looser 1e-8 membership tolerance unless
-    # a flag or config value overrides it
-    explicit_tol = args.tol
-    _merge_defaults(args)
+    # axiom checks default to the looser 1e-8 membership tolerance
+    _merge_defaults(args, tol=1e-8)
     _require_group(args)
     _require_seed(args)
     group = builtin_group(args.group, args.dimension)
-    tol = explicit_tol if explicit_tol is not None else (
-        args.tol if args.config else 1e-8)
-    report = check_group_axioms(group, seed=args.seed, trials=args.trials, tol=tol)
+    report = check_group_axioms(group, seed=args.seed, trials=args.trials, tol=args.tol)
     sys.stdout.write(serialize_report(report))
     return 0 if report.ok else 1
 
@@ -333,7 +348,7 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_coordinates(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse has already written the usage message
         return int(exc.code) if exc.code else 0

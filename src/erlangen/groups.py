@@ -10,22 +10,26 @@ executed trials, never as a proof.
 Per-trial randomness is always derived from the run seed and the trial
 index through the splitmix64 rule in numerics.mix_seed, which makes
 every trial independently reproducible.  Trials are therefore
-independent, and for groups that act by plain matrices (descriptors
-with the block fields ``sample_matrices``/``contains_matrices``: the
-built-in euclidean_isometries, principal, affine and projective) the
-trial loops sample, validate and check a block of trials at once on
-stacked matrices.  With a property that has stacked forms (see
+independent.  Every built-in group acts by matrices: ProjMap matrices,
+Moebius coefficient matrices with an antilinear flag, or pentaspherical
+matrices.  For descriptors with the block fields
+``sample_matrices``/``contains_matrices`` (all seven built-in groups)
+the trial loops sample, validate, invert, compose and check a block of
+trials at once on stacked matrices; each kind of element says how it is
+checked, inverted, composed and wrapped (_KINDS).  With a
+projective-family group and a property that has stacked forms (see
 invariance_test), the invariance trials also sample, map and evaluate
 their configurations a block at a time.  Each trial still draws from its
-own generators, so verdicts, witness seeds and output bytes are those of
-the per-trial loop, which every other descriptor and property runs.
+own generators, so verdicts, witness seeds, errors and output bytes are
+those of the per-trial loop, which every other descriptor and property
+runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .numerics import (
     mix_seed,
     orthogonal_from_normals,
     proportionality,
+    proportionality_stack,
     rng_from,
 )
 from .projective import (
@@ -49,8 +54,15 @@ from .projective import (
     map_points,
     projmap_faults,
 )
-from .moebius import MoebiusMap, moebius_transform_circle
-from .transfers import random_inversive_map, random_lie_map
+from .moebius import (
+    MOEBIUS_FAULTS,
+    MoebiusMap,
+    moebius_faults,
+    moebius_inverses,
+    moebius_transform_circle,
+    random_moebius_stack,
+)
+from .transfers import random_pentaspherical_stack
 
 __all__ = [
     "Transformation",
@@ -80,10 +92,8 @@ class PropertyUndefined(GeometryError):
 class Transformation:
     """A concrete group element: a tagged forward/inverse pair.
 
-    Kinds: 'projective' (ProjMap), 'moebius' (MoebiusMap),
-    'pentaspherical' (complex matrix acting on circle coordinates) and
-    'contact' (reference to a five-variable map; carried for
-    completeness, not applicable to point configurations).
+    Kinds: 'projective' (ProjMap), 'moebius' (MoebiusMap) and
+    'pentaspherical' (complex matrix acting on circle coordinates).
     """
 
     __slots__ = ("kind", "forward", "inverse_map")
@@ -112,8 +122,6 @@ class Transformation:
                 _, resid = proportionality(prod, np.eye(prod.shape[0], dtype=complex))
                 if resid > 1e-9:
                     raise GeometryError("inverse check failed for pentaspherical pair")
-        elif kind == "contact":
-            self.inverse_map = inverse
         else:
             raise GeometryError(f"unknown transformation kind: {kind}")
 
@@ -132,17 +140,13 @@ class Transformation:
         if self.kind == "moebius":
             return Transformation("moebius", self.forward.compose(other.forward),
                                   check=False)
-        if self.kind == "pentaspherical":
-            return Transformation(
-                "pentaspherical",
-                self.forward @ other.forward,
-                other.inverse_map @ self.inverse_map,
-                check=False)
-        raise GeometryError("contact references do not compose here")
+        return Transformation(
+            "pentaspherical",
+            self.forward @ other.forward,
+            other.inverse_map @ self.inverse_map,
+            check=False)
 
     def invert(self) -> "Transformation":
-        if self.kind == "contact":
-            raise GeometryError("contact references do not invert here")
         return Transformation(self.kind, self.inverse_map, self.forward, check=False)
 
     def approx_equal(self, other: "Transformation", tol: float = 1e-9) -> bool:
@@ -152,9 +156,7 @@ class Transformation:
             return equal_up_to_scale(self.forward.matrix, other.forward.matrix, tol)
         if self.kind == "moebius":
             return self.forward.equals(other.forward, tol)
-        if self.kind == "pentaspherical":
-            return equal_up_to_scale(self.forward, other.forward, tol)
-        return self.forward is other.forward
+        return equal_up_to_scale(self.forward, other.forward, tol)
 
     def is_identity(self, tol: float = 1e-9) -> bool:
         if self.kind == "projective":
@@ -163,10 +165,8 @@ class Transformation:
         if self.kind == "moebius":
             return (not self.forward.conjugating
                     and self.forward.equals(MoebiusMap(1, 0, 0, 1), tol))
-        if self.kind == "pentaspherical":
-            n = self.forward.shape[0]
-            return equal_up_to_scale(self.forward, np.eye(n), tol)
-        return False
+        n = self.forward.shape[0]
+        return equal_up_to_scale(self.forward, np.eye(n), tol)
 
     # -- action on configuration elements -----------------------------------
 
@@ -261,13 +261,16 @@ class GroupDescriptor:
     numeric predicate with tolerance; "invariant" verdicts built on it
     are statistical statements, not proofs.
 
-    A group of 'projective' transformations may also give the block
-    fields: ``sample_matrices(seeds)`` returns the (B, n, n) complex stack
-    of the matrices ``sample`` would wrap, one per seed, and
-    ``contains_matrices(stack, tol)`` the (B,) verdicts of ``contains``.
-    With both set, check_group_axioms, invariance_test and orbit_sample
-    work on blocks of trials and call neither ``sample`` nor ``contains``
-    per trial.
+    A group may also give the block fields, which hold its elements as
+    the matrices of their kind: ProjMap matrices, MoebiusMap coefficient
+    matrices [[a, b], [c, d]] or pentaspherical matrices.
+    ``sample_matrices(seeds)`` returns the (B, n, n) complex stack of the
+    matrices ``sample`` would wrap, one per seed; for a kind with
+    antilinear elements (moebius) it returns the pair of that stack and
+    the (B,) mask of the antilinear ones.  ``contains_matrices(stack,
+    tol)`` returns the (B,) verdicts of ``contains``.  With both set,
+    check_group_axioms, invariance_test and orbit_sample work on blocks of
+    trials and call neither ``sample`` nor ``contains`` per trial.
     """
 
     name: str
@@ -282,12 +285,6 @@ class GroupDescriptor:
     def blocked(self) -> bool:
         """Whether the trial loops take the block path for this group."""
         return self.sample_matrices is not None and self.contains_matrices is not None
-
-    def compose(self, t1: Transformation, t2: Transformation) -> Transformation:
-        return t1.compose(t2)
-
-    def invert(self, t: Transformation) -> Transformation:
-        return t.invert()
 
 
 BUILTIN_GROUP_NAMES = (
@@ -399,33 +396,17 @@ def _contains_affine(stack: np.ndarray, tol: float) -> np.ndarray:
     return ok & (np.abs(np.linalg.det(lin)) > 1e-10)
 
 
-def _contains_projective(stack: np.ndarray, tol: float) -> np.ndarray:
+def _contains_all(stack: np.ndarray, tol: float) -> np.ndarray:
     return np.ones(len(stack), dtype=bool)
 
 
-def _contains_moebius(t: Transformation, tol: float = 1e-8) -> bool:
-    return t.kind == "moebius"
-
-
 def _contains_form_preserving(n: int):
-    def contains(t: Transformation, tol: float = 1e-8) -> bool:
-        if t.kind != "pentaspherical" or t.forward.shape != (n, n):
-            return False
-        _, resid = proportionality(t.forward.T @ t.forward, np.eye(n, dtype=complex))
-        return resid <= tol
-    return contains
-
-
-def _sample_moebius(seed: int) -> Transformation:
-    from .moebius import random_moebius
-    return Transformation("moebius", random_moebius(seed), check=False)
-
-
-def _sample_pentaspherical(n: int):
-    def sample(seed: int) -> Transformation:
-        m = random_inversive_map(seed) if n == 4 else random_lie_map(seed)
-        return Transformation("pentaspherical", m, check=False)
-    return sample
+    """Membership in the group of n x n matrices M with M^T M ~ I."""
+    def contains_matrices(stack: np.ndarray, tol: float) -> np.ndarray:
+        if stack.shape[1:] != (n, n):
+            return np.zeros(len(stack), dtype=bool)
+        return proportionality_stack(stack.transpose(0, 2, 1) @ stack, np.eye(n)) <= tol
+    return contains_matrices
 
 
 _MATRIX_GROUPS = {
@@ -433,21 +414,29 @@ _MATRIX_GROUPS = {
                              _contains_isometries),
     "principal": (partial(_similarity_matrices, scaled=True), _contains_similarities),
     "affine": (_affine_matrices, _contains_affine),
-    "projective": (_projective_matrices, _contains_projective),
+    "projective": (_projective_matrices, _contains_all),
 }
 
+#: matrix size of the groups acting on circle coordinates
+_PENTASPHERICAL = {"inversive_pentaspherical": 4, "lie_sphere_extended": 5}
 
-def _matrix_group(name: str, dimension: int, sample_matrices, contains_matrices):
-    """A projective-family group from its stacked sampler and membership
+
+def _matrix_group(name: str, dimension: int, identity: Transformation, sample_matrices,
+                  contains_matrices):
+    """A group from its identity and its stacked sampler and membership
     test; the scalar ``sample`` and ``contains`` are batches of one."""
+    kind = _KINDS[identity.kind]
+
     def sample(seed: int) -> Transformation:
-        return Transformation("projective", ProjMap(sample_matrices([seed])[0]), check=False)
+        faults = []
+        forward, inverse, antilinear = _sampled(kind, sample_matrices, [seed], faults)
+        return _block_element(kind, forward[0], inverse[0], antilinear[0],
+                              _first_faults(faults)[0])
 
     def contains(t: Transformation, tol: float = 1e-8) -> bool:
-        return t.kind == "projective" and bool(contains_matrices(t.forward.matrix[None], tol)[0])
+        return t.kind == identity.kind and bool(
+            contains_matrices(kind.unwrap(t)[0][None], tol)[0])
 
-    identity = Transformation(
-        "projective", ProjMap(np.eye(dimension + 1, dtype=complex)), check=False)
     return GroupDescriptor(name, dimension, identity, sample, contains,
                            sample_matrices, contains_matrices)
 
@@ -474,17 +463,20 @@ def builtin_group(name: str, dimension: int = 2) -> GroupDescriptor:
             and dimension != 2:
         raise GeometryError(f"{name} is planar (dimension 2)")
 
-    if name in _MATRIX_GROUPS:
-        sample_matrices, contains_matrices = _MATRIX_GROUPS[name]
-        return _matrix_group(name, dimension, sample_matrices(dimension), contains_matrices)
     if name == "moebius":
         identity = Transformation("moebius", MoebiusMap(1, 0, 0, 1), check=False)
-        return GroupDescriptor(name, dimension, identity, _sample_moebius,
-                               _contains_moebius)
-    n = 4 if name == "inversive_pentaspherical" else 5
-    identity = Transformation("pentaspherical", np.eye(n, dtype=complex), check=False)
-    return GroupDescriptor(name, dimension, identity, _sample_pentaspherical(n),
-                           _contains_form_preserving(n))
+        return _matrix_group(name, dimension, identity, random_moebius_stack, _contains_all)
+    if name in _PENTASPHERICAL:
+        n = _PENTASPHERICAL[name]
+        identity = Transformation("pentaspherical", np.eye(n, dtype=complex), check=False)
+        return _matrix_group(name, dimension, identity,
+                             partial(random_pentaspherical_stack, n=n),
+                             _contains_form_preserving(n))
+    sample_matrices, contains_matrices = _MATRIX_GROUPS[name]
+    identity = Transformation(
+        "projective", ProjMap(np.eye(dimension + 1, dtype=complex)), check=False)
+    return _matrix_group(name, dimension, identity, sample_matrices(dimension),
+                         contains_matrices)
 
 
 @dataclass
@@ -527,45 +519,180 @@ def _block_bounds(trials: int, first: int):
         start, size = stop, min(2 * size, _BLOCK)
 
 
-def _checked(stack: np.ndarray, faults: list) -> np.ndarray:
-    """Append the ProjMap faults of ``stack`` to ``faults``, and return the
-    stack with each failed matrix replaced by the identity so that later
-    stacked operations see only valid matrices."""
-    f = projmap_faults(stack)
+# -- element kinds on stacks ----------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    """What the block path needs of one kind of Transformation.  It holds
+    the elements of a block as (forward, inverse, antilinear): two
+    (B, n, n) stacks of the kind's matrices and a (B,) mask.
+
+    ``faults(stack)`` gives per matrix the code of the first check the
+    kind's constructor would fail (0: none), and ``errors[code]`` the
+    (exception type, message) it raises.  ``inverse(stack, antilinear)``
+    returns the inverses that an element of the kind computes for itself,
+    and the codes of the inversions that raise (or None).
+    ``compose(t1, t2)`` returns the forward and inverse matrices of
+    t1.compose(t2), ``wrap(forward, inverse, antilinear)`` the
+    Transformation of checked matrices, and ``unwrap(t)`` its (forward,
+    inverse, antilinear) back.
+    """
+
+    errors: tuple
+    faults: Callable
+    inverse: Callable
+    compose: Callable
+    wrap: Callable
+    unwrap: Callable
+
+
+def _geometry_errors(messages) -> tuple:
+    return tuple((GeometryError, message) for message in messages)
+
+
+def _unchecked(stack: np.ndarray) -> np.ndarray:
+    return np.zeros(len(stack), dtype=np.int8)
+
+
+def _inverses(stack: np.ndarray, antilinear: np.ndarray):
+    """np.linalg.inv of each matrix, with code 1 where it raises for an
+    exactly singular one (whose inverse here is the identity).  On a stack
+    np.linalg.inv raises for all matrices if it does for one."""
+    try:
+        return np.linalg.inv(stack), None
+    except np.linalg.LinAlgError:
+        pass
+    inverse = np.empty_like(stack)
+    codes = np.zeros(len(stack), dtype=np.int8)
+    for k, m in enumerate(stack):
+        try:
+            inverse[k] = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            inverse[k], codes[k] = np.eye(len(m)), 1
+    return inverse, codes
+
+
+def _linear_compose(t1, t2):
+    """Forward and inverse of a product, as the factors' matrices and
+    their inverses multiply: one product for an element and its inverse."""
+    forward = t1[0] @ t2[0]
+    if t2[1] is t1[0] and t2[0] is t1[1]:
+        return forward, forward
+    return forward, t2[1] @ t1[1]
+
+
+def _moebius_compose(t1, t2):
+    """MoebiusMap.compose of each pair, and the inverse MoebiusMap.inverse
+    takes of the product."""
+    product = t1[0] @ np.where(t1[2][:, None, None], np.conj(t2[0]), t2[0])
+    return product, moebius_inverses(product, t1[2] != t2[2])
+
+
+_KINDS = {
+    "projective": _Kind(
+        _geometry_errors(PROJMAP_FAULTS), projmap_faults,
+        # ProjMap's checks pass only matrices that np.linalg.inv inverts
+        lambda stack, _: (np.linalg.inv(stack), None),
+        _linear_compose,
+        lambda f, i, _: Transformation("projective", ProjMap.from_checked(f),
+                                       ProjMap.from_checked(i), check=False),
+        lambda t: (t.forward.matrix, t.inverse_map.matrix, False)),
+    "moebius": _Kind(
+        _geometry_errors(MOEBIUS_FAULTS[:3]) + ((OverflowError, MOEBIUS_FAULTS[3]),),
+        moebius_faults,
+        lambda stack, antilinear: (moebius_inverses(stack, antilinear), None),
+        _moebius_compose,
+        lambda f, i, a: Transformation("moebius", MoebiusMap.from_checked(f, a),
+                                       MoebiusMap.from_checked(i, a), check=False),
+        lambda t: (t.forward.coeff_matrix, t.inverse_map.coeff_matrix,
+                   t.forward.conjugating)),
+    # a pentaspherical element checks nothing; only inverting a sample may raise
+    "pentaspherical": _Kind(
+        ((None, ""), (np.linalg.LinAlgError, "Singular matrix")), _unchecked, _inverses,
+        _linear_compose,
+        lambda f, i, _: Transformation("pentaspherical", f, i, check=False),
+        lambda t: (t.forward, t.inverse_map, False)),
+}
+
+
+def _checked(kind: _Kind, stack: np.ndarray, faults: list, raised=None) -> np.ndarray:
+    """Append the codes of the kind's checks on ``stack`` to ``faults``
+    (where ``raised`` has a nonzero code, that one), and return the stack
+    with each failed matrix replaced by the identity so that later stacked
+    operations see only valid matrices."""
+    f = kind.faults(stack)
+    if raised is not None:
+        f = np.where(raised != 0, raised, f)
     faults.append(f)
     if not f.any():
         return stack
     return np.where((f == 0)[:, None, None], stack, np.eye(stack.shape[-1]))
 
 
-def _raise_first(faults: np.ndarray) -> None:
+def _sampled(kind: _Kind, sample_matrices, seeds, faults: list):
+    """The elements (forward, inverse, antilinear) that sample_matrices
+    gives for the seeds, each sample and then its inverse checked."""
+    sampled = sample_matrices(seeds)
+    forward, antilinear = (sampled if isinstance(sampled, tuple)
+                           else (sampled, np.zeros(len(seeds), dtype=bool)))
+    forward = _checked(kind, forward, faults)
+    inverse, raised = kind.inverse(forward, antilinear)
+    return forward, _checked(kind, inverse, faults, raised), antilinear
+
+
+def _composed(kind: _Kind, t1, t2, faults: list):
+    """The elements t1.compose(t2), their forward and then their inverse
+    checked; a matrix that is both is checked once, with the same codes."""
+    forward, inverse = kind.compose(t1, t2)
+    if inverse is forward:
+        forward = inverse = _checked(kind, forward, faults)
+        faults.append(faults[-1])
+    else:
+        forward, inverse = _checked(kind, forward, faults), _checked(kind, inverse, faults)
+    return forward, inverse, t1[2] != t2[2]
+
+
+def _first_faults(faults: list) -> np.ndarray:
+    """Per trial, the first nonzero code of the stages' code arrays."""
+    first = faults[-1]
+    for f in reversed(faults[:-1]):
+        first = np.where(f != 0, f, first)
+    return first
+
+
+def _error(kind: _Kind, code) -> Exception:
+    etype, message = kind.errors[code]
+    return etype(message)
+
+
+def _raise_first(kind: _Kind, faults: np.ndarray) -> None:
     """Raise the first fault of a (trials, stages) code array, in trial
     order and within a trial in stage order, as the per-trial loop would."""
     bad = np.flatnonzero(faults)
     if bad.size:
-        raise GeometryError(PROJMAP_FAULTS[faults.flat[bad[0]]])
+        raise _error(kind, faults.flat[bad[0]])
 
 
-def _block_element(forward: np.ndarray, inverse: np.ndarray, fault: int) -> Transformation:
+def _block_element(kind: _Kind, forward: np.ndarray, inverse: np.ndarray, antilinear,
+                   fault: int) -> Transformation:
     if fault:
-        raise GeometryError(PROJMAP_FAULTS[fault])
-    return Transformation("projective", ProjMap.from_checked(forward),
-                          ProjMap.from_checked(inverse), check=False)
+        raise _error(kind, fault)
+    return kind.wrap(forward, inverse, antilinear)
 
 
 def _element_blocks(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
                     first_block: int):
-    """For a blocked descriptor, yield (start, seeds, forward, inverse,
-    faults) per block of _block_bounds(trials, first_block): the seeds
-    mix_seed(seed, stride * i + offset) of its trials i, the stacks of
-    their checked matrices and inverses, and per trial the PROJMAP_FAULTS
-    code of the first check g.sample would fail (0: none)."""
+    """For a blocked descriptor, yield (start, seeds, elements, faults) per
+    block of _block_bounds(trials, first_block): the seeds
+    mix_seed(seed, stride * i + offset) of its trials i, the stacks
+    (forward, inverse, antilinear) of their checked elements, and per
+    trial the code of the first check g.sample would fail (0: none)."""
+    kind = _KINDS[g.identity.kind]
     for start, stop in _block_bounds(trials, first_block):
         seeds = [mix_seed(seed, stride * i + offset) for i in range(start, stop)]
         faults = []
-        forward = _checked(g.sample_matrices(seeds), faults)
-        inverse = _checked(np.linalg.inv(forward), faults)
-        yield start, seeds, forward, inverse, np.where(faults[0] != 0, faults[0], faults[1])
+        elements = _sampled(kind, g.sample_matrices, seeds, faults)
+        yield start, seeds, elements, _first_faults(faults)
 
 
 def _elements(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
@@ -580,10 +707,12 @@ def _elements(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: i
             s = mix_seed(seed, stride * i + offset)
             yield i, s, partial(g.sample, s)
         return
-    for start, seeds, forward, inverse, faults in _element_blocks(
+    kind = _KINDS[g.identity.kind]
+    for start, seeds, (forward, inverse, antilinear), faults in _element_blocks(
             g, seed, trials, stride, offset, first_block):
         for k, s in enumerate(seeds):
-            yield start + k, s, partial(_block_element, forward[k], inverse[k], faults[k])
+            yield start + k, s, partial(_block_element, kind, forward[k], inverse[k],
+                                        antilinear[k], faults[k])
 
 
 def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
@@ -623,31 +752,28 @@ def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
 
 def _axioms_block(g: GroupDescriptor, report: AxiomReport, seed: int, start: int,
                   stop: int, tol: float) -> None:
-    """Trials start..stop-1 of check_group_axioms on stacks.  Every matrix
-    the per-trial loop wraps in a ProjMap is checked as ProjMap would, in
-    the same order: both samples and their inverses, then the forward and
-    inverse products of t1*t2, t1*t1^-1 and identity*t1."""
+    """Trials start..stop-1 of check_group_axioms on stacks.  Every element
+    the per-trial loop builds is checked as its kind's constructor would,
+    in the same order: both samples and their inverses, then the forward
+    and inverse of t1*t2, t1*t1^-1 and identity*t1."""
+    kind = _KINDS[g.identity.kind]
     s1 = [mix_seed(seed, 2 * i) for i in range(start, stop)]
     s2 = [mix_seed(seed, 2 * i + 1) for i in range(start, stop)]
-    e = g.identity
     faults = []
-    m1 = _checked(g.sample_matrices(s1), faults)
-    i1 = _checked(np.linalg.inv(m1), faults)
-    m2 = _checked(g.sample_matrices(s2), faults)
-    i2 = _checked(np.linalg.inv(m2), faults)
-    closure = g.contains_matrices(_checked(m1 @ m2, faults), tol)
-    _checked(i2 @ i1, faults)
-    inverse = g.contains_matrices(i1, tol)
-    # t1*t1^-1 is only formed when t1^-1 passes contains; its forward and
-    # inverse products are both m1 @ i1
-    unit = _checked(m1 @ i1, faults)
-    faults[-1] = np.where(inverse, faults[-1], 0)
-    left = _checked(e.forward.matrix @ m1, faults)
-    _checked(i1 @ e.inverse_map.matrix, faults)
-    _raise_first(np.stack(faults, axis=1))
+    t1 = _sampled(kind, g.sample_matrices, s1, faults)
+    t2 = _sampled(kind, g.sample_matrices, s2, faults)
+    closure = g.contains_matrices(_composed(kind, t1, t2, faults)[0], tol)
+    inverse = g.contains_matrices(t1[1], tol)
+    # t1*t1^-1 is only formed when t1^-1 passes contains
+    unit, _, unit_antilinear = _composed(kind, t1, (t1[1], t1[0], t1[2]), faults)
+    faults[-2:] = [np.where(inverse, f, 0) for f in faults[-2:]]
+    identity = tuple(np.broadcast_to(x, y.shape) for x, y in zip(kind.unwrap(g.identity), t1))
+    left, _, left_antilinear = _composed(kind, identity, t1, faults)
+    _raise_first(kind, np.stack(faults, axis=1))
+    m1 = t1[0]
     eye = np.broadcast_to(np.eye(m1.shape[-1]), m1.shape)
-    inverse = inverse & equal_up_to_scale_stack(unit, eye, 1e-8)
-    same = equal_up_to_scale_stack(left, m1, 1e-8)
+    inverse = inverse & ~unit_antilinear & equal_up_to_scale_stack(unit, eye, 1e-8)
+    same = (left_antilinear == t1[2]) & equal_up_to_scale_stack(left, m1, 1e-8)
     for failures, ok in ((report.closure_failures, closure),
                          (report.inverse_failures, inverse),
                          (report.identity_failures, same)):
@@ -714,15 +840,18 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     raised.
 
     Trial i draws its configuration from mix_seed(seed, 3i) and its
-    transformation from mix_seed(seed, 3i + 1).  For a blocked group, a
-    functional with ``evaluate_stacks`` and a sampler of g's dimension
-    with ``sample_stacks`` (the built-in properties but tangency and
-    ck-distance), whole blocks of trials are sampled, mapped and
-    evaluated on stacks; the verdict is that of the per-trial loop.
+    transformation from mix_seed(seed, 3i + 1).  For a blocked group the
+    transformations are sampled a block at a time.  For a blocked group
+    of projective maps, a functional with ``evaluate_stacks`` and a
+    sampler of g's dimension with ``sample_stacks`` (the built-in
+    properties but tangency and ck-distance), whole blocks of trials are
+    also sampled, mapped and evaluated on stacks.  The verdict is that of
+    the per-trial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    stacked = (g.blocked and hasattr(prop, "evaluate_stacks")
+    stacked = (g.blocked and g.identity.kind == "projective"
+               and hasattr(prop, "evaluate_stacks")
                and getattr(config_sampler, "dimension", None) == g.dimension
                and hasattr(config_sampler, "sample_stacks"))
     outcomes = (_block_outcomes if stacked else _trial_outcomes)(prop, g, config_sampler,
@@ -779,7 +908,8 @@ def _block_outcomes(prop, g, config_sampler, seed: int, trials: int):
     configurations, maps them and evaluates the property before and after
     at once.  A trial whose configuration, element or image the scalar
     objects would refuse runs as _trial, which raises that error."""
-    for start, _, forward, inverse, faults in _element_blocks(g, seed, trials, 3, 1, 1):
+    kind = _KINDS["projective"]
+    for start, _, (forward, inverse, _), faults in _element_blocks(g, seed, trials, 3, 1, 1):
         cseeds = [mix_seed(seed, 3 * i) for i in range(start, start + len(faults))]
         points, hyperplanes = config_sampler.sample_stacks(cseeds)
         irregular = (faults != 0) | _faulty(points, hyperplanes)
@@ -796,7 +926,7 @@ def _block_outcomes(prop, g, config_sampler, seed: int, trials: int):
         undefined = undefined[:b] | undefined[b:]
         before, after = values[:b].tolist(), values[b:].tolist()
         for k, cseed in enumerate(cseeds):
-            make = partial(_block_element, forward[k], inverse[k], faults[k])
+            make = partial(_block_element, kind, forward[k], inverse[k], False, faults[k])
             if irregular[k]:
                 yield start + k, _trial(prop, config_sampler, cseed, make)
             elif undefined[k]:

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import GeometryError, rng_from
+from .numerics import GeometryError, complex_abs, complex_product, rng_from
 from .projective import ProjMap, ProjPoint, Quadric
 
 __all__ = [
     "ExtendedComplex",
     "INFINITY",
     "MoebiusMap",
-    "moebius_apply",
+    "MOEBIUS_FAULTS",
+    "moebius_faults",
+    "moebius_inverses",
     "SpherePoint",
     "stereographic",
     "inverse_stereographic",
@@ -29,6 +31,7 @@ __all__ = [
     "circle_from_quadric",
     "moebius_transform_circle",
     "random_moebius",
+    "random_moebius_stack",
 ]
 
 
@@ -82,6 +85,13 @@ def chordal_distance(z: ExtendedComplex, w: ExtendedComplex) -> float:
     return num / np.sqrt((1.0 + abs(z.value) ** 2) * (1.0 + abs(w.value) ** 2))
 
 
+#: messages of the errors MoebiusMap raises, indexed by the codes
+#: moebius_faults returns (0: no error); code 3 is the OverflowError that
+#: abs() of a complex scalar raises, the others are GeometryErrors
+MOEBIUS_FAULTS = ("", "MoebiusMap coefficients invalid",
+                  "MoebiusMap is singular (ad - bc ~ 0)", "absolute value too large")
+
+
 class MoebiusMap:
     """Coefficients (a, b, c, d) with ad - bc != 0, plus an optional
     pre-conjugation flag selecting the orientation-reversing family."""
@@ -93,9 +103,18 @@ class MoebiusMap:
         self.conjugating = bool(conjugating)
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
         if scale == 0.0 or not np.isfinite(scale):
-            raise GeometryError("MoebiusMap coefficients invalid")
+            raise GeometryError(MOEBIUS_FAULTS[1])
         if abs(self.det) <= 1e-12 * scale * scale:
-            raise GeometryError("MoebiusMap is singular (ad - bc ~ 0)")
+            raise GeometryError(MOEBIUS_FAULTS[2])
+
+    @classmethod
+    def from_checked(cls, coeffs: np.ndarray, conjugating: bool = False) -> "MoebiusMap":
+        """Wrap a 2x2 coefficient matrix [[a, b], [c, d]] that moebius_faults
+        has passed, without checking it again."""
+        obj = cls.__new__(cls)
+        (obj.a, obj.b), (obj.c, obj.d) = coeffs.tolist()
+        obj.conjugating = bool(conjugating)
+        return obj
 
     @property
     def det(self) -> complex:
@@ -144,22 +163,75 @@ class MoebiusMap:
         return f"MoebiusMap({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r}{tag})"
 
 
-def moebius_apply(m: MoebiusMap, z) -> ExtendedComplex:
-    return m.apply(z)
+def moebius_faults(coeffs: np.ndarray) -> np.ndarray:
+    """The checks of MoebiusMap.__init__ on a (B, 2, 2) stack of
+    coefficient matrices [[a, b], [c, d]] at once.
+
+    Entry k is the index in MOEBIUS_FAULTS of the first check coeffs[k]
+    fails, or 0; MoebiusMap(a, b, c, d) of that matrix raises that error.
+    """
+    flat = coeffs.reshape(len(coeffs), 4)
+    sizes = complex_abs(flat)
+    # max() of the sizes as Python takes it: a NaN wins only in first place
+    scale = sizes[:, 0]
+    for k in (1, 2, 3):
+        scale = np.where(sizes[:, k] > scale, sizes[:, k], scale)
+    det = complex_product(flat[:, 0], flat[:, 3]) - complex_product(flat[:, 1], flat[:, 2])
+    size = complex_abs(det)
+    # from the last check to the first, so that the first failed one stays
+    faults = np.zeros(len(coeffs), dtype=np.int8)
+    faults[size <= 1e-12 * scale * scale] = 2
+    faults[_overflows(det, size)] = 3
+    faults[(scale == 0.0) | ~np.isfinite(scale)] = 1
+    faults[_overflows(flat, sizes).any(axis=1)] = 3
+    return faults
+
+
+def _overflows(z: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Where abs() of the complex scalar z raises OverflowError: both parts
+    finite, the size not."""
+    return np.isfinite(z) & np.isinf(size)
+
+
+def moebius_inverses(coeffs: np.ndarray, conjugating: np.ndarray) -> np.ndarray:
+    """The coefficient matrices of MoebiusMap.inverse for a (B, 2, 2)
+    stack and its (B,) conjugating flags: the adjugates (d, -b, -c, a),
+    conjugated where the flag is set."""
+    inv = np.empty_like(coeffs)
+    inv[:, 0, 0], inv[:, 1, 1] = coeffs[:, 1, 1], coeffs[:, 0, 0]
+    inv[:, 0, 1], inv[:, 1, 0] = -coeffs[:, 0, 1], -coeffs[:, 1, 0]
+    return np.where(conjugating[:, None, None], np.conj(inv), inv)
+
+
+def random_moebius_stack(seeds, conjugating=None):
+    """The coefficient matrices and conjugating flags of random_moebius
+    for each seed: a (B, 2, 2) complex stack and a (B,) mask."""
+    rngs = [rng_from(seed) for seed in seeds]
+    re, im = np.empty((2, len(seeds), 4))
+    redo = np.arange(len(seeds))
+    # rejection sampling, each redraw on the trial's own generator, until
+    # |ad - bc| > 0.2 max(|a|, |b|, |c|, |d|)^2
+    while redo.size:
+        for k in redo:
+            re[k], im[k] = rngs[k].normal(size=4), rngs[k].normal(size=4)
+        draws = (re[redo] + 1j * im[redo]) / np.sqrt(2)
+        a, b, c, d = draws.T
+        scale = np.max(complex_abs(draws), axis=1)
+        det = complex_product(a, d) - complex_product(b, c)
+        redo = redo[~(complex_abs(det) > 0.2 * scale * scale)]
+    if conjugating is None:
+        flags = np.array([rng.random() < 0.5 for rng in rngs], dtype=bool)
+    else:
+        flags = np.full(len(seeds), bool(conjugating))
+    return ((re + 1j * im) / np.sqrt(2)).reshape(-1, 2, 2), flags
 
 
 def random_moebius(seed: int, conjugating=None) -> MoebiusMap:
     """Seeded draw from the full group; the conjugating family comes up
     with probability 1/2 unless the flag is forced."""
-    rng = rng_from(seed)
-    while True:
-        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
-        a, b, c, d = (coeffs / np.sqrt(2)).tolist()
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        if abs(a * d - b * c) > 0.2 * scale * scale:
-            break
-    flag = bool(rng.random() < 0.5) if conjugating is None else bool(conjugating)
-    return MoebiusMap(a, b, c, d, conjugating=flag)
+    coeffs, flags = random_moebius_stack([seed], conjugating)
+    (a, b), (c, d) = coeffs[0].tolist()
+    return MoebiusMap(a, b, c, d, conjugating=flags[0])
 
 
 class SpherePoint:

@@ -137,6 +137,21 @@ def proportionality(a, b):
     return mu, float(resid)
 
 
+def proportionality_stack(a: np.ndarray, b) -> np.ndarray:
+    """The residuals proportionality(a[k], b) gives, for each array of a
+    stack ``a`` against one array ``b``, as a (B,) array."""
+    a = a.reshape(len(a), -1)
+    b = np.asarray(b, dtype=complex).ravel()
+    denom = np.vdot(b, b)
+    if abs(denom) == 0.0:
+        return np.full(len(a), np.inf)
+    mu = row_dot(np.conj(b), a) / denom
+    scale = row_norm(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = row_norm(a - mu[:, None] * b) / scale
+    return np.where(scale == 0.0, 0.0, resid)
+
+
 def normalize_leading(v) -> np.ndarray:
     """Projective normal form: divide by the largest-magnitude coordinate."""
     v = np.asarray(v, dtype=complex)
@@ -182,24 +197,26 @@ def random_antisymmetric(rng: np.random.Generator, n: int, scale: float = 0.8,
     return a
 
 
-def indefinite_orthogonal_sample(rng: np.random.Generator, p: int, q: int,
-                                 reflections: bool = True) -> np.ndarray:
-    """Sample from O(p, q): exp(G A) with A antisymmetric lands in the
-    identity component; optional diagonal sign flips reach the others."""
+def indefinite_orthogonal_stack(normals: np.ndarray, flips: np.ndarray, p: int) -> np.ndarray:
+    """Samples from O(p, q), one per (n, n) matrix of standard normal draws
+    in the stack ``normals`` (n = p + q): exp(G A), with A the
+    antisymmetric part of the draws scaled to norm 0.8, lands in the
+    identity component.  Where the (B, 2) mask ``flips`` is set, the sign
+    of the first (column 0) or the last (column 1) coordinate is flipped
+    after, which reaches the other components."""
     from scipy.linalg import expm
 
-    n = p + q
-    g = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-    m = expm(g @ random_antisymmetric(rng, n))
-    if reflections:
-        if p >= 1 and rng.random() < 0.5:
-            flip = np.eye(n)
-            flip[0, 0] = -1.0
-            m = m @ flip
-        if q >= 1 and rng.random() < 0.5:
-            flip = np.eye(n)
-            flip[n - 1, n - 1] = -1.0
-            m = m @ flip
+    n = normals.shape[-1]
+    a = (normals - normals.transpose(0, 2, 1)) / 2.0
+    flat = a.reshape(len(a), -1)
+    nrm = np.sqrt(row_dot(flat, flat))
+    a = a * np.divide(0.8, nrm, out=np.ones_like(nrm), where=nrm > 0)[:, None, None]
+    g = np.diag(np.concatenate([np.ones(p), -np.ones(n - p)]))
+    m = expm(g @ a)
+    for k, i in enumerate((0, n - 1)):
+        flip = np.eye(n)
+        flip[i, i] = -1.0
+        m[flips[:, k]] = m[flips[:, k]] @ flip
     return m
 
 

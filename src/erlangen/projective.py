@@ -38,7 +38,6 @@ __all__ = [
     "ProjMap",
     "PROJMAP_FAULTS",
     "projmap_faults",
-    "apply_map",
     "map_points",
     "map_hyperplanes",
     "coords_faulty",
@@ -50,7 +49,6 @@ __all__ = [
     "on_quadric",
     "incident",
     "incident_stack",
-    "join_line",
     "meet_point",
 ]
 
@@ -266,10 +264,6 @@ def coords_faulty(coords: np.ndarray) -> np.ndarray:
     return ~((m > 0.0) & (m < np.inf))
 
 
-def apply_map(m: ProjMap, p: ProjPoint) -> ProjPoint:
-    return m.apply(p)
-
-
 #: messages of the errors cross_ratio raises, indexed by the codes
 #: cross_ratio_stack returns (0: no error)
 CROSS_RATIO_FAULTS = ("", "cross-ratio requires collinear points",
@@ -390,13 +384,6 @@ def incident_stack(points: np.ndarray, hyperplanes: np.ndarray,
     (B, n+1) hyperplane stack."""
     val = complex_abs(row_dot(hyperplanes, points))
     return val / (row_norm(hyperplanes) * row_norm(points)) < tol
-
-
-def join_line(p: ProjPoint, q: ProjPoint) -> Hyperplane:
-    """Line through two plane points (P^2 only)."""
-    if p.dim != 2 or q.dim != 2:
-        raise DimensionMismatch("join_line is a P^2 operation")
-    return Hyperplane(np.cross(p.coords, q.coords))
 
 
 def meet_point(g: Hyperplane, h: Hyperplane) -> ProjPoint:

@@ -29,7 +29,7 @@ from .numerics import (
     GeometryError,
     as_complex_array,
     equal_up_to_scale,
-    indefinite_orthogonal_sample,
+    indefinite_orthogonal_stack,
     lex_key,
     proportionality,
     rng_from,
@@ -74,6 +74,7 @@ __all__ = [
     "moebius_circle_matrix",
     "random_inversive_map",
     "random_lie_map",
+    "random_pentaspherical_stack",
     "stereographic_circle_fit",
 ]
 
@@ -282,9 +283,9 @@ def _same_parameter(t1: ExtendedComplex, t2: ExtendedComplex) -> bool:
 # ---------------------------------------------------------------------------
 
 #: change of basis from the real signature (+,+,+,-) / (+,+,+,-,-) picture
-#: to the sum-of-squares coordinates used here
-_D4 = np.diag([1j, 1j, 1j, 1.0])
-_D5 = np.diag([1j, 1j, 1j, 1.0, 1.0])
+#: to the sum-of-squares coordinates used here, and back
+_D = {n: np.diag([1j, 1j, 1j] + [1.0] * (n - 3)) for n in (4, 5)}
+_D_INV = {n: np.linalg.inv(d) for n, d in _D.items()}
 
 
 class CircleCoords:
@@ -504,26 +505,37 @@ def moebius_circle_matrix(m: MoebiusMap) -> np.ndarray:
     return out / np.sqrt(mu.real)
 
 
+def random_pentaspherical_stack(seeds, n: int, scale: bool = True) -> np.ndarray:
+    """The (B, n, n) stack of random_inversive_map (n = 4) or random_lie_map
+    (n = 5) of each seed.
+
+    Each seed draws from its own generator: an n x n normal matrix, whose
+    antisymmetric part is exponentiated in O(3, n - 3), two reflection
+    coins and, with ``scale``, a log-uniform factor in [1/4, 4].
+    """
+    normals = np.empty((len(seeds), n, n))
+    flips = np.empty((len(seeds), 2), dtype=bool)
+    factor = np.empty(len(seeds))
+    for k, seed in enumerate(seeds):
+        rng = rng_from(seed)
+        normals[k] = rng.normal(size=(n, n))
+        flips[k] = rng.random() < 0.5, rng.random() < 0.5
+        if scale:
+            factor[k] = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
+    m = _D[n] @ indefinite_orthogonal_stack(normals, flips, 3) @ _D_INV[n]
+    return m * factor[:, None, None] if scale else m
+
+
 def random_inversive_map(seed: int, scale: bool = True) -> np.ndarray:
     """Seeded 4x4 matrix preserving the four-variable form up to a factor
     and mapping real circles to real circles."""
-    rng = rng_from(seed)
-    t = indefinite_orthogonal_sample(rng, 3, 1)
-    m = _D4 @ t @ np.linalg.inv(_D4)
-    if scale:
-        m = m * np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
-    return m
+    return random_pentaspherical_stack([seed], 4, scale)[0]
 
 
 def random_lie_map(seed: int, scale: bool = True) -> np.ndarray:
     """Seeded 5x5 matrix preserving the five-variable form up to a factor
     and mapping real oriented circles to real oriented circles."""
-    rng = rng_from(seed)
-    t = indefinite_orthogonal_sample(rng, 3, 2)
-    m = _D5 @ t @ np.linalg.inv(_D5)
-    if scale:
-        m = m * np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
-    return m
+    return random_pentaspherical_stack([seed], 5, scale)[0]
 
 
 def stereographic_circle_fit(points, tol: float = 1e-9):

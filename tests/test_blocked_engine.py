@@ -1,26 +1,38 @@
 """The block path of the trial loops against the per-trial loop.
 
-The projective-family groups carry stacked samplers and membership tests,
-so check_group_axioms, invariance_test and orbit_sample run them a block
-of trials at a time; the built-in properties but tangency and ck-distance
-carry stacked samplers and functionals, so invariance_test also samples,
-maps and evaluates configurations a block at a time.  Rebuilding the same
-group without the block fields gives the per-trial loop, and the scalar
-property bodies and samplers the stacked ones replaced are kept below:
-together they are the reference here.  Every verdict, witness seed and
-output byte must be the same on both paths.
+Every built-in group carries a stacked sampler and membership test, so
+check_group_axioms, invariance_test and orbit_sample sample, validate,
+invert and compose its elements a block of trials at a time; the built-in
+properties but tangency and ck-distance carry stacked samplers and
+functionals, so for the projective-family groups invariance_test also
+samples, maps and evaluates configurations a block at a time.  Rebuilding
+the same group without the block fields gives the per-trial loop, and the
+scalar samplers, property bodies and constructors the stacked ones
+replaced are kept below: together they are the reference here.  Every
+verdict, witness seed, error and output byte must be the same on both
+paths.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from erlangen.moebius import (
+    MoebiusMap,
+    circle_quadric,
+    moebius_faults,
+    moebius_inverses,
+    random_moebius,
+)
 from erlangen.numerics import (
     GeometryError,
     complex_abs,
     complex_product,
     mix_seed,
+    proportionality,
+    proportionality_stack,
     rng_from,
     row_dot,
     row_norm,
@@ -34,8 +46,11 @@ from erlangen.projective import (
     map_points,
 )
 from erlangen.groups import (
+    _KINDS,
+    BUILTIN_GROUP_NAMES,
     Configuration,
     GroupDescriptor,
+    Invariant,
     PropertyUndefined,
     Transformation,
     Violated,
@@ -47,11 +62,14 @@ from erlangen.groups import (
 )
 from erlangen.properties import Sampler, builtin_property
 from erlangen.reports import serialize_report
+from erlangen.transfers import random_inversive_map, random_lie_map
 
 GROUP_DIMS = [("euclidean_isometries", 2), ("euclidean_isometries", 3),
               ("principal", 2), ("principal", 3),
               ("affine", 1), ("affine", 2), ("affine", 3),
               ("projective", 1), ("projective", 2), ("projective", 3)]
+
+CIRCLE_GROUPS = ("moebius", "inversive_pentaspherical", "lie_sphere_extended")
 
 SEEDS = range(20)
 
@@ -170,12 +188,11 @@ def test_stacked_membership_matches_the_scalar_tests(name, dim):
     assert not any(g.contains_matrices(tilted, 1e-8)) or name == "projective"
 
 
-def test_only_the_projective_family_takes_the_block_path():
-    for name, dim in GROUP_DIMS:
+def test_every_builtin_group_takes_the_block_path():
+    for name, dim in GROUP_DIMS + [(name, 2) for name in CIRCLE_GROUPS]:
         assert builtin_group(name, dim).blocked
         assert not per_trial(builtin_group(name, dim)).blocked
-    for name in ("moebius", "inversive_pentaspherical", "lie_sphere_extended"):
-        assert not builtin_group(name).blocked
+    assert {name for name, _ in GROUP_DIMS} | set(CIRCLE_GROUPS) == set(BUILTIN_GROUP_NAMES)
 
 
 # -- axioms ------------------------------------------------------------------
@@ -241,7 +258,8 @@ def test_invariance_over_full_blocks_matches():
 # -- orbits ------------------------------------------------------------------
 
 def _image_bytes(images):
-    return b"".join(np.ascontiguousarray(e.coords).tobytes() for img in images for e in img)
+    return b"".join(np.ascontiguousarray(e.coords if isinstance(e, ProjPoint) else e.matrix)
+                    .tobytes() for img in images for e in img)
 
 
 @pytest.mark.parametrize("name,dim", GROUP_DIMS)
@@ -299,20 +317,29 @@ BAD = {"nan": np.full((3, 3), np.nan),
        "tiny": 1e-310 * np.eye(3)}
 
 
-def faulty_group(bad_seeds):
-    """The plane projective group, with the given matrix at each seed of
-    ``bad_seeds``."""
-    base = builtin_group("projective", 2)
+def faulty_group(bad_seeds, name="projective"):
+    """The plane group ``name``, with the given matrix at each seed of
+    ``bad_seeds``; its scalar sampler wraps the matrices with the
+    constructors themselves."""
+    base = builtin_group(name, 2)
 
     def sample_matrices(seeds):
-        stack = base.sample_matrices(seeds)
+        sampled = base.sample_matrices(seeds)
+        stack = sampled[0] if name == "moebius" else sampled
         for b, seed in enumerate(seeds):
             if seed in bad_seeds:
                 stack[b] = bad_seeds[seed]
-        return stack
+        return sampled
 
     def sample(seed):
-        return Transformation("projective", ProjMap(sample_matrices([seed])[0]), check=False)
+        if name == "moebius":
+            coeffs, antilinear = sample_matrices([seed])
+            (a, b), (c, d) = coeffs[0].tolist()
+            return Transformation("moebius", MoebiusMap(a, b, c, d, antilinear[0]), check=False)
+        m = sample_matrices([seed])[0]
+        if name == "projective":
+            return Transformation("projective", ProjMap(m), check=False)
+        return Transformation("pentaspherical", m, check=False)
 
     return GroupDescriptor("faulty", 2, base.identity, sample, base.contains,
                            sample_matrices, base.contains_matrices)
@@ -321,7 +348,7 @@ def faulty_group(bad_seeds):
 def _outcome(fn):
     try:
         return fn()
-    except (GeometryError, ValueError) as exc:
+    except (GeometryError, ValueError, OverflowError) as exc:
         return type(exc), str(exc)
 
 
@@ -523,6 +550,13 @@ CELLS = [(name, dim, prop) for name, dim in GROUP_DIMS for prop in OLD_PROPERTIE
          if not (prop == "collinearity" and dim == 1)]
 
 
+def _element_bytes(t):
+    """The bytes of a group element's forward map (and antilinear flag)."""
+    if t.kind == "moebius":
+        return t.forward.coeff_matrix.tobytes(), t.forward.conjugating
+    return np.asarray(getattr(t.forward, "matrix", t.forward)).tobytes()
+
+
 def _outcome_of(fn):
     """An invariance verdict's report bytes and fields, or the error raised."""
     try:
@@ -535,7 +569,7 @@ def _outcome_of(fn):
                       executed=verdict.trials_executed,
                       values=(repr(verdict.before), repr(verdict.after)),
                       config=repr(verdict.config),
-                      matrix=verdict.transformation.forward.matrix.tobytes())
+                      element=_element_bytes(verdict.transformation))
     else:
         fields.update(executed=verdict.trials_executed, skipped=verdict.trials_skipped)
     return fields
@@ -622,6 +656,12 @@ def test_stacked_steps_round_as_scalar_ones():
         for j in range(3):
             assert product[b, j] == complex(z[b, j]) * complex(w[b, j])
             assert size[b, j] == abs(complex(z[b, j]))
+    # stacks of 3x3 matrices against one, some of them nearly proportional to it
+    a = np.concatenate([z, 0.3 * z + w[0]]).reshape(-1, 3, 2)
+    target = w[0].reshape(3, 1) * w[1, :2]
+    residuals = proportionality_stack(a, target)
+    assert [r.tobytes() for r in residuals] == \
+        [np.float64(proportionality(m, target)[1]).tobytes() for m in a]
 
 
 def test_a_property_undefined_on_the_image_skips_the_trial():
@@ -743,3 +783,294 @@ def test_invariance_errors_in_trial_order(bad_row):
             assert blocked == serial
             outcomes.add(blocked[0] if isinstance(blocked, tuple) else blocked["type"])
     assert GeometryError in outcomes and Violated in outcomes
+
+
+# -- the circle groups ---------------------------------------------------------
+#
+# moebius holds its elements as (B, 2, 2) coefficient stacks with a (B,)
+# antilinear mask, the pentaspherical groups as (B, 4, 4) and (B, 5, 5)
+# matrix stacks.  The scalar samplers below are those the stacked ones
+# replaced.
+
+PENTASPHERICAL = {4: "inversive_pentaspherical", 5: "lie_sphere_extended"}
+
+# a tolerance of a few ulps, at which the pentaspherical membership test
+# passes some samples and products and fails others
+ULP_TOL = 2.5e-16
+
+
+def old_random_moebius(seed, conjugating=None):
+    rng = rng_from(seed)
+    while True:
+        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        a, b, c, d = (coeffs / np.sqrt(2)).tolist()
+        scale = max(abs(a), abs(b), abs(c), abs(d))
+        if abs(a * d - b * c) > 0.2 * scale * scale:
+            break
+    flag = bool(rng.random() < 0.5) if conjugating is None else bool(conjugating)
+    return MoebiusMap(a, b, c, d, conjugating=flag)
+
+
+def _old_antisymmetric(rng, n):
+    g = rng.normal(size=(n, n))
+    a = (g - g.T) / 2.0
+    nrm = np.linalg.norm(a)
+    if nrm > 0:
+        a *= 0.8 / nrm
+    return a
+
+
+def _old_indefinite_orthogonal(rng, p, q):
+    n = p + q
+    g = np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
+    m = expm(g @ _old_antisymmetric(rng, n))
+    for i in (0, n - 1):
+        if rng.random() < 0.5:
+            flip = np.eye(n)
+            flip[i, i] = -1.0
+            m = m @ flip
+    return m
+
+
+def old_pentaspherical_map(seed, n, scale=True):
+    """The old random_inversive_map (n = 4) and random_lie_map (n = 5)."""
+    rng = rng_from(seed)
+    d = np.diag([1j, 1j, 1j] + [1.0] * (n - 3))
+    m = d @ _old_indefinite_orthogonal(rng, 3, n - 3) @ np.linalg.inv(d)
+    if scale:
+        m = m * np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
+    return m
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_stacked_pentaspherical_samples_match_the_scalar_sampler_bitwise(n):
+    g = builtin_group(PENTASPHERICAL[n])
+    scalar = random_inversive_map if n == 4 else random_lie_map
+    seeds = [mix_seed(98, k) for k in range(150)]
+    stack = g.sample_matrices(seeds)
+    assert stack.shape == (150, n, n) and stack.dtype == complex
+    for seed, m in zip(seeds, stack):
+        ref = old_pentaspherical_map(seed, n).tobytes()
+        assert m.tobytes() == ref
+        assert scalar(seed).tobytes() == ref
+        assert g.sample(seed).forward.tobytes() == ref
+    for seed in seeds[:20]:
+        ref = old_pentaspherical_map(seed, n, scale=False).tobytes()
+        assert scalar(seed, scale=False).tobytes() == ref
+
+
+def test_stacked_moebius_samples_match_the_scalar_sampler_bitwise():
+    g = builtin_group("moebius")
+    seeds = [mix_seed(97, k) for k in range(150)]
+    coeffs, antilinear = g.sample_matrices(seeds)
+    assert coeffs.shape == (150, 2, 2) and coeffs.dtype == complex
+    assert antilinear.dtype == bool and 0 < antilinear.sum() < 150
+    for k, seed in enumerate(seeds):
+        ref = old_random_moebius(seed)
+        assert coeffs[k].tobytes() == ref.coeff_matrix.tobytes()
+        assert antilinear[k] == ref.conjugating
+        # repr shows every bit of the coefficients
+        assert repr(random_moebius(seed)) == repr(ref)
+        t = g.sample(seed)
+        assert (repr(t.forward), repr(t.inverse_map)) == (repr(ref), repr(ref.inverse()))
+    for flag in (False, True):
+        assert repr(random_moebius(seeds[0], flag)) == repr(old_random_moebius(seeds[0], flag))
+
+
+def reference_form_preserving(m, n, tol):
+    if m.shape != (n, n):
+        return False
+    _, resid = proportionality(m.T @ m, np.eye(n, dtype=complex))
+    return resid <= tol
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [4, 5])
+def test_stacked_form_membership_matches_the_scalar_test(n):
+    g = builtin_group(PENTASPHERICAL[n])
+    stack = g.sample_matrices(range(40))
+    products = stack @ stack[::-1]
+    odd = stack.copy()
+    odd[:10, 0, 1] += 1e-9  # no longer preserves the form
+    odd[10:20] = 0.0  # M^T M vanishes: the residual is 0
+    odd[20:30, 1, 2] = np.nan
+    odd[30:, 0, 0] = np.inf
+    for candidates in (stack, products, 2.5j * stack, odd):
+        for tol in (1e-8, ULP_TOL):
+            verdicts = g.contains_matrices(candidates, tol)
+            assert list(verdicts) == [reference_form_preserving(m, n, tol) for m in candidates]
+            wrapped = [Transformation("pentaspherical", m, m, check=False) for m in candidates]
+            assert list(verdicts) == [g.contains(t, tol) for t in wrapped]
+    for candidates in (stack, products):
+        assert all(g.contains_matrices(candidates, 1e-8))
+        split = g.contains_matrices(candidates, ULP_TOL)
+        assert split.any() and not split.all()
+    # a matrix of the other size is not a member
+    other = builtin_group(PENTASPHERICAL[9 - n]).sample_matrices(range(3))
+    assert not g.contains_matrices(other, 1e-8).any()
+    assert not g.contains(Transformation("pentaspherical", other[0], check=False))
+
+
+# coefficient matrices [[a, b], [c, d]] that MoebiusMap refuses, or (nan-b)
+# accepts although they hold a NaN: Python's max() of the sizes keeps a NaN
+# only in first place
+MOEBIUS_BAD = {
+    "singular": [[1, 2], [2, 4]],
+    "zero": [[0, 0], [0, 0]],
+    "nan": [[np.nan] * 2] * 2,
+    "nan-a": [[np.nan, 1], [1, 2]],
+    "nan-b": [[1, np.nan], [1, 2]],
+    "nan-d": [[1, 1], [1, np.nan]],
+    "inf-c": [[1, 1], [np.inf, 2]],
+    "huge-d": [[1, 0], [0, 1.5e308 * (1 + 1j)]],
+    # the determinant's parts are finite, its size is not
+    "huge-det": [[1e154, 0], [0, 1.3e154 * (1 + 1j)]],
+    "tiny": [[1e-200, 0], [0, 1e-200]],
+}
+
+
+def _constructed(coeffs):
+    """"ok", or the type and message of the error MoebiusMap raises."""
+    (a, b), (c, d) = coeffs.tolist()
+    try:
+        MoebiusMap(a, b, c, d)
+    except (GeometryError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_moebius_faults_are_the_checks_of_the_constructor():
+    g = builtin_group("moebius")
+    coeffs, antilinear = g.sample_matrices(range(30))
+    bad = np.array(list(MOEBIUS_BAD.values()), dtype=complex)
+    # the bad matrices, conjugated, and with their rows or columns swapped
+    stack = np.concatenate([coeffs, bad, np.conj(bad), bad[:, ::-1], bad[:, :, ::-1]])
+    errors = _KINDS["moebius"].errors
+    outcomes = [errors[code] if code else "ok" for code in moebius_faults(stack)]
+    assert outcomes == [_constructed(m) for m in stack]
+    assert set(outcomes) == {"ok", (OverflowError, "absolute value too large")} | {
+        (GeometryError, m) for m in ("MoebiusMap coefficients invalid",
+                                     "MoebiusMap is singular (ad - bc ~ 0)")}
+    # the inverses are MoebiusMap.inverse, conjugated for antilinear maps
+    inverses = moebius_inverses(coeffs, antilinear)
+    for k in range(30):
+        (a, b), (c, d) = coeffs[k].tolist()
+        ref = MoebiusMap(a, b, c, d, antilinear[k]).inverse()
+        assert repr(MoebiusMap.from_checked(inverses[k], antilinear[k])) == repr(ref)
+
+
+@pytest.mark.parametrize("name", CIRCLE_GROUPS)
+def test_circle_axiom_reports_match(name):
+    g = builtin_group(name)
+    ref = per_trial(g)
+    failures = 0
+    for seed in SEEDS:
+        for tol in (1e-8, ULP_TOL):
+            blocked = check_group_axioms(g, seed, 4, tol)
+            assert blocked == check_group_axioms(ref, seed, 4, tol)
+            failures += blocked.total_failures
+    assert check_group_axioms(g, 5, 70, ULP_TOL) == check_group_axioms(ref, 5, 70, ULP_TOL)
+    # moebius membership holds at any tolerance; pentaspherical membership
+    # at a few ulps hinges on the last bits of each product
+    assert (failures > 0) == (name != "moebius")
+
+
+@pytest.mark.parametrize("name,prop_name", [("moebius", "tangency"),
+                                            ("inversive_pentaspherical", "tangency"),
+                                            ("lie_sphere_extended", "tangency"),
+                                            ("moebius", "angle"),
+                                            ("moebius", "euclidean-distance")])
+def test_circle_invariance_reports_match(name, prop_name):
+    """The elements come in blocks and the property runs per trial: a
+    configuration sampler on stacks is of no use to maps that are not
+    projective."""
+    g = builtin_group(name)
+    prop = builtin_property(prop_name, 2)
+    outcomes = set()
+    for seed in SEEDS:
+        blocked = _outcome_of(lambda: invariance_test(prop.evaluate, g, prop.sample_config,
+                                                      seed, 12))
+        serial = _outcome_of(lambda: invariance_test(prop.evaluate, per_trial(g),
+                                                     prop.sample_config, seed, 12))
+        assert blocked == serial
+        outcomes.add(blocked[0] if isinstance(blocked, tuple) else blocked["type"])
+    expected = {"tangency": {"inversive_pentaspherical": Invariant, "moebius": Invariant,
+                             "lie_sphere_extended": GeometryError}}
+    assert outcomes == {expected.get(prop_name, {}).get(name, Violated)}
+
+
+@pytest.mark.parametrize("name,config", [
+    ("moebius", Configuration([circle_quadric(0.3 + 0.1j, 0.8)])),
+    ("moebius", Configuration([ProjPoint([0.2, -0.4, 1.0]), ProjPoint([-0.5, 0.1, 1.0])])),
+    ("inversive_pentaspherical", Configuration([circle_quadric(-0.2 + 0.5j, 0.6),
+                                                circle_quadric(0.1, 1.5)])),
+])
+def test_circle_orbit_images_match_bytewise(name, config):
+    g = builtin_group(name)
+    for seed in SEEDS:
+        try:
+            blocked = _image_bytes(orbit_sample(config, g, seed, 3))
+        except PropertyUndefined as exc:  # a point sent to infinity
+            blocked = str(exc)
+        try:
+            serial = _image_bytes(orbit_sample(config, per_trial(g), seed, 3))
+        except PropertyUndefined as exc:
+            serial = str(exc)
+        assert blocked == serial
+    assert _image_bytes(orbit_sample(config, g, 1, 70)) == \
+        _image_bytes(orbit_sample(config, per_trial(g), 1, 70))
+
+
+@pytest.mark.parametrize("name", ["moebius", "inversive_pentaspherical"])
+def test_circle_block_sizes(name):
+    g, requested = _counting(builtin_group(name))
+    prop = builtin_property("tangency", 2)
+    invariance_test(prop.evaluate, g, prop.sample_config, seed=1, trials=70)
+    assert requested == [1, 2, 4, 8, 16, 32, 7]
+    del requested[:]
+    check_group_axioms(g, seed=1, trials=66)
+    assert requested == [64, 64, 2, 2]
+    del requested[:]
+    orbit_sample(Configuration([circle_quadric(0.1, 0.5)]), g, seed=1, count=65)
+    assert requested == [64, 1]
+
+
+# bad samples of the circle groups: a Moebius coefficient matrix the
+# constructor refuses or (nan-b) accepts, and pentaspherical matrices,
+# which nothing checks but np.linalg.inv when a sample is inverted
+CIRCLE_BAD = {
+    "moebius": {key: MOEBIUS_BAD[key] for key in ("singular", "nan", "nan-b", "nan-d",
+                                                  "huge-d")},
+    "inversive_pentaspherical": {"singular": np.diag([1.0, 1.0, 0.0, 1.0]),
+                                 "nan": np.full((4, 4), np.nan),
+                                 "zero": np.zeros((4, 4))},
+}
+
+
+CIRCLE_BAD_CASES = [(name, kind) for name in CIRCLE_BAD for kind in sorted(CIRCLE_BAD[name])]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name,kind", CIRCLE_BAD_CASES)
+def test_circle_errors_in_trial_order(name, kind):
+    bad = np.asarray(CIRCLE_BAD[name][kind], dtype=complex)
+    # axioms: both elements of trial 5 are bad, and so is trial 9's second
+    g = faulty_group({mix_seed(4, 10): bad, mix_seed(4, 11): bad, mix_seed(4, 19): bad}, name)
+    axioms = _both(lambda h: check_group_axioms(h, 4, 12, ULP_TOL), g)
+    assert axioms[0] == axioms[1]
+    # orbits and invariance: the elements of trials 7 and 9 are bad
+    g = faulty_group({mix_seed(4, 7): bad, mix_seed(4, 9): bad}, name)
+    config = Configuration([circle_quadric(0.2 - 0.1j, 0.7)])
+    orbits = _both(lambda h: _image_bytes(orbit_sample(config, h, 4, 12)), g)
+    assert orbits[0] == orbits[1]
+    g = faulty_group({mix_seed(4, 3 * 7 + 1): bad, mix_seed(4, 3 * 9 + 1): bad}, name)
+    tangency = builtin_property("tangency", 2)
+    invariance = _both(lambda h: serialize_report(
+        invariance_test(tangency.evaluate, h, tangency.sample_config, 4, 12)), g)
+    assert invariance[0] == invariance[1]
+    # a matrix its constructor or its inversion refuses raises in every loop;
+    # the others may raise later, from the images or the products they make
+    if kind in ("singular", "zero") or name == "moebius" and kind != "nan-b":
+        assert all(isinstance(outcome, tuple) for outcome in (axioms[0], orbits[0],
+                                                               invariance[0]))

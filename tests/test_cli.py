@@ -187,6 +187,23 @@ class TestValues:
         assert err == ("error: collinearity needs dimension >= 2: all points of P^1 "
                        "lie on its one line\n")
 
+    @pytest.mark.parametrize("source,tol", [("flag", "1e-07"), ("config", "1e-06"),
+                                            ("default", "1e-08")])
+    def test_axioms_tolerance_comes_from_flag_then_config_then_default(
+            self, capsys, tmp_path, source, tol):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\ntrials = 5\ntolerance = 1e-6\n"
+                       "group = principal\ndimension = 2\n", encoding="utf-8")
+        argv = ["axioms", "--group", "principal", "--seed", "7", "--trials", "5"]
+        if source != "default":
+            argv += ["--config", str(cfg)]
+        if source == "flag":
+            argv += ["--tol", "1e-7"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert f"  tolerance: {tol}\n" in out
+        assert parse_report_trailer(out)["tol"] == float(tol)
+
     def test_ck_distance_requires_metric(self):
         with pytest.raises(GeometryError):
             builtin_property("ck-distance")
@@ -197,6 +214,28 @@ class TestValues:
         assert prop.boolean
         with pytest.raises(GeometryError):
             builtin_property("perimeter")
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--p", ["distance", "--metric", "klein-disk", "--p", "-0.1,0.2", "--q", "0.3,0.4"]),
+    ("--q", ["distance", "--metric", "klein-disk", "--p", "0.1,0.2", "--q", "-0.3,0.4"]),
+    ("--point", ["transfer", "--kind", "stereographic", "--point", "-0.6,0,0.8"]),
+    ("--circle", ["orbit", "--group", "moebius", "--circle", "-0.3,0.1,0.8", "--count", "2",
+                  "--seed", "9"]),
+    ("--z", ["transfer", "--kind", "inverse-stereographic", "--z", "-1.5,0.5"]),
+    ("--a", ["transfer", "--kind", "pluecker", "--a", "-1,0,0,1", "--b", "0,1,0,1"]),
+    ("--b", ["transfer", "--kind", "pluecker", "--a", "1,0,0,1", "--b", "-.5,1,0,1"]),
+    ("--center", ["transfer", "--kind", "circle-coords", "--center", "-1,2",
+                  "--radius", "0.5"]),
+])
+def test_coordinate_flags_take_a_leading_minus(capsys, flag, argv):
+    """A coordinate value that starts with a minus sign may follow its flag
+    as a separate argument, and means what the joined form means."""
+    k = argv.index(flag)
+    joined = argv[:k] + [f"{flag}={argv[k + 1]}"] + argv[k + 2:]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *joined)
 
 
 def _python(*args):

@@ -212,6 +212,12 @@ class TestStabilizers:
             stabilizes(t, cfg)
 
 
+@pytest.mark.parametrize("kind", ["contact", "affine", ""])
+def test_unknown_transformation_kind(kind):
+    with pytest.raises(GeometryError, match="unknown transformation kind"):
+        Transformation(kind, np.eye(5), np.eye(5), check=False)
+
+
 def distance_to_origin(c):
     v = c[0].normalized()
     if abs(v[2]) < 1e-12:

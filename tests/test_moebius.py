@@ -12,7 +12,6 @@ from erlangen.moebius import (
     circle_from_quadric,
     circle_quadric,
     inverse_stereographic,
-    moebius_apply,
     moebius_to_sphere,
     moebius_transform_circle,
     random_moebius,
@@ -37,13 +36,13 @@ class TestMoebiusMap:
     def test_identity(self):
         m = MoebiusMap(1, 0, 0, 1)
         for z in (0, 1 + 2j, -3j):
-            assert moebius_apply(m, z).value == complex(z)
+            assert m.apply(z).value == complex(z)
 
     def test_inversion(self):
         m = MoebiusMap(0, 1, 1, 0)
-        assert moebius_apply(m, 2).value == 0.5
-        assert moebius_apply(m, INFINITY).value == 0.0
-        assert moebius_apply(m, 0).infinite
+        assert m.apply(2).value == 0.5
+        assert m.apply(INFINITY).value == 0.0
+        assert m.apply(0).infinite
 
     def test_singular_rejected(self):
         with pytest.raises(GeometryError):

@@ -11,7 +11,6 @@ from erlangen.projective import (
     ProjMap,
     ProjPoint,
     Quadric,
-    apply_map,
     cross_ratio,
     incident,
     line_quadric_intersections,
@@ -66,12 +65,12 @@ class TestApply:
     def test_identity(self):
         p = ProjPoint([1, 2, 3])
         m = ProjMap(np.eye(3))
-        assert apply_map(m, p).equals(p)
+        assert m.apply(p).equals(p)
 
     def test_scale_equivalence(self):
         p = ProjPoint([1, 2, 3])
         m = ProjMap(2.0 * np.eye(3))
-        assert apply_map(m, p).equals(p)
+        assert m.apply(p).equals(p)
 
     def test_round_trip_oracle(self, rng):
         for _ in range(50):
