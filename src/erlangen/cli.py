@@ -298,9 +298,8 @@ def _run_contact_check(args) -> int:
     _merge_defaults(args)
     _require_seed(args)
     samples = args.samples if args.samples is not None else 40
-    tol = args.tol if args.tol is not None else 1e-6
     verdict = is_contact_transformation(_contact_map(args.map_name),
-                                        seed=args.seed, samples=samples, tol=tol)
+                                        seed=args.seed, samples=samples, tol=args.tol)
     sys.stdout.write(serialize_report(verdict))
     return 0 if verdict.is_contact else 1
 

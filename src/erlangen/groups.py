@@ -16,13 +16,14 @@ matrices.  For descriptors with the block fields
 ``sample_matrices``/``contains_matrices`` (all seven built-in groups)
 the trial loops sample, validate, invert, compose and check a block of
 trials at once on stacked matrices; each kind of element says how it is
-checked, inverted, composed and wrapped (_KINDS).  With a
-projective-family group and a property that has stacked forms (see
-invariance_test), the invariance trials also sample, map and evaluate
-their configurations a block at a time.  Each trial still draws from its
-own generators, so verdicts, witness seeds, errors and output bytes are
-those of the per-trial loop, which every other descriptor and property
-runs.
+checked, inverted, composed and wrapped, and how it acts on stacked
+configurations (_KINDS), of which Transformation.apply is the batch of
+one.  Orbits map their configuration a block of elements at a time, and
+with a property that has stacked forms (see invariance_test) the
+invariance trials also sample, map and evaluate their configurations a
+block at a time.  Each trial still draws from its own generators, so
+verdicts, witness seeds, errors and output bytes are those of the
+per-trial loop, which every other descriptor and property runs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .numerics import (
+    DimensionMismatch,
     GeometryError,
+    as_complex_array,
+    complex_abs,
+    complex_product,
+    complex_quotient,
     equal_up_to_scale,
     equal_up_to_scale_stack,
     mix_seed,
@@ -42,6 +48,7 @@ from .numerics import (
     proportionality,
     proportionality_stack,
     rng_from,
+    times_i,
 )
 from .projective import (
     PROJMAP_FAULTS,
@@ -52,14 +59,17 @@ from .projective import (
     coords_faulty,
     map_hyperplanes,
     map_points,
+    map_quadrics,
     projmap_faults,
 )
 from .moebius import (
+    CIRCLE_FAULTS,
     MOEBIUS_FAULTS,
     MoebiusMap,
+    circle_parameters,
+    moebius_circles,
     moebius_faults,
     moebius_inverses,
-    moebius_transform_circle,
     random_moebius_stack,
 )
 from .transfers import random_pentaspherical_stack
@@ -93,7 +103,7 @@ class Transformation:
     """A concrete group element: a tagged forward/inverse pair.
 
     Kinds: 'projective' (ProjMap), 'moebius' (MoebiusMap) and
-    'pentaspherical' (complex matrix acting on circle coordinates).
+    'pentaspherical' (finite complex matrix acting on circle coordinates).
     """
 
     __slots__ = ("kind", "forward", "inverse_map")
@@ -114,9 +124,11 @@ class Transformation:
                     MoebiusMap(1, 0, 0, 1), 1e-9):
                 raise GeometryError("inverse check failed for moebius pair")
         elif kind == "pentaspherical":
-            self.forward = np.asarray(forward, dtype=complex)
-            self.inverse_map = (np.asarray(inverse, dtype=complex)
-                                if inverse is not None else np.linalg.inv(self.forward))
+            # finite matrices only, as ProjMap takes them
+            self.forward = as_complex_array(forward, _PENTASPHERICAL_MAP)
+            self.inverse_map = as_complex_array(
+                inverse if inverse is not None else np.linalg.inv(self.forward),
+                _PENTASPHERICAL_MAP)
             if check:
                 prod = self.forward @ self.inverse_map
                 _, resid = proportionality(prod, np.eye(prod.shape[0], dtype=complex))
@@ -171,52 +183,19 @@ class Transformation:
     # -- action on configuration elements -----------------------------------
 
     def apply(self, element):
-        if self.kind == "projective":
-            if isinstance(element, ProjPoint):
-                return self.forward.apply(element)
-            if isinstance(element, Hyperplane):
-                return self.forward.apply_hyperplane(element)
-            if isinstance(element, Quadric):
-                return self.forward.apply_quadric(element)
-        elif self.kind == "moebius":
-            if isinstance(element, ProjPoint) and element.dim == 2:
-                return self._moebius_point(element)
-            if isinstance(element, Quadric) and element.dim == 2:
-                return moebius_transform_circle(self.forward, element)
-        elif self.kind == "pentaspherical":
-            if isinstance(element, Quadric) and element.dim == 2 \
-                    and self.forward.shape == (4, 4):
-                return self._pentaspherical_circle(element)
-        raise GeometryError(
-            f"{self.kind} transformation not applicable to {type(element).__name__}")
-
-    def _moebius_point(self, p: ProjPoint) -> ProjPoint:
-        v = p.normalized()
-        if abs(v[2]) < 1e-14:
-            raise PropertyUndefined("point at infinity is outside the affine chart")
-        z = complex(v[0] / v[2] + 1j * v[1] / v[2])
-        w = self.forward.apply(z)
-        if w.infinite:
-            raise PropertyUndefined("image at infinity not representable in P^2")
-        return ProjPoint([w.value.real, w.value.imag, 1.0])
-
-    def _pentaspherical_circle(self, q: Quadric) -> Quadric:
-        from .moebius import circle_from_quadric
-
-        aa, a, b, cc = circle_from_quadric(q)
-        u4 = np.array([1j * a, 1j * b, 1j * (aa - cc) / 2.0, (aa + cc) / 2.0],
-                      dtype=complex)
-        img = self.forward @ u4
-        # rebuild the circle equation from the image coordinates
-        aa2 = complex(-1j * img[2] + img[3])
-        if abs(aa2) < 1e-12 * np.max(np.abs(img)):
-            raise PropertyUndefined("image circle degenerates to a line")
-        img = img / aa2
-        a2 = complex(-1j * img[0]).real
-        b2 = complex(-1j * img[1]).real
-        cc2 = complex(1j * img[2] + img[3]).real
-        return Quadric(np.array([[1.0, 0, -a2], [0, 1.0, -b2], [-a2, -b2, cc2]],
-                                dtype=complex))
+        """The image of a point, hyperplane or quadric: the batch of one of
+        the kind's stacked action."""
+        kind = _KINDS[self.kind]
+        slot = _slot(element)
+        if slot is not None:
+            elements = [np.asarray(x)[None] for x in kind.unwrap(self)]
+            rows, faults = _act_on(kind, elements, element, slot)
+            if not faults[0]:
+                return _ELEMENT_TYPES[slot][0](rows[0])
+            etype, message = _APPLY_ERRORS[faults[0]]
+        else:
+            etype, message = _APPLY_ERRORS[1]
+        raise etype(message.format(kind=self.kind, element=type(element).__name__))
 
     def __repr__(self):
         return f"Transformation({self.kind}, {self.forward!r})"
@@ -429,9 +408,8 @@ def _matrix_group(name: str, dimension: int, identity: Transformation, sample_ma
 
     def sample(seed: int) -> Transformation:
         faults = []
-        forward, inverse, antilinear = _sampled(kind, sample_matrices, [seed], faults)
-        return _block_element(kind, forward[0], inverse[0], antilinear[0],
-                              _first_faults(faults)[0])
+        elements = _sampled(kind, sample_matrices, [seed], faults)
+        return _block_element(kind, elements, _first_faults(faults), 0)
 
     def contains(t: Transformation, tol: float = 1e-8) -> bool:
         return t.kind == identity.kind and bool(
@@ -536,6 +514,15 @@ class _Kind(NamedTuple):
     t1.compose(t2), ``wrap(forward, inverse, antilinear)`` the
     Transformation of checked matrices, and ``unwrap(t)`` its (forward,
     inverse, antilinear) back.
+
+    ``act(forward, inverse, antilinear, points, hyperplanes, quadrics)``
+    is the action of a block's elements on stacked configurations, one
+    per element: (B, k, n+1) point and (B, h, n+1) hyperplane rows and
+    (B, q, n+1, n+1) quadric matrices.  It returns the image stacks and
+    (B,) codes in _APPLY_ERRORS, nonzero where applying the element to its
+    configuration raises before an image is built (for one element, that
+    error); an image row that ProjPoint, Hyperplane or Quadric would
+    refuse comes back as it is.  Transformation.apply is its batch of one.
     """
 
     errors: tuple
@@ -544,14 +531,21 @@ class _Kind(NamedTuple):
     compose: Callable
     wrap: Callable
     unwrap: Callable
+    act: Callable
 
 
 def _geometry_errors(messages) -> tuple:
     return tuple((GeometryError, message) for message in messages)
 
 
-def _unchecked(stack: np.ndarray) -> np.ndarray:
-    return np.zeros(len(stack), dtype=np.int8)
+#: what the errors of a pentaspherical Transformation name
+_PENTASPHERICAL_MAP = "pentaspherical map"
+
+
+def _finite_faults(stack: np.ndarray) -> np.ndarray:
+    """Code 2 for each matrix with a non-finite entry, which a
+    pentaspherical Transformation refuses, else 0."""
+    return np.where(np.isfinite(stack).all(axis=(1, 2)), np.int8(0), np.int8(2))
 
 
 def _inverses(stack: np.ndarray, antilinear: np.ndarray):
@@ -588,6 +582,142 @@ def _moebius_compose(t1, t2):
     return product, moebius_inverses(product, t1[2] != t2[2])
 
 
+# -- the action of each kind on stacked configurations ----------------------------
+
+#: (exception type, message) of the errors Transformation.apply raises,
+#: indexed by the codes of the kinds' actions (0: none); circle_from_quadric's
+#: code c is code _CIRCLE + c here
+_APPLY_ERRORS = (
+    (None, ""),
+    (GeometryError, "{kind} transformation not applicable to {element}"),
+    (DimensionMismatch, "{kind} transformation applied to a {element} of another dimension"),
+    (PropertyUndefined, "point at infinity is outside the affine chart"),
+    (PropertyUndefined, "image at infinity not representable in P^2"),
+    (GeometryError, "finite ExtendedComplex requires finite value"),
+    (PropertyUndefined, "image circle degenerates to a line"),
+) + tuple((GeometryError, message) for message in CIRCLE_FAULTS[1:])
+_CIRCLE = len(_APPLY_ERRORS) - len(CIRCLE_FAULTS)
+
+
+def _circle_codes(faults: np.ndarray) -> np.ndarray:
+    return np.where(faults != 0, faults + _CIRCLE, 0).astype(np.int8)
+
+
+def _refused(code: int, points, hyperplanes, quadrics):
+    """Every row refused with ``code``, the stacks unmapped."""
+    return points, hyperplanes, quadrics, np.full(len(points), code, dtype=np.int8)
+
+
+def _projective_act(forward, inverse, antilinear, points, hyperplanes, quadrics):
+    """ProjMap.apply, apply_hyperplane and apply_quadric on stacks; the
+    hyperplanes and quadrics map through the elements' inverses."""
+    n = forward.shape[-1]
+    if any(x.shape[1] and x.shape[-1] != n for x in (points, hyperplanes, quadrics)):
+        return _refused(2, points, hyperplanes, quadrics)
+    return (map_points(forward, points), map_hyperplanes(inverse, hyperplanes),
+            map_quadrics(inverse, quadrics), np.zeros(len(forward), dtype=np.int8))
+
+
+def _moebius_act(forward, inverse, antilinear, points, hyperplanes, quadrics):
+    """Moebius maps on plane points, through the affine chart, and on
+    circles (moebius.moebius_circles); hyperplanes are refused."""
+    if hyperplanes.shape[1] or any(x.shape[1] and x.shape[-1] != 3 for x in (points, quadrics)):
+        return _refused(1, points, hyperplanes, quadrics)
+    faults = np.zeros(len(forward), dtype=np.int8)
+    if points.shape[1]:
+        points, f = _moebius_points(forward, antilinear, points)
+        faults = np.maximum(faults, f.max(axis=1))
+    if quadrics.shape[1]:
+        quadrics, f = moebius_circles(forward, antilinear, quadrics)
+        faults = np.maximum(faults, _circle_codes(f).max(axis=1))
+    return points, hyperplanes, quadrics, faults
+
+
+def _moebius_points(coeffs: np.ndarray, antilinear: np.ndarray, coords: np.ndarray):
+    """The (B, k, 3) plane points of each row under the row's Moebius map:
+    z = (x + iy)/w of the max-normalized coordinates goes to (az + b)/(cz + d),
+    conjugated first where the map is antilinear, with the rounding of
+    Python's complex arithmetic.  Also the (B, k) codes: a point at
+    infinity, an image at infinity, a non-finite image."""
+    lead = coords[np.eye(3, dtype=bool)[np.argmax(np.abs(coords), axis=-1)]]
+    x, y, w = np.moveaxis(coords / lead.reshape(coords.shape[:-1] + (1,)), -1, 0)
+    at_infinity = complex_abs(w) < 1e-14
+    w = np.where(at_infinity, 1.0, w)
+    z = x / w + complex_product(1j, y) / w
+    z = np.where(antilinear[:, None], np.conj(z), z)
+    a, b, c, d = (coeffs[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    denom = complex_product(c, z) + d
+    infinite = denom == 0
+    image = complex_quotient(complex_product(a, z) + b, np.where(infinite, 1.0, denom))
+    out = np.ones(coords.shape, dtype=complex)
+    out[..., 0], out[..., 1] = image.real, image.imag
+    faults = np.where(at_infinity, 3, np.where(infinite, 4, np.where(np.isfinite(image), 0, 5)))
+    return out, faults.astype(np.int8)
+
+
+def _pentaspherical_act(forward, inverse, antilinear, points, hyperplanes, quadrics):
+    """4 x 4 pentaspherical matrices on circles; everything else is refused."""
+    if points.shape[1] or hyperplanes.shape[1] or quadrics.shape[1] and (
+            quadrics.shape[-1] != 3 or forward.shape[-1] != 4):
+        return _refused(1, points, hyperplanes, quadrics)
+    faults = np.zeros(len(forward), dtype=np.int8)
+    if quadrics.shape[1]:
+        quadrics, f = _pentaspherical_circles(forward, quadrics)
+        faults = f.max(axis=1)
+    return points, hyperplanes, quadrics, faults
+
+
+def _pentaspherical_circles(matrices: np.ndarray, conics: np.ndarray):
+    """The (B, q, 3, 3) circle conics of each row under the row's 4 x 4
+    matrix, which acts on the circle coordinates (i a, i b, i (A - C)/2,
+    (A + C)/2), with the rounding of Python's complex arithmetic; and the
+    (B, q) codes of the circles that are not, or whose images degenerate
+    to lines."""
+    (aa, a, b, cc), circle_faults = circle_parameters(conics)
+    u = np.empty(aa.shape + (4,), dtype=complex)
+    u[..., 0], u[..., 1] = times_i(a), times_i(b)
+    u[..., 2] = complex_quotient(times_i(aa - cc), np.complex128(2.0))
+    u[..., 3] = (aa + cc) / 2.0
+    img = (matrices[:, None] @ u[..., None])[..., 0]
+    # the A of the image circle's equation
+    lead = complex_product(-1j, img[..., 2]) + img[..., 3]
+    degenerate = complex_abs(lead) < 1e-12 * np.max(np.abs(img), axis=-1)
+    img = img / np.where(degenerate, 1.0, lead)[..., None]
+    out = np.zeros(conics.shape, dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = 1.0
+    out[..., 0, 2] = out[..., 2, 0] = -complex_product(-1j, img[..., 0]).real
+    out[..., 1, 2] = out[..., 2, 1] = -complex_product(-1j, img[..., 1]).real
+    out[..., 2, 2] = (complex_product(1j, img[..., 2]) + img[..., 3]).real
+    faults = np.where(circle_faults != 0, _circle_codes(circle_faults), np.where(degenerate, 6, 0))
+    return out, faults.astype(np.int8)
+
+
+#: the types of configuration elements, and the attribute holding each one's
+#: coordinates; a kind's action takes them in this order
+_ELEMENT_TYPES = ((ProjPoint, "coords"), (Hyperplane, "coeffs"), (Quadric, "matrix"))
+
+
+def _slot(element) -> Optional[int]:
+    """The index in _ELEMENT_TYPES of an element's type, or None."""
+    for slot, (etype, _) in enumerate(_ELEMENT_TYPES):
+        if isinstance(element, etype):
+            return slot
+    return None
+
+
+def _act_on(kind: "_Kind", elements, e, slot: int):
+    """The rows of the images of the configuration element e under each of
+    a block's elements (forward, inverse, antilinear), as a (B, ...) stack,
+    and the (B,) codes of the errors applying them raises."""
+    data = getattr(e, _ELEMENT_TYPES[slot][1])
+    b, m = len(elements[0]), data.shape[0]
+    stacks = [np.empty((b, 0, m), dtype=complex), np.empty((b, 0, m), dtype=complex),
+              np.empty((b, 0, m, m), dtype=complex)]
+    stacks[slot] = np.broadcast_to(data, (b, 1) + data.shape)
+    *images, faults = kind.act(*elements, *stacks)
+    return images[slot][:, 0], faults
+
+
 _KINDS = {
     "projective": _Kind(
         _geometry_errors(PROJMAP_FAULTS), projmap_faults,
@@ -596,22 +726,25 @@ _KINDS = {
         _linear_compose,
         lambda f, i, _: Transformation("projective", ProjMap.from_checked(f),
                                        ProjMap.from_checked(i), check=False),
-        lambda t: (t.forward.matrix, t.inverse_map.matrix, False)),
+        lambda t: (t.forward.matrix, t.inverse_map.matrix, False),
+        _projective_act),
     "moebius": _Kind(
-        _geometry_errors(MOEBIUS_FAULTS[:3]) + ((OverflowError, MOEBIUS_FAULTS[3]),),
-        moebius_faults,
+        MOEBIUS_FAULTS, moebius_faults,
         lambda stack, antilinear: (moebius_inverses(stack, antilinear), None),
         _moebius_compose,
         lambda f, i, a: Transformation("moebius", MoebiusMap.from_checked(f, a),
                                        MoebiusMap.from_checked(i, a), check=False),
         lambda t: (t.forward.coeff_matrix, t.inverse_map.coeff_matrix,
-                   t.forward.conjugating)),
-    # a pentaspherical element checks nothing; only inverting a sample may raise
+                   t.forward.conjugating),
+        _moebius_act),
+    # a pentaspherical element must be finite, and inverting a sample may raise
     "pentaspherical": _Kind(
-        ((None, ""), (np.linalg.LinAlgError, "Singular matrix")), _unchecked, _inverses,
-        _linear_compose,
+        ((None, ""), (np.linalg.LinAlgError, "Singular matrix"),
+         (GeometryError, f"{_PENTASPHERICAL_MAP}: non-finite entries")),
+        _finite_faults, _inverses, _linear_compose,
         lambda f, i, _: Transformation("pentaspherical", f, i, check=False),
-        lambda t: (t.forward, t.inverse_map, False)),
+        lambda t: (t.forward, t.inverse_map, False),
+        _pentaspherical_act),
 }
 
 
@@ -673,11 +806,12 @@ def _raise_first(kind: _Kind, faults: np.ndarray) -> None:
         raise _error(kind, faults.flat[bad[0]])
 
 
-def _block_element(kind: _Kind, forward: np.ndarray, inverse: np.ndarray, antilinear,
-                   fault: int) -> Transformation:
-    if fault:
-        raise _error(kind, fault)
-    return kind.wrap(forward, inverse, antilinear)
+def _block_element(kind: _Kind, elements, faults: np.ndarray, k: int) -> Transformation:
+    """The Transformation of trial k of a block's elements (forward,
+    inverse, antilinear), or the error of its first failed check."""
+    if faults[k]:
+        raise _error(kind, faults[k])
+    return kind.wrap(*(x[k] for x in elements))
 
 
 def _element_blocks(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
@@ -708,11 +842,10 @@ def _elements(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: i
             yield i, s, partial(g.sample, s)
         return
     kind = _KINDS[g.identity.kind]
-    for start, seeds, (forward, inverse, antilinear), faults in _element_blocks(
-            g, seed, trials, stride, offset, first_block):
+    for start, seeds, elements, faults in _element_blocks(g, seed, trials, stride, offset,
+                                                          first_block):
         for k, s in enumerate(seeds):
-            yield start + k, s, partial(_block_element, kind, forward[k], inverse[k],
-                                        antilinear[k], faults[k])
+            yield start + k, s, partial(_block_element, kind, elements, faults, k)
 
 
 def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
@@ -841,17 +974,16 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
 
     Trial i draws its configuration from mix_seed(seed, 3i) and its
     transformation from mix_seed(seed, 3i + 1).  For a blocked group the
-    transformations are sampled a block at a time.  For a blocked group
-    of projective maps, a functional with ``evaluate_stacks`` and a
-    sampler of g's dimension with ``sample_stacks`` (the built-in
-    properties but tangency and ck-distance), whole blocks of trials are
-    also sampled, mapped and evaluated on stacks.  The verdict is that of
-    the per-trial loop.
+    transformations are sampled a block at a time.  For a blocked group,
+    a functional with ``evaluate_stacks`` and a sampler of g's dimension
+    with ``sample_stacks`` (every built-in property but ck-distance),
+    whole blocks of trials are also sampled, mapped by the group's
+    action and evaluated on stacks.  The verdict is that of the per-trial
+    loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    stacked = (g.blocked and g.identity.kind == "projective"
-               and hasattr(prop, "evaluate_stacks")
+    stacked = (g.blocked and hasattr(prop, "evaluate_stacks")
                and getattr(config_sampler, "dimension", None) == g.dimension
                and hasattr(config_sampler, "sample_stacks"))
     outcomes = (_block_outcomes if stacked else _trial_outcomes)(prop, g, config_sampler,
@@ -905,56 +1037,64 @@ def _trial_outcomes(prop, g, config_sampler, seed: int, trials: int):
 
 def _block_outcomes(prop, g, config_sampler, seed: int, trials: int):
     """_trial_outcomes on stacks: each block of trials samples its
-    configurations, maps them and evaluates the property before and after
-    at once.  A trial whose configuration, element or image the scalar
-    objects would refuse runs as _trial, which raises that error."""
-    kind = _KINDS["projective"]
-    for start, _, (forward, inverse, _), faults in _element_blocks(g, seed, trials, 3, 1, 1):
+    configurations, maps them by the group's action and evaluates the
+    property before and after at once.  A trial whose configuration,
+    element or image the scalar objects would refuse runs as _trial, which
+    raises that error."""
+    kind = _KINDS[g.identity.kind]
+    for start, _, elements, faults in _element_blocks(g, seed, trials, 3, 1, 1):
         cseeds = [mix_seed(seed, 3 * i) for i in range(start, start + len(faults))]
-        points, hyperplanes = config_sampler.sample_stacks(cseeds)
-        irregular = (faults != 0) | _faulty(points, hyperplanes)
-        points, hyperplanes = _sanitized(points, irregular), _sanitized(hyperplanes, irregular)
-        images = map_points(forward, points), map_hyperplanes(inverse, hyperplanes)
-        refused = _faulty(*images)
-        images = [_sanitized(x, refused) for x in images]
+        config = config_sampler.sample_stacks(cseeds)
+        irregular = (faults != 0) | _faulty(config)
+        config = _sanitized(config, irregular)
+        *images, codes = kind.act(*elements, *config)
+        refused = (codes != 0) | _faulty(images)
+        images = _sanitized(images, refused)
         # the configurations and their images in one stack: rows are independent
-        values, undefined = prop.evaluate_stacks(np.concatenate([points, images[0]]),
-                                                 np.concatenate([hyperplanes, images[1]]))
+        values, undefined = prop.evaluate_stacks(
+            *(np.concatenate([x, y]) for x, y in zip(config, images)))
         b = len(faults)
         # an image is made only when the property is defined before
         irregular |= (undefined[:b] == 0) & refused
         undefined = undefined[:b] | undefined[b:]
         before, after = values[:b].tolist(), values[b:].tolist()
         for k, cseed in enumerate(cseeds):
-            make = partial(_block_element, kind, forward[k], inverse[k], False, faults[k])
+            make = partial(_block_element, kind, elements, faults, k)
             if irregular[k]:
                 yield start + k, _trial(prop, config_sampler, cseed, make)
             elif undefined[k]:
                 yield start + k, None
             else:
-                witness = partial(_witness, config_sampler, points[k], hyperplanes[k], make)
-                yield start + k, (before[k], after[k], witness)
+                yield start + k, (before[k], after[k],
+                                  partial(_witness, config_sampler, config, k, make))
 
 
-def _faulty(points: np.ndarray, hyperplanes: np.ndarray) -> np.ndarray:
-    """Mask of the configurations whose stacked rows ProjPoint or
-    Hyperplane would refuse."""
-    faulty = coords_faulty(points).any(axis=1)
-    if hyperplanes.size:
-        faulty |= coords_faulty(hyperplanes).any(axis=1)
+def _faulty(stacks) -> np.ndarray:
+    """Mask of the configurations whose stacked point, hyperplane and
+    quadric rows hold one that ProjPoint, Hyperplane or Quadric would
+    refuse."""
+    points, hyperplanes, quadrics = stacks
+    faulty = np.zeros(len(points), dtype=bool)
+    for rows in (points, hyperplanes):
+        if rows.size:
+            faulty |= coords_faulty(rows).any(axis=1)
+    if quadrics.size:
+        asymmetric = (quadrics != quadrics.swapaxes(-1, -2)).any(axis=(2, 3))
+        flat = quadrics.reshape(quadrics.shape[:2] + (-1,))
+        faulty |= (coords_faulty(flat) | asymmetric).any(axis=1)
     return faulty
 
 
-def _sanitized(stack: np.ndarray, irregular: np.ndarray) -> np.ndarray:
-    """The stack with the rows of irregular trials set to ones, so stacked
+def _sanitized(stacks, irregular: np.ndarray):
+    """The stacks with the rows of irregular trials set to ones, so stacked
     evaluation sees finite coordinates only."""
     if not irregular.any():
-        return stack
-    return np.where(irregular[:, None, None], 1.0, stack)
+        return stacks
+    return [np.where(irregular.reshape((-1,) + (1,) * (x.ndim - 1)), 1.0, x) for x in stacks]
 
 
-def _witness(config_sampler, points: np.ndarray, hyperplanes: np.ndarray, make):
-    return config_sampler.configuration(points, hyperplanes), make()
+def _witness(config_sampler, config, k: int, make):
+    return config_sampler.configuration(*(x[k] for x in config)), make()
 
 
 _CIRCULAR_PLUS = np.array([1.0, 1.0j, 0.0])
@@ -993,8 +1133,28 @@ def orbit_sample(c: Configuration, g: GroupDescriptor, seed: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return [transform_configuration(make(), c)
-            for _, _, make in _elements(g, seed, count, 1, 0, _BLOCK)]
+    if not g.blocked:
+        return [transform_configuration(make(), c)
+                for _, _, make in _elements(g, seed, count, 1, 0, _BLOCK)]
+    kind = _KINDS[g.identity.kind]
+    slots = [_slot(e) for e in c]
+    orbit = []
+    for _, _, elements, faults in _element_blocks(g, seed, count, 1, 0, _BLOCK):
+        # each element of the configuration under the whole block at once
+        images, refused = [], faults != 0
+        for e, slot in zip(c, slots):
+            rows, codes = _act_on(kind, elements, e, slot)
+            refused |= codes != 0
+            images.append((_ELEMENT_TYPES[slot][0], rows))
+        for k in range(len(faults)):
+            if refused[k]:
+                # raises the element's or the action's error at its trial
+                orbit.append(transform_configuration(_block_element(kind, elements, faults, k),
+                                                     c))
+            else:
+                # a row its constructor refuses raises here, as in the scalar apply
+                orbit.append(Configuration([etype(rows[k]) for etype, rows in images]))
+    return orbit
 
 
 def sample_quadric_preserving_map(q: Quadric, seed: int) -> ProjMap:

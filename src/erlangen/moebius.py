@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import GeometryError, complex_abs, complex_product, rng_from
+from .numerics import GeometryError, complex_abs, complex_product, rng_from, times_i
 from .projective import ProjMap, ProjPoint, Quadric
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "MOEBIUS_FAULTS",
     "moebius_faults",
     "moebius_inverses",
+    "moebius_circles",
     "SpherePoint",
     "stereographic",
     "inverse_stereographic",
@@ -27,7 +28,10 @@ __all__ = [
     "moebius_to_sphere",
     "unit_sphere_quadric",
     "chordal_distance",
+    "circle_matrix",
     "circle_quadric",
+    "CIRCLE_FAULTS",
+    "circle_parameters",
     "circle_from_quadric",
     "moebius_transform_circle",
     "random_moebius",
@@ -85,11 +89,12 @@ def chordal_distance(z: ExtendedComplex, w: ExtendedComplex) -> float:
     return num / np.sqrt((1.0 + abs(z.value) ** 2) * (1.0 + abs(w.value) ** 2))
 
 
-#: messages of the errors MoebiusMap raises, indexed by the codes
-#: moebius_faults returns (0: no error); code 3 is the OverflowError that
-#: abs() of a complex scalar raises, the others are GeometryErrors
-MOEBIUS_FAULTS = ("", "MoebiusMap coefficients invalid",
-                  "MoebiusMap is singular (ad - bc ~ 0)", "absolute value too large")
+#: (exception type, message) of the errors MoebiusMap raises, indexed by
+#: the codes moebius_faults returns (0: no error); code 3 is the
+#: OverflowError that abs() of a complex scalar raises
+MOEBIUS_FAULTS = ((None, ""), (GeometryError, "MoebiusMap coefficients invalid"),
+                  (GeometryError, "MoebiusMap is singular (ad - bc ~ 0)"),
+                  (OverflowError, "absolute value too large"))
 
 
 class MoebiusMap:
@@ -101,11 +106,12 @@ class MoebiusMap:
     def __init__(self, a, b, c, d, conjugating: bool = False):
         self.a, self.b, self.c, self.d = (complex(a), complex(b), complex(c), complex(d))
         self.conjugating = bool(conjugating)
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        if scale == 0.0 or not np.isfinite(scale):
-            raise GeometryError(MOEBIUS_FAULTS[1])
-        if abs(self.det) <= 1e-12 * scale * scale:
-            raise GeometryError(MOEBIUS_FAULTS[2])
+        # the checks of a scalar raise, they do not warn, on sizes that overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            fault = moebius_faults(np.array([[[self.a, self.b], [self.c, self.d]]]))[0]
+        if fault:
+            etype, message = MOEBIUS_FAULTS[fault]
+            raise etype(message)
 
     @classmethod
     def from_checked(cls, coeffs: np.ndarray, conjugating: bool = False) -> "MoebiusMap":
@@ -165,17 +171,18 @@ class MoebiusMap:
 
 def moebius_faults(coeffs: np.ndarray) -> np.ndarray:
     """The checks of MoebiusMap.__init__ on a (B, 2, 2) stack of
-    coefficient matrices [[a, b], [c, d]] at once.
+    coefficient matrices [[a, b], [c, d]] at once; MoebiusMap(a, b, c, d)
+    is their batch of one.
 
     Entry k is the index in MOEBIUS_FAULTS of the first check coeffs[k]
-    fails, or 0; MoebiusMap(a, b, c, d) of that matrix raises that error.
+    fails, or 0: the coefficients are invalid when their largest size is
+    zero or not finite (a NaN in any place makes it NaN), singular when
+    |ad - bc| <= 1e-12 max(|a|, |b|, |c|, |d|)^2, and a size that
+    overflows is the OverflowError abs() of a complex scalar raises.
     """
     flat = coeffs.reshape(len(coeffs), 4)
     sizes = complex_abs(flat)
-    # max() of the sizes as Python takes it: a NaN wins only in first place
-    scale = sizes[:, 0]
-    for k in (1, 2, 3):
-        scale = np.where(sizes[:, k] > scale, sizes[:, k], scale)
+    scale = sizes.max(axis=1)
     det = complex_product(flat[:, 0], flat[:, 3]) - complex_product(flat[:, 1], flat[:, 2])
     size = complex_abs(det)
     # from the last check to the first, so that the first failed one stays
@@ -324,16 +331,41 @@ def moebius_to_sphere(m: MoebiusMap) -> ProjMap:
 # ---------------------------------------------------------------------------
 
 
-def circle_quadric(center, radius: float) -> Quadric:
-    """P^2 conic of the circle |z - center| = radius."""
+def circle_matrix(center, radius: float) -> np.ndarray:
+    """The matrix of circle_quadric(center, radius)."""
     c = complex(center)
     r = float(radius)
     if r < 0 or not np.isfinite(r):
         raise GeometryError("radius must be a finite nonnegative real")
     a, b = c.real, c.imag
     cc = a * a + b * b - r * r
-    return Quadric(np.array([[1.0, 0.0, -a], [0.0, 1.0, -b], [-a, -b, cc]],
-                            dtype=complex))
+    return np.array([[1.0, 0.0, -a], [0.0, 1.0, -b], [-a, -b, cc]], dtype=complex)
+
+
+def circle_quadric(center, radius: float) -> Quadric:
+    """P^2 conic of the circle |z - center| = radius."""
+    return Quadric(circle_matrix(center, radius))
+
+
+#: messages of the GeometryErrors circle_from_quadric raises, indexed by
+#: the codes circle_parameters returns (0: no error)
+CIRCLE_FAULTS = ("", "conic is not a circle or line", "conic is not a real circle")
+
+
+def circle_parameters(matrices: np.ndarray, tol: float = 1e-9):
+    """circle_from_quadric on a (..., 3, 3) stack of conic matrices: the
+    parameters A, a, b and C as four (...) arrays, and the (...) indices in
+    CIRCLE_FAULTS of the error each conic raises (0: none)."""
+    mat = matrices / np.abs(matrices).max(axis=(-2, -1), keepdims=True)
+    faults = np.where((complex_abs(mat[..., 0, 0] - mat[..., 1, 1]) > tol)
+                      | (complex_abs(mat[..., 0, 1]) > tol), 1,
+                      np.where(np.abs(mat.imag).max(axis=(-2, -1)) > 1e-6, 2, 0))
+    mat = mat.real
+    lead = mat[..., 0, 0]
+    # genuine circles are rescaled to A = 1; dividing by 1 changes nothing
+    lead = np.where(np.abs(lead) > tol, lead, 1.0)
+    return ((mat[..., 0, 0] / lead, -(mat[..., 0, 2] / lead), -(mat[..., 1, 2] / lead),
+             mat[..., 2, 2] / lead), faults.astype(np.int8))
 
 
 def circle_from_quadric(q: Quadric, tol: float = 1e-9):
@@ -341,45 +373,55 @@ def circle_from_quadric(q: Quadric, tol: float = 1e-9):
     A = 1 for genuine circles (lines, A = 0, stay max-normalized).
 
     Raises if the conic is not a circle or line, i.e. unless the two
-    leading diagonal entries agree and the xy cross term vanishes.
+    leading diagonal entries agree and the xy cross term vanishes.  The
+    batch of one of circle_parameters.
     """
     if q.dim != 2:
         raise GeometryError("circle quadrics live in P^2")
-    mat = q.matrix / np.max(np.abs(q.matrix))
-    if abs(mat[0, 0] - mat[1, 1]) > tol or abs(mat[0, 1]) > tol:
-        raise GeometryError("conic is not a circle or line")
-    im = float(np.max(np.abs(mat.imag)))
-    if im > 1e-6:
-        raise GeometryError("conic is not a real circle")
-    mat = mat.real
-    if abs(mat[0, 0]) > tol:
-        mat = mat / mat[0, 0]
-    return float(mat[0, 0]), float(-mat[0, 2]), float(-mat[1, 2]), float(mat[2, 2])
+    params, faults = circle_parameters(q.matrix, tol)
+    if faults:
+        raise GeometryError(CIRCLE_FAULTS[faults])
+    return tuple(float(x) for x in params)
 
 
-def _hermitian_from_circle(aa, a, b, cc) -> np.ndarray:
-    return np.array([[aa, -(a + 1j * b)], [-(a - 1j * b), cc]], dtype=complex)
+def moebius_circles(coeffs: np.ndarray, conjugating: np.ndarray, matrices: np.ndarray):
+    """moebius_transform_circle on stacks: the image of each of the
+    (B, q, 3, 3) circle conics of row b under the Moebius map with the
+    coefficient matrix coeffs[b] and flag conjugating[b], as (B, q, 3, 3)
+    conic matrices, and the (B, q) indices in CIRCLE_FAULTS of the error
+    circle_from_quadric raises on a conic (0: none).
 
-
-def _circle_from_hermitian(h) -> tuple:
-    aa = float(h[0, 0].real)
-    cc = float(h[1, 1].real)
-    a = float(-h[0, 1].real)
-    b = float(-h[0, 1].imag)
-    return aa, a, b, cc
+    A circle A(x^2 + y^2) - 2 a x - 2 b y + C = 0 is the Hermitian form
+    H = [[A, -(a + ib)], [-(a - ib), C]] on (z, 1); the map acts on it by
+    congruence with the inverse coefficient matrix G^-1, and pre-conjugation
+    swaps H for its transpose.
+    """
+    (aa, a, b, cc), faults = circle_parameters(matrices)
+    ib = times_i(b)
+    h = np.empty(aa.shape + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 1, 1] = aa, cc
+    h.real[..., 0, 1], h.imag[..., 0, 1] = -(a + ib.real), -(0.0 + ib.imag)
+    h.real[..., 1, 0], h.imag[..., 1, 0] = -(a - ib.real), -(0.0 - ib.imag)
+    h = np.where(conjugating[:, None, None, None], h.swapaxes(-1, -2), h)
+    ginv = np.linalg.inv(coeffs)[:, None]
+    hp = np.conj(ginv).swapaxes(-1, -2) @ h @ ginv
+    hp = (hp + np.conj(hp).swapaxes(-1, -2)) / 2.0
+    out = np.zeros(matrices.shape, dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = hp[..., 0, 0].real
+    # the conic [[A', 0, -a'], [0, A', -b'], [-a', -b', C']] of hp = H'
+    out[..., 0, 2] = out[..., 2, 0] = hp[..., 0, 1].real
+    out[..., 1, 2] = out[..., 2, 1] = hp[..., 0, 1].imag
+    out[..., 2, 2] = hp[..., 1, 1].real
+    return out, faults
 
 
 def moebius_transform_circle(m: MoebiusMap, q: Quadric) -> Quadric:
-    """Image of a circle (or line) conic under a Moebius map."""
-    aa, a, b, cc = circle_from_quadric(q)
-    h = _hermitian_from_circle(aa, a, b, cc)
-    ginv = np.linalg.inv(m.coeff_matrix)
-    if m.conjugating:
-        # pre-conjugation swaps H for its transpose in the congruence
-        hp = np.conj(ginv).T @ h.T @ ginv
-    else:
-        hp = np.conj(ginv).T @ h @ ginv
-    hp = (hp + np.conj(hp).T) / 2.0
-    aa2, a2, b2, cc2 = _circle_from_hermitian(hp)
-    return Quadric(np.array([[aa2, 0.0, -a2], [0.0, aa2, -b2], [-a2, -b2, cc2]],
-                            dtype=complex))
+    """Image of a circle (or line) conic under a Moebius map; the batch of
+    one of moebius_circles."""
+    if q.dim != 2:
+        raise GeometryError("circle quadrics live in P^2")
+    images, faults = moebius_circles(m.coeff_matrix[None], np.array([m.conjugating]),
+                                     q.matrix[None, None])
+    if faults[0, 0]:
+        raise GeometryError(CIRCLE_FAULTS[faults[0, 0]])
+    return Quadric(images[0, 0])

@@ -93,9 +93,10 @@ def equal_up_to_scale_stack(v: np.ndarray, w: np.ndarray,
 #
 # numpy's complex array multiply and absolute value round differently from
 # the same operations on one numpy or Python complex scalar (the array loops
-# may fuse multiply-adds), so code that works on stacks and must give the
-# bits of a scalar computation uses these.  Division, addition and
-# subtraction agree already.
+# may fuse multiply-adds), and Python's complex division rounds differently
+# from numpy's, so code that works on stacks and must give the bits of a
+# scalar computation uses these.  numpy's division, addition and subtraction
+# agree between arrays and scalars already.
 
 
 def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,6 +110,28 @@ def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def complex_abs(z: np.ndarray) -> np.ndarray:
     """abs() of each entry, as for a complex scalar."""
     return np.hypot(z.real, z.imag)
+
+
+def times_i(x: np.ndarray) -> np.ndarray:
+    """1j * x for real x, as Python takes it: the float becomes the complex
+    (x, 0.0), so the parts are 0.0 * x - 0.0 = 0.0 * x and 0.0 + x."""
+    out = (0.0 * x).astype(complex)
+    out.imag = 0.0 + x
+    return out
+
+
+def complex_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise, rounded as for Python complex scalars, whose
+    division scales by the larger part of b and divides where numpy
+    multiplies by a reciprocal.  b must have no zero entry."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        out = (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom).astype(complex)
+        out.imag = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return out
 
 
 def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

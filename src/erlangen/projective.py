@@ -40,6 +40,7 @@ __all__ = [
     "projmap_faults",
     "map_points",
     "map_hyperplanes",
+    "map_quadrics",
     "coords_faulty",
     "CROSS_RATIO_FAULTS",
     "cross_ratio",
@@ -244,6 +245,8 @@ def map_points(matrices: np.ndarray, coords: np.ndarray) -> np.ndarray:
     coordinates of ProjMap(matrices[b]).apply(ProjPoint(coords[b, j])),
     for (B, n, n) matrices and (B, k, n) coordinates.  A row that ProjPoint
     would refuse comes back non-finite or zero (see coords_faulty)."""
+    if not coords.size:
+        return coords
     out = (matrices[:, None] @ coords[..., None])[..., 0]
     return out / np.max(np.abs(out), axis=-1, keepdims=True)
 
@@ -251,9 +254,19 @@ def map_points(matrices: np.ndarray, coords: np.ndarray) -> np.ndarray:
 def map_hyperplanes(inverses: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """ProjMap.apply_hyperplane on stacks, given the (B, n, n) inverses of
     the maps' matrices."""
-    if not coeffs.size:
-        return coeffs
     return map_points(inverses.transpose(0, 2, 1), coeffs)
+
+
+def map_quadrics(inverses: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """ProjMap.apply_quadric on stacks: the symmetrized M^-T Q M^-1 of
+    each of the (B, q, n, n) quadric matrices of row b, given the (B, n, n)
+    inverses M^-1 of the maps' matrices.  A matrix that Quadric would
+    refuse comes back non-finite or zero."""
+    if not matrices.size:
+        return matrices
+    inv = inverses[:, None]
+    out = inv.swapaxes(-1, -2) @ matrices @ inv
+    return (out + out.swapaxes(-1, -2)) / 2.0
 
 
 def coords_faulty(coords: np.ndarray) -> np.ndarray:

@@ -9,12 +9,14 @@ magnitudes.  A property raises PropertyUndefined on configurations
 outside its domain (for example circle-specific functionals on conics
 that are no longer circles); such trials are skipped.
 
-Euclidean distance, angle, cross-ratio, incidence and collinearity are
-written once, for stacks: each functional is a Functional and each
-sampler a Sampler, whose scalar calls are batches of one, and
-invariance_test runs them a block of trials at a time.  The stacked
-steps round as the scalar ones did (numerics.complex_product and friends),
-so values and verdicts are bit for bit those of the former scalar bodies.
+Euclidean distance, angle, cross-ratio, incidence, tangency and
+collinearity are written once, for stacks: each functional is a
+Functional and each sampler a Sampler, whose scalar calls are batches of
+one, and invariance_test runs them a block of trials at a time.  The
+stacked steps round as the scalar ones did (numerics.complex_product and
+friends), so values and verdicts are bit for bit those of the former
+scalar bodies.  Only ck-distance is evaluated per
+configuration.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .numerics import GeometryError, complex_abs, rng_from, row_dot, row_norm
 from .projective import Hyperplane, ProjPoint, Quadric, cross_ratio_stack, incident_stack
 from .groups import Configuration, PropertyUndefined
-from .moebius import circle_quadric, circle_from_quadric
+from .moebius import circle_matrix, circle_parameters
 from .cayley_klein import (CKMetric, _sign_normalized, ck_distance, klein_disk_metric,
                            elliptic_metric)
 
@@ -55,12 +57,13 @@ class BuiltinProperty:
 class Functional:
     """A property functional written once, for stacks of configurations.
 
-    ``evaluate_stacks(points, hyperplanes)`` takes the (B, k, n+1) point
-    and (B, h, n+1) hyperplane coordinate stacks of B configurations and
-    returns their (B,) values, complex or bool, and (B,) codes: 0 where
-    the value is defined, else the index in ``reasons`` of why it is not.
-    The functional reads a configuration's points and hyperplanes, each in
-    order.  Called on one Configuration it is the batch of one: it
+    ``evaluate_stacks(points, hyperplanes, quadrics)`` takes the
+    (B, k, n+1) point and (B, h, n+1) hyperplane coordinate stacks and the
+    (B, q, n+1, n+1) quadric matrix stack of B configurations and returns
+    their (B,) values, complex or bool, and (B,) codes: 0 where the value
+    is defined, else the index in ``reasons`` of why it is not.  The
+    functional reads a configuration's points, hyperplanes and quadrics,
+    each in order.  Called on one Configuration it is the batch of one: it
     returns the value as a Python complex or bool, or raises
     PropertyUndefined.  invariance_test evaluates whole blocks of trials
     through ``evaluate_stacks``.
@@ -82,11 +85,14 @@ class Sampler:
 
     ``draw(rng)`` makes one configuration's draws on its generator and
     returns its point and hyperplane coordinate rows, (k, n+1) and
-    (h, n+1).  ``sample_stacks(seeds)`` draws one configuration per seed,
-    each from its own ``rng_from(seed)``, and stacks them as (B, k, n+1)
-    point and (B, h, n+1) hyperplane arrays.  Called on one seed it is
-    the batch of one and returns the Configuration of the points, then
-    the hyperplanes (``configuration`` of its rows).
+    (h, n+1), and its quadric matrices, (q, n+1, n+1), as arrays or
+    sequences of them.
+    ``sample_stacks(seeds)`` draws one configuration per seed, each from
+    its own ``rng_from(seed)``, and stacks them as (B, k, n+1) point,
+    (B, h, n+1) hyperplane and (B, q, n+1, n+1) quadric arrays.  Called on
+    one seed it is the batch of one and returns the Configuration of the
+    points, then the hyperplanes, then the quadrics (``configuration`` of
+    its rows).
     """
 
     def __init__(self, dimension: int, draw):
@@ -95,33 +101,42 @@ class Sampler:
 
     def sample_stacks(self, seeds):
         rows = [self.draw(rng_from(seed)) for seed in seeds]
+        m = self.dimension + 1
         return tuple(np.array([r[j] for r in rows], dtype=complex)
-                     .reshape(len(rows), len(rows[0][j]), self.dimension + 1)
-                     for j in (0, 1))
+                     .reshape((len(rows), len(rows[0][j])) + shape) if len(rows[0][j])
+                     else np.empty((len(rows), 0) + shape, dtype=complex)
+                     for j, shape in enumerate(((m,), (m,), (m, m))))
 
     def __call__(self, seed: int) -> Configuration:
-        points, hyperplanes = self.sample_stacks([seed])
-        return self.configuration(points[0], hyperplanes[0])
+        return self.configuration(*(x[0] for x in self.sample_stacks([seed])))
 
     @staticmethod
-    def configuration(points: np.ndarray, hyperplanes: np.ndarray) -> Configuration:
-        """The Configuration of one configuration's coordinate rows."""
-        return Configuration([ProjPoint(p) for p in points] + [Hyperplane(h) for h in hyperplanes])
+    def configuration(points: np.ndarray, hyperplanes: np.ndarray,
+                      quadrics: np.ndarray) -> Configuration:
+        """The Configuration of one configuration's rows."""
+        return Configuration([ProjPoint(p) for p in points] + [Hyperplane(h) for h in hyperplanes]
+                             + [Quadric(q) for q in quadrics])
 
 
-_NO_HYPERPLANES = np.empty((0, 0))
+_NO_ROWS = np.empty((0, 0))
+_NO_QUADRICS = np.empty((0, 0, 0))
 
 
 def _stacks(c: Configuration):
-    """The point and hyperplane coordinate stacks of one configuration."""
+    """The point, hyperplane and quadric stacks of one configuration.
+    Points and hyperplanes must share one space, and so must quadrics."""
     points = [e.coords for e in c if isinstance(e, ProjPoint)]
     hyperplanes = [e.coeffs for e in c if isinstance(e, Hyperplane)]
+    quadrics = [e.matrix for e in c if isinstance(e, Quadric)]
     sizes = {v.size for v in points + hyperplanes}
-    if len(sizes) > 1:
+    quadric_sizes = {len(m) for m in quadrics}
+    if len(sizes) > 1 or len(quadric_sizes) > 1:
         raise PropertyUndefined("elements live in different spaces")
     n = sizes.pop() if sizes else 0
+    k = quadric_sizes.pop() if quadric_sizes else 0
     return (np.array(points, dtype=complex).reshape(1, len(points), n),
-            np.array(hyperplanes, dtype=complex).reshape(1, len(hyperplanes), n))
+            np.array(hyperplanes, dtype=complex).reshape(1, len(hyperplanes), n),
+            np.array(quadrics, dtype=complex).reshape(1, len(quadrics), k, k))
 
 
 # why a property is undefined, indexed by the codes of its evaluate_stacks
@@ -130,6 +145,8 @@ _ANGLE_REASONS = ("", "needs three points", "point at infinity", "degenerate ray
 _CROSS_RATIO_REASONS = ("", "needs four points", "points not collinear")
 _INCIDENCE_REASONS = ("", "needs a point and a hyperplane")
 _COLLINEARITY_REASONS = ("", "needs three points", "all points of P^1 are collinear")
+_TANGENCY_REASONS = ("", "needs two circles", "conic is not a circle", "line encountered",
+                     "imaginary circle")
 
 
 def _undefined(points: np.ndarray, code: int, dtype=complex):
@@ -160,11 +177,11 @@ def _homogeneous(coords: np.ndarray) -> np.ndarray:
 
 def _points_draw(count: int, dimension: int):
     def draw(rng):
-        return _homogeneous(rng.uniform(-1, 1, (count, dimension))), _NO_HYPERPLANES
+        return _homogeneous(rng.uniform(-1, 1, (count, dimension))), _NO_ROWS, _NO_QUADRICS
     return draw
 
 
-def _euclidean_distance(points, hyperplanes):
+def _euclidean_distance(points, hyperplanes, quadrics):
     if points.shape[1] < 2:
         return _undefined(points, 1)
     affine, at_infinity = _affine(points[:, :2])
@@ -172,7 +189,7 @@ def _euclidean_distance(points, hyperplanes):
     return np.sqrt(row_dot(d, d)), np.where(at_infinity.any(axis=1), 2, 0)
 
 
-def _angle_at_vertex(points, hyperplanes):
+def _angle_at_vertex(points, hyperplanes, quadrics):
     if points.shape[1] < 3:
         return _undefined(points, 1)
     affine, at_infinity = _affine(points[:, :3])
@@ -197,11 +214,11 @@ def _collinear_quadruple_draw(dimension: int):
             t = sorted(ts.tolist())
             if min(t[1] - t[0], t[2] - t[1], t[3] - t[2]) > 0.05:
                 break
-        return _homogeneous(base + ts[:, None] * direction), _NO_HYPERPLANES
+        return _homogeneous(base + ts[:, None] * direction), _NO_ROWS, _NO_QUADRICS
     return draw
 
 
-def _cross_ratio_prop(points, hyperplanes):
+def _cross_ratio_prop(points, hyperplanes, quadrics):
     if points.shape[1] < 4:
         return _undefined(points, 1)
     values, faults = cross_ratio_stack(points[:, :4])
@@ -221,18 +238,17 @@ def _incidence_draw(dimension: int):
             pt = sum(w * v for w, v in zip(weights, vecs))
         else:
             pt = _homogeneous(rng.uniform(-1, 1, dimension))
-        return pt[None], coeffs[None]
+        return pt[None], coeffs[None], _NO_QUADRICS
     return draw
 
 
-def _incidence_prop(points, hyperplanes):
+def _incidence_prop(points, hyperplanes, quadrics):
     if points.shape[1] < 1 or hyperplanes.shape[1] < 1:
         return _undefined(points, 1, bool)
     return incident_stack(points[:, 0], hyperplanes[:, 0], 1e-8), np.zeros(len(points), np.int8)
 
 
-def _sampler_circle_pair(seed: int) -> Configuration:
-    rng = rng_from(seed)
+def _circle_pair_draw(rng):
     c1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     r1 = rng.uniform(0.3, 1.2)
     if rng.random() < 0.5:
@@ -248,30 +264,31 @@ def _sampler_circle_pair(seed: int) -> Configuration:
             # keep decidedly away from tangency so the verdict is stable
             if min(abs(d - (r1 + r2)), abs(d - abs(r1 - r2))) > 0.05:
                 break
-    return Configuration([circle_quadric(c1, r1), circle_quadric(c2, r2)])
+    return _NO_ROWS, _NO_ROWS, [circle_matrix(c1, r1), circle_matrix(c2, r2)]
 
 
-def _tangency_prop(c: Configuration):
-    quads = [e for e in c if isinstance(e, Quadric)]
-    if len(quads) < 2:
-        raise PropertyUndefined("needs two circles")
-    try:
-        circles = [circle_from_quadric(q) for q in quads[:2]]
-    except GeometryError:
-        raise PropertyUndefined("conic is not a circle") from None
-    (a1, x1, y1, c1), (a2, x2, y2, c2) = circles
-    if abs(a1) < 1e-10 or abs(a2) < 1e-10:
-        raise PropertyUndefined("line encountered")
-    x1, y1, c1 = x1 / a1, y1 / a1, c1 / a1
-    x2, y2, c2 = x2 / a2, y2 / a2, c2 / a2
-    r1s = x1 * x1 + y1 * y1 - c1
-    r2s = x2 * x2 + y2 * y2 - c2
-    if r1s <= 0 or r2s <= 0:
-        raise PropertyUndefined("imaginary circle")
-    r1, r2 = np.sqrt(r1s), np.sqrt(r2s)
-    d = np.hypot(x1 - x2, y1 - y2)
-    scale = max(r1, r2, d)
-    return bool(min(abs(d - (r1 + r2)), abs(d - abs(r1 - r2))) < 1e-7 * max(1.0, scale))
+def _tangency(points, hyperplanes, quadrics):
+    """Whether the first two circles of each configuration touch, inside or
+    outside, to 1e-7 times the largest of 1, their radii and the distance
+    of their centres."""
+    if quadrics.shape[1] < 2:
+        return _undefined(quadrics, 1, bool)
+    if quadrics.shape[-1] != 3:
+        return _undefined(quadrics, 2, bool)
+    (a, x, y, c), faults = circle_parameters(quadrics[:, :2])
+    line = (np.abs(a) < 1e-10).any(axis=1)
+    a = np.where(line[:, None], 1.0, a)
+    x, y, c = x / a, y / a, c / a
+    squares = x * x + y * y - c
+    imaginary = (squares <= 0).any(axis=1)
+    r1, r2 = np.sqrt(np.where(squares <= 0, 1.0, squares)).T
+    d = np.hypot(x[:, 0] - x[:, 1], y[:, 0] - y[:, 1])
+    # the parameters of a max-normalized conic with |A| >= 1e-10 keep all of
+    # these finite, so no NaN can make np.maximum differ from Python's max
+    scale = np.maximum(np.maximum(r1, r2), d)
+    gap = np.minimum(np.abs(d - (r1 + r2)), np.abs(d - np.abs(r1 - r2)))
+    undefined = np.where(faults.any(axis=1), 2, np.where(line, 3, np.where(imaginary, 4, 0)))
+    return gap < 1e-7 * np.maximum(1.0, scale), undefined.astype(np.int8)
 
 
 def _triple_maybe_collinear_draw(dimension: int):
@@ -282,11 +299,11 @@ def _triple_maybe_collinear_draw(dimension: int):
             pts = np.array([base, base + ts[0] * direction, base + ts[1] * direction])
         else:
             pts = rng.uniform(-1, 1, (3, dimension))
-        return _homogeneous(pts), _NO_HYPERPLANES
+        return _homogeneous(pts), _NO_ROWS, _NO_QUADRICS
     return draw
 
 
-def _collinearity_prop(points, hyperplanes):
+def _collinearity_prop(points, hyperplanes, quadrics):
     if points.shape[1] < 3:
         return _undefined(points, 1, bool)
     if points.shape[2] < 3:
@@ -316,7 +333,7 @@ def _disk_pair_draw(rng):
         p = rng.uniform(-1, 1, 2)
         if np.linalg.norm(p) < 0.9:
             pts.append(p)
-    return _homogeneous(np.array(pts)), _NO_HYPERPLANES
+    return _homogeneous(np.array(pts)), _NO_ROWS, _NO_QUADRICS
 
 
 def builtin_property(name: str, dimension: int = 2,
@@ -344,7 +361,8 @@ def builtin_property(name: str, dimension: int = 2,
     if name == "tangency":
         if dimension != 2:
             raise GeometryError("tangency is a plane property")
-        return BuiltinProperty(name, _tangency_prop, _sampler_circle_pair, True)
+        return BuiltinProperty(name, Functional(_tangency, _TANGENCY_REASONS),
+                               Sampler(2, _circle_pair_draw), True)
     if name == "collinearity":
         if dimension < 2:
             raise GeometryError("collinearity needs dimension >= 2: all points of "
