@@ -48,7 +48,7 @@ from .groups import (
     orbit_sample,
 )
 from .properties import PROPERTY_NAMES, builtin_property
-from .config import ConfigError, check_seed, load_config
+from .config import ConfigError, check_seed, check_tolerance, load_config
 from .reports import ValueReport, serialize_report, format_number
 
 __all__ = ["main", "entrypoint", "builtin_property"]
@@ -153,6 +153,7 @@ def _merge_defaults(args, tol: float = 1e-9):
         args.trials = cfg.trials if cfg is not None else 100
     if getattr(args, "tol", None) is None:
         args.tol = cfg.tolerance if cfg is not None else tol
+    check_tolerance(args.tol)
     if getattr(args, "dimension", None) is None:
         args.dimension = cfg.dimension if cfg is not None else 2
     if getattr(args, "group", None) is None and cfg is not None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RunConfig", "ConfigError", "check_seed", "load_config", "parse_config_text"]
+__all__ = ["RunConfig", "ConfigError", "check_seed", "check_tolerance", "load_config",
+           "parse_config_text"]
 
 _KNOWN_KEYS = ("seed", "trials", "tolerance", "group", "dimension")
 
@@ -26,6 +27,14 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_tolerance(tol: float) -> float:
+    """The tolerances that both the config file and --tol accept: positive
+    and finite, since a verdict at tolerance inf or nan says nothing."""
+    if not 0 < tol < float("inf"):
+        raise ConfigError("tolerance must be positive and finite")
+    return tol
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int
@@ -37,8 +46,7 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not self.tolerance > 0:
-            raise ConfigError("tolerance must be positive")
+        check_tolerance(self.tolerance)
         check_seed(self.seed)
         if self.dimension < 1:
             raise ConfigError("dimension must be >= 1")

@@ -10,20 +10,22 @@ executed trials, never as a proof.
 Per-trial randomness is always derived from the run seed and the trial
 index through the splitmix64 rule in numerics.mix_seed, which makes
 every trial independently reproducible.  Trials are therefore
-independent.  Every built-in group acts by matrices: ProjMap matrices,
-Moebius coefficient matrices with an antilinear flag, or pentaspherical
-matrices.  For descriptors with the block fields
+independent.  Every built-in group acts by matrices, and a group
+element (Transformation) is the record of its kind, its forward and
+inverse matrices (ProjMap matrices, Moebius coefficient matrices or
+pentaspherical matrices) and an antilinear flag.  Each kind (_KINDS)
+says how a stack of its matrices is checked, inverted, composed and
+acts on stacked configurations; the operations of a Transformation are
+the batch of one of that code.  For descriptors with the block fields
 ``sample_matrices``/``contains_matrices`` (all seven built-in groups)
 the trial loops sample, validate, invert, compose and check a block of
-trials at once on stacked matrices; each kind of element says how it is
-checked, inverted, composed and wrapped, and how it acts on stacked
-configurations (_KINDS), of which Transformation.apply is the batch of
-one.  Orbits map their configuration a block of elements at a time, and
-with a property that has stacked forms (see invariance_test) the
-invariance trials also sample, map and evaluate their configurations a
-block at a time.  Each trial still draws from its own generators, so
-verdicts, witness seeds, errors and output bytes are those of the
-per-trial loop, which every other descriptor and property runs.
+trials at once on stacked matrices.  Orbits map their configuration a
+block of elements at a time, and with a property that has stacked forms
+(see invariance_test) the invariance trials also sample, map and
+evaluate their configurations a block at a time.  Each trial still
+draws from its own generators, so verdicts, witness seeds, errors and
+output bytes are those of the per-trial loop, which every other
+descriptor and property runs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 from .numerics import (
     DimensionMismatch,
     GeometryError,
-    as_complex_array,
     complex_abs,
     complex_product,
     complex_quotient,
@@ -65,7 +66,6 @@ from .projective import (
 from .moebius import (
     CIRCLE_FAULTS,
     MOEBIUS_FAULTS,
-    MoebiusMap,
     circle_parameters,
     moebius_circles,
     moebius_faults,
@@ -100,42 +100,50 @@ class PropertyUndefined(GeometryError):
 
 
 class Transformation:
-    """A concrete group element: a tagged forward/inverse pair.
+    """A concrete group element: the record (kind, forward, inverse_map,
+    antilinear) of an element of one of the kinds in _KINDS.
 
-    Kinds: 'projective' (ProjMap), 'moebius' (MoebiusMap) and
-    'pentaspherical' (finite complex matrix acting on circle coordinates).
+    ``forward`` and ``inverse_map`` are the kind's (n, n) complex matrices:
+    ProjMap matrices ('projective'), Moebius coefficient matrices
+    [[a, b], [c, d]] ('moebius') or matrices acting on circle coordinates
+    ('pentaspherical').  ``antilinear`` marks the Moebius maps that
+    conjugate first; it is False for the other kinds.  Each operation is
+    the batch of one of the kind's stacked code.
+
+    The constructor runs the kind's checks on ``forward`` and on the
+    inverse (computed as the kind inverts when not given) and raises the
+    error of the first that fails; with ``check`` it also requires the
+    product of the two, composed as the kind composes, to be ~ I.
     """
 
-    __slots__ = ("kind", "forward", "inverse_map")
+    __slots__ = ("kind", "forward", "inverse_map", "antilinear")
 
-    def __init__(self, kind: str, forward, inverse=None, check: bool = True):
-        self.kind = kind
-        self.forward = forward
-        if kind == "projective":
-            self.inverse_map = inverse if inverse is not None else forward.inverse()
-            if check:
-                prod = self.forward.matrix @ self.inverse_map.matrix
-                _, resid = proportionality(prod, np.eye(prod.shape[0], dtype=complex))
-                if resid > 1e-9:
-                    raise GeometryError("inverse check failed for projective pair")
-        elif kind == "moebius":
-            self.inverse_map = inverse if inverse is not None else forward.inverse()
-            if check and not forward.compose(self.inverse_map).equals(
-                    MoebiusMap(1, 0, 0, 1), 1e-9):
-                raise GeometryError("inverse check failed for moebius pair")
-        elif kind == "pentaspherical":
-            # finite matrices only, as ProjMap takes them
-            self.forward = as_complex_array(forward, _PENTASPHERICAL_MAP)
-            self.inverse_map = as_complex_array(
-                inverse if inverse is not None else np.linalg.inv(self.forward),
-                _PENTASPHERICAL_MAP)
-            if check:
-                prod = self.forward @ self.inverse_map
-                _, resid = proportionality(prod, np.eye(prod.shape[0], dtype=complex))
-                if resid > 1e-9:
-                    raise GeometryError("inverse check failed for pentaspherical pair")
-        else:
+    def __init__(self, kind: str, forward, inverse=None, antilinear: bool = False,
+                 check: bool = True):
+        if kind not in _KINDS:
             raise GeometryError(f"unknown transformation kind: {kind}")
+        spec = _KINDS[kind]
+        flags = np.array([bool(antilinear)])
+        faults = []
+        forward = _checked(spec, np.array(forward, dtype=complex)[None], faults)
+        if inverse is None:
+            inverse, raised = spec.inverse(forward, flags)
+        else:
+            inverse, raised = np.array(inverse, dtype=complex)[None], None
+            if inverse.shape != forward.shape:
+                raise GeometryError(f"{kind} inverse of another shape")
+        inverse = _checked(spec, inverse, faults, raised)
+        _raise_first(spec, np.stack(faults, axis=1))
+        if check:
+            unit = spec.compose((forward, inverse, flags), (inverse, forward, flags))[0][0]
+            if proportionality(unit, np.eye(len(unit)))[1] > 1e-9:
+                raise GeometryError(f"inverse check failed for {kind} pair")
+        self.kind, self.forward, self.inverse_map = kind, forward[0], inverse[0]
+        self.antilinear = bool(antilinear)
+
+    def _stacks(self):
+        """The element as a block of one: (forward, inverse, antilinear)."""
+        return self.forward[None], self.inverse_map[None], np.array([self.antilinear])
 
     # -- group structure ----------------------------------------------------
 
@@ -143,53 +151,31 @@ class Transformation:
         """self after other."""
         if self.kind != other.kind:
             raise GeometryError("cannot compose transformations of different kinds")
-        if self.kind == "projective":
-            return Transformation(
-                "projective",
-                ProjMap(self.forward.matrix @ other.forward.matrix),
-                ProjMap(other.inverse_map.matrix @ self.inverse_map.matrix),
-                check=False)
-        if self.kind == "moebius":
-            return Transformation("moebius", self.forward.compose(other.forward),
-                                  check=False)
-        return Transformation(
-            "pentaspherical",
-            self.forward @ other.forward,
-            other.inverse_map @ self.inverse_map,
-            check=False)
+        spec = _KINDS[self.kind]
+        faults = []
+        product = _composed(spec, self._stacks(), other._stacks(), faults)
+        _raise_first(spec, np.stack(faults, axis=1))
+        return _element(self.kind, *(x[0] for x in product))
 
     def invert(self) -> "Transformation":
-        return Transformation(self.kind, self.inverse_map, self.forward, check=False)
+        return _element(self.kind, self.inverse_map, self.forward, self.antilinear)
 
     def approx_equal(self, other: "Transformation", tol: float = 1e-9) -> bool:
-        if self.kind != other.kind:
-            return False
-        if self.kind == "projective":
-            return equal_up_to_scale(self.forward.matrix, other.forward.matrix, tol)
-        if self.kind == "moebius":
-            return self.forward.equals(other.forward, tol)
-        return equal_up_to_scale(self.forward, other.forward, tol)
+        return (self.kind == other.kind and self.antilinear == other.antilinear
+                and equal_up_to_scale(self.forward, other.forward, tol))
 
     def is_identity(self, tol: float = 1e-9) -> bool:
-        if self.kind == "projective":
-            n = self.forward.matrix.shape[0]
-            return equal_up_to_scale(self.forward.matrix, np.eye(n), tol)
-        if self.kind == "moebius":
-            return (not self.forward.conjugating
-                    and self.forward.equals(MoebiusMap(1, 0, 0, 1), tol))
-        n = self.forward.shape[0]
-        return equal_up_to_scale(self.forward, np.eye(n), tol)
+        return not self.antilinear and equal_up_to_scale(
+            self.forward, np.eye(len(self.forward)), tol)
 
     # -- action on configuration elements -----------------------------------
 
     def apply(self, element):
         """The image of a point, hyperplane or quadric: the batch of one of
         the kind's stacked action."""
-        kind = _KINDS[self.kind]
         slot = _slot(element)
         if slot is not None:
-            elements = [np.asarray(x)[None] for x in kind.unwrap(self)]
-            rows, faults = _act_on(kind, elements, element, slot)
+            rows, faults = _act_on(_KINDS[self.kind], self._stacks(), element, slot)
             if not faults[0]:
                 return _ELEMENT_TYPES[slot][0](rows[0])
             etype, message = _APPLY_ERRORS[faults[0]]
@@ -198,7 +184,28 @@ class Transformation:
         raise etype(message.format(kind=self.kind, element=type(element).__name__))
 
     def __repr__(self):
-        return f"Transformation({self.kind}, {self.forward!r})"
+        flag = ", antilinear" if self.antilinear else ""
+        return f"Transformation({self.kind}, {self.forward.tolist()!r}{flag})"
+
+
+def _element(kind: str, forward, inverse, antilinear) -> Transformation:
+    """The Transformation of matrices that the kind's checks have passed."""
+    t = object.__new__(Transformation)
+    t.kind, t.forward, t.inverse_map, t.antilinear = kind, forward, inverse, bool(antilinear)
+    return t
+
+
+#: the types of configuration elements, and the attribute holding each one's
+#: coordinates; a kind's action takes them in this order
+_ELEMENT_TYPES = ((ProjPoint, "coords"), (Hyperplane, "coeffs"), (Quadric, "matrix"))
+
+
+def _slot(element) -> Optional[int]:
+    """The index in _ELEMENT_TYPES of an element's type, or None."""
+    for slot, (etype, _) in enumerate(_ELEMENT_TYPES):
+        if isinstance(element, etype):
+            return slot
+    return None
 
 
 class Configuration:
@@ -211,7 +218,7 @@ class Configuration:
         if not elements:
             raise GeometryError("Configuration must be nonempty")
         for e in elements:
-            if not isinstance(e, (ProjPoint, Hyperplane, Quadric)):
+            if _slot(e) is None:
                 raise GeometryError(f"unsupported configuration element {type(e)}")
         self.elements = elements
 
@@ -244,9 +251,9 @@ class GroupDescriptor:
     the matrices of their kind: ProjMap matrices, MoebiusMap coefficient
     matrices [[a, b], [c, d]] or pentaspherical matrices.
     ``sample_matrices(seeds)`` returns the (B, n, n) complex stack of the
-    matrices ``sample`` would wrap, one per seed; for a kind with
-    antilinear elements (moebius) it returns the pair of that stack and
-    the (B,) mask of the antilinear ones.  ``contains_matrices(stack,
+    forward matrices of the elements ``sample`` returns, one per seed;
+    for a kind with antilinear elements (moebius) it returns the pair of
+    that stack and the (B,) mask of the antilinear ones.  ``contains_matrices(stack,
     tol)`` returns the (B,) verdicts of ``contains``.  With both set,
     check_group_axioms, invariance_test and orbit_sample work on blocks of
     trials and call neither ``sample`` nor ``contains`` per trial.
@@ -400,11 +407,13 @@ _MATRIX_GROUPS = {
 _PENTASPHERICAL = {"inversive_pentaspherical": 4, "lie_sphere_extended": 5}
 
 
-def _matrix_group(name: str, dimension: int, identity: Transformation, sample_matrices,
+def _matrix_group(name: str, dimension: int, kind_name: str, n: int, sample_matrices,
                   contains_matrices):
-    """A group from its identity and its stacked sampler and membership
-    test; the scalar ``sample`` and ``contains`` are batches of one."""
-    kind = _KINDS[identity.kind]
+    """A group of n x n matrices of a kind, from its stacked sampler and
+    membership test; the scalar ``sample`` and ``contains`` are batches of
+    one."""
+    kind = _KINDS[kind_name]
+    identity = Transformation(kind_name, np.eye(n), check=False)
 
     def sample(seed: int) -> Transformation:
         faults = []
@@ -412,8 +421,7 @@ def _matrix_group(name: str, dimension: int, identity: Transformation, sample_ma
         return _block_element(kind, elements, _first_faults(faults), 0)
 
     def contains(t: Transformation, tol: float = 1e-8) -> bool:
-        return t.kind == identity.kind and bool(
-            contains_matrices(kind.unwrap(t)[0][None], tol)[0])
+        return t.kind == kind_name and bool(contains_matrices(t.forward[None], tol)[0])
 
     return GroupDescriptor(name, dimension, identity, sample, contains,
                            sample_matrices, contains_matrices)
@@ -442,19 +450,15 @@ def builtin_group(name: str, dimension: int = 2) -> GroupDescriptor:
         raise GeometryError(f"{name} is planar (dimension 2)")
 
     if name == "moebius":
-        identity = Transformation("moebius", MoebiusMap(1, 0, 0, 1), check=False)
-        return _matrix_group(name, dimension, identity, random_moebius_stack, _contains_all)
+        return _matrix_group(name, dimension, "moebius", 2, random_moebius_stack, _contains_all)
     if name in _PENTASPHERICAL:
         n = _PENTASPHERICAL[name]
-        identity = Transformation("pentaspherical", np.eye(n, dtype=complex), check=False)
-        return _matrix_group(name, dimension, identity,
+        return _matrix_group(name, dimension, "pentaspherical", n,
                              partial(random_pentaspherical_stack, n=n),
                              _contains_form_preserving(n))
     sample_matrices, contains_matrices = _MATRIX_GROUPS[name]
-    identity = Transformation(
-        "projective", ProjMap(np.eye(dimension + 1, dtype=complex)), check=False)
-    return _matrix_group(name, dimension, identity, sample_matrices(dimension),
-                         contains_matrices)
+    return _matrix_group(name, dimension, "projective", dimension + 1,
+                         sample_matrices(dimension), contains_matrices)
 
 
 @dataclass
@@ -501,19 +505,17 @@ def _block_bounds(trials: int, first: int):
 
 
 class _Kind(NamedTuple):
-    """What the block path needs of one kind of Transformation.  It holds
-    the elements of a block as (forward, inverse, antilinear): two
-    (B, n, n) stacks of the kind's matrices and a (B,) mask.
+    """One kind of Transformation, on stacks.  It holds the elements of a
+    block as (forward, inverse, antilinear): two (B, n, n) stacks of the
+    kind's matrices and a (B,) mask; a Transformation is a block of one.
 
     ``faults(stack)`` gives per matrix the code of the first check the
-    kind's constructor would fail (0: none), and ``errors[code]`` the
-    (exception type, message) it raises.  ``inverse(stack, antilinear)``
-    returns the inverses that an element of the kind computes for itself,
-    and the codes of the inversions that raise (or None).
-    ``compose(t1, t2)`` returns the forward and inverse matrices of
-    t1.compose(t2), ``wrap(forward, inverse, antilinear)`` the
-    Transformation of checked matrices, and ``unwrap(t)`` its (forward,
-    inverse, antilinear) back.
+    kind's matrices fail (0: none), and raises GeometryError for a stack
+    of matrices of the wrong shape; ``errors[code]`` is the (exception
+    type, message) a failed check raises.  ``inverse(stack, antilinear)``
+    returns the inverses of the kind's elements, and the codes of the
+    inversions that raise (or None).  ``compose(t1, t2)`` returns the
+    forward and inverse matrices of t1.compose(t2).
 
     ``act(forward, inverse, antilinear, points, hyperplanes, quadrics)``
     is the action of a block's elements on stacked configurations, one
@@ -525,17 +527,12 @@ class _Kind(NamedTuple):
     refuse comes back as it is.  Transformation.apply is its batch of one.
     """
 
+    name: str
     errors: tuple
     faults: Callable
     inverse: Callable
     compose: Callable
-    wrap: Callable
-    unwrap: Callable
     act: Callable
-
-
-def _geometry_errors(messages) -> tuple:
-    return tuple((GeometryError, message) for message in messages)
 
 
 #: what the errors of a pentaspherical Transformation name
@@ -545,6 +542,8 @@ _PENTASPHERICAL_MAP = "pentaspherical map"
 def _finite_faults(stack: np.ndarray) -> np.ndarray:
     """Code 2 for each matrix with a non-finite entry, which a
     pentaspherical Transformation refuses, else 0."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise GeometryError(f"{_PENTASPHERICAL_MAP} needs a square matrix")
     return np.where(np.isfinite(stack).all(axis=(1, 2)), np.int8(0), np.int8(2))
 
 
@@ -692,19 +691,6 @@ def _pentaspherical_circles(matrices: np.ndarray, conics: np.ndarray):
     return out, faults.astype(np.int8)
 
 
-#: the types of configuration elements, and the attribute holding each one's
-#: coordinates; a kind's action takes them in this order
-_ELEMENT_TYPES = ((ProjPoint, "coords"), (Hyperplane, "coeffs"), (Quadric, "matrix"))
-
-
-def _slot(element) -> Optional[int]:
-    """The index in _ELEMENT_TYPES of an element's type, or None."""
-    for slot, (etype, _) in enumerate(_ELEMENT_TYPES):
-        if isinstance(element, etype):
-            return slot
-    return None
-
-
 def _act_on(kind: "_Kind", elements, e, slot: int):
     """The rows of the images of the configuration element e under each of
     a block's elements (forward, inverse, antilinear), as a (B, ...) stack,
@@ -718,34 +704,21 @@ def _act_on(kind: "_Kind", elements, e, slot: int):
     return images[slot][:, 0], faults
 
 
-_KINDS = {
-    "projective": _Kind(
-        _geometry_errors(PROJMAP_FAULTS), projmap_faults,
-        # ProjMap's checks pass only matrices that np.linalg.inv inverts
-        lambda stack, _: (np.linalg.inv(stack), None),
-        _linear_compose,
-        lambda f, i, _: Transformation("projective", ProjMap.from_checked(f),
-                                       ProjMap.from_checked(i), check=False),
-        lambda t: (t.forward.matrix, t.inverse_map.matrix, False),
-        _projective_act),
-    "moebius": _Kind(
-        MOEBIUS_FAULTS, moebius_faults,
-        lambda stack, antilinear: (moebius_inverses(stack, antilinear), None),
-        _moebius_compose,
-        lambda f, i, a: Transformation("moebius", MoebiusMap.from_checked(f, a),
-                                       MoebiusMap.from_checked(i, a), check=False),
-        lambda t: (t.forward.coeff_matrix, t.inverse_map.coeff_matrix,
-                   t.forward.conjugating),
-        _moebius_act),
-    # a pentaspherical element must be finite, and inverting a sample may raise
-    "pentaspherical": _Kind(
-        ((None, ""), (np.linalg.LinAlgError, "Singular matrix"),
-         (GeometryError, f"{_PENTASPHERICAL_MAP}: non-finite entries")),
-        _finite_faults, _inverses, _linear_compose,
-        lambda f, i, _: Transformation("pentaspherical", f, i, check=False),
-        lambda t: (t.forward, t.inverse_map, False),
-        _pentaspherical_act),
-}
+_KINDS = {kind.name: kind for kind in (
+    _Kind("projective", tuple((GeometryError, message) for message in PROJMAP_FAULTS),
+          projmap_faults,
+          # ProjMap's checks pass only matrices that np.linalg.inv inverts
+          lambda stack, _: (np.linalg.inv(stack), None),
+          _linear_compose, _projective_act),
+    _Kind("moebius", MOEBIUS_FAULTS, moebius_faults,
+          lambda stack, antilinear: (moebius_inverses(stack, antilinear), None),
+          _moebius_compose, _moebius_act),
+    # a pentaspherical element must be finite, and inverting one may raise
+    _Kind("pentaspherical",
+          ((None, ""), (np.linalg.LinAlgError, "Singular matrix"),
+           (GeometryError, f"{_PENTASPHERICAL_MAP}: non-finite entries")),
+          _finite_faults, _inverses, _linear_compose, _pentaspherical_act),
+)}
 
 
 def _checked(kind: _Kind, stack: np.ndarray, faults: list, raised=None) -> np.ndarray:
@@ -811,7 +784,7 @@ def _block_element(kind: _Kind, elements, faults: np.ndarray, k: int) -> Transfo
     inverse, antilinear), or the error of its first failed check."""
     if faults[k]:
         raise _error(kind, faults[k])
-    return kind.wrap(*(x[k] for x in elements))
+    return _element(kind.name, *(x[k] for x in elements))
 
 
 def _element_blocks(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
@@ -900,7 +873,7 @@ def _axioms_block(g: GroupDescriptor, report: AxiomReport, seed: int, start: int
     # t1*t1^-1 is only formed when t1^-1 passes contains
     unit, _, unit_antilinear = _composed(kind, t1, (t1[1], t1[0], t1[2]), faults)
     faults[-2:] = [np.where(inverse, f, 0) for f in faults[-2:]]
-    identity = tuple(np.broadcast_to(x, y.shape) for x, y in zip(kind.unwrap(g.identity), t1))
+    identity = tuple(np.broadcast_to(x, y.shape) for x, y in zip(g.identity._stacks(), t1))
     left, _, left_antilinear = _composed(kind, identity, t1, faults)
     _raise_first(kind, np.stack(faults, axis=1))
     m1 = t1[0]
@@ -917,14 +890,8 @@ def stabilizes(t: Transformation, c: Configuration, tol: float = 1e-8) -> bool:
     """True iff every element of the configuration is mapped to itself up
     to scale (quadrics compared as matrices up to scale)."""
     for e in c:
-        img = t.apply(e)
-        if isinstance(e, ProjPoint):
-            ok = equal_up_to_scale(img.coords, e.coords, tol)
-        elif isinstance(e, Hyperplane):
-            ok = equal_up_to_scale(img.coeffs, e.coeffs, tol)
-        else:
-            ok = equal_up_to_scale(img.matrix, e.matrix, tol)
-        if not ok:
+        data = _ELEMENT_TYPES[_slot(e)][1]
+        if not equal_up_to_scale(getattr(t.apply(e), data), getattr(e, data), tol):
             return False
     return True
 

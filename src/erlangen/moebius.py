@@ -113,15 +113,6 @@ class MoebiusMap:
             etype, message = MOEBIUS_FAULTS[fault]
             raise etype(message)
 
-    @classmethod
-    def from_checked(cls, coeffs: np.ndarray, conjugating: bool = False) -> "MoebiusMap":
-        """Wrap a 2x2 coefficient matrix [[a, b], [c, d]] that moebius_faults
-        has passed, without checking it again."""
-        obj = cls.__new__(cls)
-        (obj.a, obj.b), (obj.c, obj.d) = coeffs.tolist()
-        obj.conjugating = bool(conjugating)
-        return obj
-
     @property
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
@@ -178,8 +169,11 @@ def moebius_faults(coeffs: np.ndarray) -> np.ndarray:
     fails, or 0: the coefficients are invalid when their largest size is
     zero or not finite (a NaN in any place makes it NaN), singular when
     |ad - bc| <= 1e-12 max(|a|, |b|, |c|, |d|)^2, and a size that
-    overflows is the OverflowError abs() of a complex scalar raises.
+    overflows is the OverflowError abs() of a complex scalar raises.  A
+    stack of another shape raises GeometryError.
     """
+    if coeffs.shape[1:] != (2, 2):
+        raise GeometryError("MoebiusMap needs a 2 x 2 coefficient matrix")
     flat = coeffs.reshape(len(coeffs), 4)
     sizes = complex_abs(flat)
     scale = sizes.max(axis=1)

@@ -243,40 +243,40 @@ def indefinite_orthogonal_stack(normals: np.ndarray, flips: np.ndarray, p: int) 
     return m
 
 
-def _gram_candidates(n: int) -> list:
+def _form_orthonormal_completion(qmat: np.ndarray, basis: list, message: str) -> np.ndarray:
+    """The form-orthonormal vectors ``basis`` completed to a basis B with
+    B^T Q B = I, for a nondegenerate complex symmetric Q.
+
+    Gram-Schmidt with respect to the bilinear (not Hermitian) form, with
+    pivoting on the largest self-pairing to dodge isotropic directions;
+    raises GeometryError(message) when no candidate is left that pairs
+    with itself.
+    """
+    n = qmat.shape[0]
     cands = [np.eye(n, dtype=complex)[:, k] for k in range(n)]
     # mixing combinations rescues bases whose vectors are all isotropic
     for k in range(n):
         for j in range(k + 1, n):
             cands.append((cands[k] + cands[j]) / np.sqrt(2))
-    return cands
+    while len(basis) < n:
+        best, best_val = None, -1.0
+        for v in cands:
+            for b in basis:
+                v = v - (b @ qmat @ v) * b
+            nv = np.linalg.norm(v)
+            val = abs(v @ qmat @ v) / nv**2 if nv > 1e-12 else -1.0
+            if val > best_val:
+                best, best_val = v, val
+        if best is None or best_val < 1e-10:
+            raise GeometryError(message)
+        basis.append(best / np.sqrt(complex(best @ qmat @ best)))
+    return np.column_stack(basis)
 
 
 def symmetric_gram_basis(qmat: np.ndarray) -> np.ndarray:
-    """Basis B with B^T Q B = I for a nondegenerate complex symmetric Q.
-
-    Gram-Schmidt with respect to the bilinear (not Hermitian) form, with
-    pivoting on the largest self-pairing to dodge isotropic directions.
-    """
-    qmat = np.asarray(qmat, dtype=complex)
-    n = qmat.shape[0]
-    cands = _gram_candidates(n)
-    basis = []
-    for _ in range(n):
-        best, best_val = None, -1.0
-        for c in cands:
-            v = c.copy()
-            for b in basis:
-                v = v - (b @ qmat @ v) * b
-            val = abs(v @ qmat @ v)
-            nv = np.linalg.norm(v)
-            if nv > 1e-12 and val / nv**2 > best_val:
-                best, best_val = v, val / nv**2
-        if best is None or best_val < 1e-10:
-            raise GeometryError("form is (numerically) degenerate")
-        v = best
-        basis.append(v / np.sqrt(complex(v @ qmat @ v)))
-    return np.column_stack(basis)
+    """Basis B with B^T Q B = I for a nondegenerate complex symmetric Q."""
+    return _form_orthonormal_completion(np.asarray(qmat, dtype=complex), [],
+                                        "form is (numerically) degenerate")
 
 
 def sample_form_preserving(qmat: np.ndarray, seed: int,
@@ -298,26 +298,9 @@ def sample_form_preserving(qmat: np.ndarray, seed: int,
     qa = complex(a @ qmat @ a)
     if abs(qa) < 1e-12 * np.linalg.norm(a) ** 2 * np.linalg.norm(qmat):
         raise GeometryError("fixed vector is isotropic for the form")
-    a0 = a / np.sqrt(qa)
-    # orthonormalize a complement of a0 w.r.t. the form, pivoting greedily
-    basis = [a0]
-    cands = _gram_candidates(n)
-    while len(basis) < n:
-        best, best_val = None, -1.0
-        for c in cands:
-            v = c.copy()
-            for b in basis:
-                v = v - (b @ qmat @ v) * b
-            nv = np.linalg.norm(v)
-            if nv <= 1e-12:
-                continue
-            val = abs(v @ qmat @ v) / nv**2
-            if val > best_val:
-                best, best_val = v, val
-        if best is None or best_val < 1e-10:
-            raise GeometryError("could not complete a form-orthonormal basis")
-        basis.append(best / np.sqrt(complex(best @ qmat @ best)))
-    b = np.column_stack(basis)
+    # a form-orthonormal basis whose first vector is a
+    b = _form_orthonormal_completion(qmat, [a / np.sqrt(qa)],
+                                     "could not complete a form-orthonormal basis")
     block = np.zeros((n, n), dtype=complex)
     block[0, 0] = 1.0
     block[1:, 1:] = _complex_orthogonal(rng, n - 1)

@@ -175,14 +175,6 @@ class ProjMap:
             raise GeometryError(PROJMAP_FAULTS[3])
         self.matrix = arr
 
-    @classmethod
-    def from_checked(cls, matrix: np.ndarray) -> "ProjMap":
-        """Wrap a complex matrix that projmap_faults has passed, without
-        checking it again."""
-        obj = cls.__new__(cls)
-        obj.matrix = matrix
-        return obj
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0] - 1

@@ -9,8 +9,9 @@ ck-distance carry stacked samplers and functionals, so invariance_test
 also samples, maps and evaluates configurations a block at a time.
 Rebuilding the same group without the block fields gives the per-trial
 loop, and the scalar samplers, property bodies, actions and constructors
-the stacked ones replaced are kept below: together they are the reference
-here.  Every verdict, witness seed, error and output byte must be the
+the stacked ones replaced, and the tagged-union group element that the
+record Transformation replaced, are kept below: together they are the
+reference here.  Every verdict, witness seed, error and output byte must be the
 same on both paths.
 """
 
@@ -31,8 +32,10 @@ from erlangen.moebius import (
 )
 from erlangen.numerics import (
     GeometryError,
+    as_complex_array,
     complex_abs,
     complex_product,
+    equal_up_to_scale,
     mix_seed,
     proportionality,
     proportionality_stack,
@@ -133,7 +136,7 @@ def test_stacked_samples_match_the_scalar_samplers_bitwise(name, dim):
     assert stack.shape == (150, dim + 1, dim + 1) and stack.dtype == complex
     for seed, m in zip(seeds, stack):
         assert np.array_equal(m, reference_sample(name, dim, seed))
-        assert np.array_equal(g.sample(seed).forward.matrix, m)
+        assert np.array_equal(g.sample(seed).forward, m)
 
 
 def _normalized_affine(m, tol):
@@ -184,10 +187,9 @@ def test_stacked_membership_matches_the_scalar_tests(name, dim):
         for tol in (1e-8, 4e-16):
             verdicts = g.contains_matrices(candidates, tol)
             assert list(verdicts) == [reference_contains(name, m, tol) for m in candidates]
-            # contains reads only the forward matrix, which may be singular here
-            wrapped = [Transformation("projective", ProjMap.from_checked(m),
-                                      ProjMap.from_checked(m), check=False)
-                       for m in candidates]
+            # contains reads only the forward matrix, which may be singular
+            # here: the records are made without the constructor's checks
+            wrapped = [groups._element("projective", m, m, False) for m in candidates]
             assert list(verdicts) == [g.contains(t, tol) for t in wrapped]
     assert all(g.contains_matrices(stack, 1e-8))
     assert not any(g.contains_matrices(tilted, 1e-8)) or name == "projective"
@@ -230,8 +232,7 @@ def _same_invariance(prop, g, seed, trials):
             assert getattr(blocked, field) == getattr(serial, field)
         assert repr(blocked.before) == repr(serial.before)
         assert repr(blocked.after) == repr(serial.after)
-        assert np.array_equal(blocked.transformation.forward.matrix,
-                              serial.transformation.forward.matrix)
+        assert np.array_equal(blocked.transformation.forward, serial.transformation.forward)
     return blocked
 
 
@@ -325,7 +326,7 @@ BAD = {"nan": np.full((3, 3), np.nan),
 def faulty_group(bad_seeds, name="projective"):
     """The plane group ``name``, with the given matrix at each seed of
     ``bad_seeds``; its scalar sampler wraps the matrices with the
-    constructors themselves."""
+    constructor itself."""
     base = builtin_group(name, 2)
 
     def sample_matrices(seeds):
@@ -339,12 +340,8 @@ def faulty_group(bad_seeds, name="projective"):
     def sample(seed):
         if name == "moebius":
             coeffs, antilinear = sample_matrices([seed])
-            (a, b), (c, d) = coeffs[0].tolist()
-            return Transformation("moebius", MoebiusMap(a, b, c, d, antilinear[0]), check=False)
-        m = sample_matrices([seed])[0]
-        if name == "projective":
-            return Transformation("projective", ProjMap(m), check=False)
-        return Transformation("pentaspherical", m, check=False)
+            return Transformation("moebius", coeffs[0], antilinear=antilinear[0], check=False)
+        return Transformation(base.identity.kind, sample_matrices([seed])[0], check=False)
 
     return GroupDescriptor("faulty", 2, base.identity, sample, base.contains,
                            sample_matrices, base.contains_matrices)
@@ -556,10 +553,11 @@ CELLS = [(name, dim, prop) for name, dim in GROUP_DIMS for prop in OLD_PROPERTIE
 
 
 def _element_bytes(t):
-    """The bytes of a group element's forward map (and antilinear flag)."""
-    if t.kind == "moebius":
-        return t.forward.coeff_matrix.tobytes(), t.forward.conjugating
-    return np.asarray(getattr(t.forward, "matrix", t.forward)).tobytes()
+    """The bytes of a group element's forward and inverse matrices, and its
+    antilinear flag; ``t`` is a Transformation or an OldTransformation."""
+    forward, inverse, antilinear = old_matrices(t) if isinstance(t, OldTransformation) else (
+        t.forward, t.inverse_map, t.antilinear)
+    return forward.tobytes(), inverse.tobytes(), bool(antilinear)
 
 
 def _outcome_of(fn):
@@ -877,7 +875,8 @@ def test_stacked_moebius_samples_match_the_scalar_sampler_bitwise():
         # repr shows every bit of the coefficients
         assert repr(random_moebius(seed)) == repr(ref)
         t = g.sample(seed)
-        assert (repr(t.forward), repr(t.inverse_map)) == (repr(ref), repr(ref.inverse()))
+        assert (t.forward.tobytes(), t.inverse_map.tobytes(), t.antilinear) == \
+            (ref.coeff_matrix.tobytes(), ref.inverse().coeff_matrix.tobytes(), ref.conjugating)
     for flag in (False, True):
         assert repr(random_moebius(seeds[0], flag)) == repr(old_random_moebius(seeds[0], flag))
 
@@ -986,7 +985,7 @@ def test_moebius_faults_are_the_checks_of_the_constructor():
     for k in range(30):
         (a, b), (c, d) = coeffs[k].tolist()
         ref = MoebiusMap(a, b, c, d, antilinear[k]).inverse()
-        assert repr(MoebiusMap.from_checked(inverses[k], antilinear[k])) == repr(ref)
+        assert inverses[k].tobytes() == ref.coeff_matrix.tobytes()
 
 
 @pytest.mark.parametrize("name", CIRCLE_GROUPS)
@@ -1110,10 +1109,81 @@ def old_pentaspherical_circle(matrix, q):
     return Quadric(np.array([[1.0, 0, -a2], [0, 1.0, -b2], [-a2, -b2, cc2]], dtype=complex))
 
 
-class OldTransformation(Transformation):
-    """A group element that acts through the old scalar bodies."""
+class OldTransformation:
+    """The tagged-union group element that the record Transformation
+    replaced: a ProjMap or MoebiusMap pair, or a pair of pentaspherical
+    matrices, each kind handled by its own branch, acting through the old
+    scalar bodies above."""
 
-    __slots__ = ()
+    __slots__ = ("kind", "forward", "inverse_map")
+
+    def __init__(self, kind: str, forward, inverse=None, check: bool = True):
+        self.kind = kind
+        self.forward = forward
+        if kind == "projective":
+            self.inverse_map = inverse if inverse is not None else forward.inverse()
+            if check:
+                prod = self.forward.matrix @ self.inverse_map.matrix
+                _, resid = proportionality(prod, np.eye(prod.shape[0], dtype=complex))
+                if resid > 1e-9:
+                    raise GeometryError("inverse check failed for projective pair")
+        elif kind == "moebius":
+            self.inverse_map = inverse if inverse is not None else forward.inverse()
+            if check and not forward.compose(self.inverse_map).equals(
+                    MoebiusMap(1, 0, 0, 1), 1e-9):
+                raise GeometryError("inverse check failed for moebius pair")
+        elif kind == "pentaspherical":
+            self.forward = as_complex_array(forward, "pentaspherical map")
+            self.inverse_map = as_complex_array(
+                inverse if inverse is not None else np.linalg.inv(self.forward),
+                "pentaspherical map")
+            if check:
+                prod = self.forward @ self.inverse_map
+                _, resid = proportionality(prod, np.eye(prod.shape[0], dtype=complex))
+                if resid > 1e-9:
+                    raise GeometryError("inverse check failed for pentaspherical pair")
+        else:
+            raise GeometryError(f"unknown transformation kind: {kind}")
+
+    def compose(self, other):
+        if self.kind != other.kind:
+            raise GeometryError("cannot compose transformations of different kinds")
+        if self.kind == "projective":
+            return OldTransformation(
+                "projective",
+                ProjMap(self.forward.matrix @ other.forward.matrix),
+                ProjMap(other.inverse_map.matrix @ self.inverse_map.matrix),
+                check=False)
+        if self.kind == "moebius":
+            return OldTransformation("moebius", self.forward.compose(other.forward),
+                                     check=False)
+        return OldTransformation(
+            "pentaspherical",
+            self.forward @ other.forward,
+            other.inverse_map @ self.inverse_map,
+            check=False)
+
+    def invert(self):
+        return OldTransformation(self.kind, self.inverse_map, self.forward, check=False)
+
+    def approx_equal(self, other, tol=1e-9):
+        if self.kind != other.kind:
+            return False
+        if self.kind == "projective":
+            return equal_up_to_scale(self.forward.matrix, other.forward.matrix, tol)
+        if self.kind == "moebius":
+            return self.forward.equals(other.forward, tol)
+        return equal_up_to_scale(self.forward, other.forward, tol)
+
+    def is_identity(self, tol=1e-9):
+        if self.kind == "projective":
+            n = self.forward.matrix.shape[0]
+            return equal_up_to_scale(self.forward.matrix, np.eye(n), tol)
+        if self.kind == "moebius":
+            return (not self.forward.conjugating
+                    and self.forward.equals(MoebiusMap(1, 0, 0, 1), tol))
+        n = self.forward.shape[0]
+        return equal_up_to_scale(self.forward, np.eye(n), tol)
 
     def apply(self, element):
         if self.kind == "projective":
@@ -1135,10 +1205,29 @@ class OldTransformation(Transformation):
             f"{self.kind} transformation not applicable to {type(element).__name__}")
 
 
+def old_map(kind, m, antilinear=False):
+    """What the old constructor took for the kind's matrix m."""
+    if kind == "projective":
+        return ProjMap(m)
+    if kind == "moebius":
+        return MoebiusMap(*np.asarray(m).ravel().tolist(), antilinear)
+    return m
+
+
 def old_element(t):
-    old = OldTransformation.__new__(OldTransformation)
-    old.kind, old.forward, old.inverse_map = t.kind, t.forward, t.inverse_map
-    return old
+    """The OldTransformation of a record's matrices."""
+    inverse = None if t.kind == "moebius" else old_map(t.kind, t.inverse_map)
+    return OldTransformation(t.kind, old_map(t.kind, t.forward, t.antilinear), inverse,
+                             check=False)
+
+
+def old_matrices(old):
+    """The (forward, inverse, antilinear) matrices of an OldTransformation."""
+    if old.kind == "projective":
+        return old.forward.matrix, old.inverse_map.matrix, False
+    if old.kind == "moebius":
+        return old.forward.coeff_matrix, old.inverse_map.coeff_matrix, old.forward.conjugating
+    return old.forward, old.inverse_map, False
 
 
 def old_actions(g):
@@ -1244,8 +1333,9 @@ def test_moebius_points_match_the_scalar_body():
                                                  np.empty((40, 0, 3)), np.empty((40, 0, 3, 3)))
     outcomes = set()
     for k in range(40):
-        t = _KINDS["moebius"].wrap(forward[k], inverse[k], antilinear[k])
-        old = [_outcome(lambda: old_moebius_point(t.forward, ProjPoint(p)).coords.tobytes())
+        t = Transformation("moebius", forward[k], inverse[k], antilinear[k], check=False)
+        m = old_map("moebius", forward[k], antilinear[k])
+        old = [_outcome(lambda: old_moebius_point(m, ProjPoint(p)).coords.tobytes())
                for p in coords[k]]
         assert [_outcome(lambda: t.apply(ProjPoint(p)).coords.tobytes())
                 for p in coords[k]] == old
@@ -1468,3 +1558,157 @@ def test_circle_errors_in_trial_order(name, kind):
     # each bad matrix is refused by its constructor or its inversion, so it
     # raises in every loop
     assert all(isinstance(outcome, tuple) for outcome in (axioms[0], orbits[0], invariance[0]))
+
+
+# -- the record against the tagged union it replaced ----------------------------
+
+def old_sample(g, seed):
+    """g.sample(seed) as the tagged union made it: the sampled matrix
+    wrapped by the old constructors, which compute the inverse."""
+    sampled = g.sample_matrices([seed])
+    forward, antilinear = sampled if isinstance(sampled, tuple) else (sampled, [False])
+    kind = g.identity.kind
+    return OldTransformation(kind, old_map(kind, forward[0], antilinear[0]), check=False)
+
+
+def _applied(t, e):
+    """The bytes of the image of e under t, or the error applying t raises."""
+    try:
+        image = t.apply(e)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    data = getattr(image, groups._ELEMENT_TYPES[groups._slot(e)][1])
+    return np.ascontiguousarray(data).tobytes()
+
+
+def _plane_elements(rng):
+    """Points (one at infinity), lines, circles and a conic that is not a
+    circle, of the real and of the complex plane."""
+    def vec():
+        return rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3) * (rng.random() < 0.5)
+    return [ProjPoint(vec()), ProjPoint([rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0]),
+            ProjPoint([1.0, rng.uniform(-1, 1), 0.0]), Hyperplane(vec()),
+            circle_quadric(complex(*rng.uniform(-1, 1, 2)), rng.uniform(0.3, 1.2)),
+            Quadric(np.diag([1.0, 2.0, -rng.uniform(0.5, 2)]).astype(complex))]
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_records_match_the_tagged_union(name):
+    """compose, invert, approx_equal, is_identity and apply of the record
+    against the tagged union, bitwise and error for error, on 40 pairs of
+    samples, at a tolerance where the verdicts hinge on the last bits."""
+    g = builtin_group(name)
+    old_identity = old_element(g.identity)
+    rng = np.random.default_rng(19)
+    applied = set()
+    for k in range(40):
+        s1, s2 = mix_seed(19, 2 * k), mix_seed(19, 2 * k + 1)
+        t1, t2, o1, o2 = g.sample(s1), g.sample(s2), old_sample(g, s1), old_sample(g, s2)
+        pairs = [(t1, o1), (t2, o2), (t1.compose(t2), o1.compose(o2)),
+                 (t1.invert(), o1.invert()), (t1.compose(t1.invert()), o1.compose(o1.invert())),
+                 (g.identity.compose(t1), old_identity.compose(o1)), (g.identity, old_identity)]
+        for t, old in pairs:
+            assert _element_bytes(t) == _element_bytes(old)
+            for tol in (1e-8, ULP_TOL):
+                assert t.is_identity(tol) == old.is_identity(tol)
+                assert [t.approx_equal(u, tol) for u, _ in pairs] == \
+                    [old.approx_equal(p, tol) for _, p in pairs]
+        for e in _plane_elements(rng):
+            image = _applied(t1, e)
+            assert image == _applied(o1, e)
+            applied.add(image if isinstance(image, tuple) else bytes)
+    # Lie sphere maps act on no element of the plane
+    assert (bytes in applied) == (name != "lie_sphere_extended")
+    assert (GeometryError, "conic is not a circle or line") in applied or name not in (
+        "moebius", "inversive_pentaspherical")
+
+
+CONSTRUCTOR_BAD = {"projective": BAD, "moebius": CIRCLE_BAD["moebius"],
+                   "pentaspherical": CIRCLE_BAD["inversive_pentaspherical"]}
+
+
+# the subnormal matrix warns in the old and new checks alike
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind,key", [(kind, key) for kind in CONSTRUCTOR_BAD
+                                      for key in sorted(CONSTRUCTOR_BAD[kind])])
+def test_constructor_errors_match_the_tagged_union_and_the_block_path(kind, key):
+    bad = np.asarray(CONSTRUCTOR_BAD[kind][key], dtype=complex)
+    spec, faults = _KINDS[kind], []
+    elements = _sampled(spec, lambda seeds: bad[None].copy(), [0], faults)
+    first = groups._first_faults(faults)
+    block = _outcome(lambda: groups._block_element(spec, elements, first, 0))
+    assert isinstance(block, tuple)
+    for check in (True, False):
+        assert _outcome(lambda: Transformation(kind, bad, check=check)) == block == \
+            _outcome(lambda: OldTransformation(kind, old_map(kind, bad), check=check))
+
+
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_check_is_the_inverse_check_of_the_tagged_union(name):
+    g = builtin_group(name)
+    t = g.sample(1)
+    # a forward matrix given as its own inverse: the pair is checked only with check
+    assert Transformation(t.kind, t.forward, t.forward, t.antilinear, check=False).approx_equal(t)
+    refused = (GeometryError, f"inverse check failed for {t.kind} pair")
+    old = old_sample(g, 1)
+    assert _outcome(lambda: Transformation(t.kind, t.forward, t.forward, t.antilinear)) == \
+        _outcome(lambda: OldTransformation(t.kind, old.forward, old.forward)) == refused
+    assert _element_bytes(Transformation(t.kind, t.forward, antilinear=t.antilinear)) == \
+        _element_bytes(t)
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_the_antilinear_flag_tells_moebius_twins_apart(flag):
+    """A Moebius element and the element of the same coefficients with
+    the other flag: constructed, compared and inverted as in the tagged
+    union."""
+    g = builtin_group("moebius")
+    for seed in range(10):
+        m = g.sample_matrices([seed])[0][0]
+        t, twin = Transformation("moebius", m, antilinear=flag), Transformation(
+            "moebius", m, antilinear=not flag)
+        o, old_twin = (OldTransformation("moebius", old_map("moebius", m, f))
+                       for f in (flag, not flag))
+        assert _element_bytes(t) == _element_bytes(o)
+        assert _element_bytes(twin) == _element_bytes(old_twin)
+        assert not t.approx_equal(twin) and not o.approx_equal(old_twin)
+        assert t.compose(t.invert()).is_identity() and o.compose(o.invert()).is_identity()
+    eye = Transformation("moebius", np.eye(2), antilinear=flag)
+    assert eye.is_identity() == OldTransformation(
+        "moebius", old_map("moebius", np.eye(2), flag)).is_identity() == (not flag)
+
+
+# elements whose squares the checks refuse: 1e200 squares to infinity, and
+# the determinant of the Moebius square, 1e400, too
+HUGE = {"projective": 1e200 * np.eye(3), "moebius": 1e100 * np.eye(2),
+        "pentaspherical": 1e200 * np.eye(4)}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", sorted(HUGE))
+def test_a_product_the_checks_refuse_raises_in_compose(kind):
+    t = Transformation(kind, HUGE[kind])
+    # the old Moebius check built t * t^-1 as a MoebiusMap, whose determinant
+    # 1e400 it refused as singular; the record's check compares the product
+    old = OldTransformation(kind, old_map(kind, HUGE[kind]), check=False)
+    assert _element_bytes(t) == _element_bytes(old)
+    refused = _outcome(lambda: t.compose(t))
+    assert isinstance(refused, tuple) and refused == _outcome(lambda: old.compose(old))
+
+
+@pytest.mark.parametrize("kind,forward,inverse", [
+    ("projective", np.ones(3), None), ("projective", np.eye(3), np.eye(4)),
+    ("projective", [[1.0]], None), ("moebius", np.eye(3), None),
+    ("moebius", np.eye(2), np.eye(3)), ("pentaspherical", np.ones((4, 3)), None),
+    ("lie", np.eye(5), None)])
+def test_a_matrix_of_the_wrong_shape_or_kind_is_refused(kind, forward, inverse):
+    for check in (True, False):
+        with pytest.raises(GeometryError):
+            Transformation(kind, forward, inverse, check=check)
+
+
+def test_the_record_has_no_branch_on_its_kind():
+    source = inspect.getsource(Transformation)
+    assert not any(word in source for word in ('"projective"', '"moebius"', '"pentaspherical"'))
+    assert groups._Kind._fields == ("name", "errors", "faults", "inverse", "compose", "act")
+    assert not hasattr(ProjMap, "from_checked") and not hasattr(MoebiusMap, "from_checked")

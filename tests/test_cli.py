@@ -64,6 +64,16 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--group", "euclidean_isometries"],
+        ["check-invariance", "--group", "affine", "--property", "euclidean-distance"],
+        ["contact-check", "--map", "legendre"]])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, "--trials", "20", "--seed", "1", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "tolerance must be positive and finite" in err
+
     def test_bad_config_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("grup = principal\n", encoding="utf-8")

@@ -71,6 +71,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tolerance"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf", "-inf"])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        text = VALID.replace("tolerance = 1e-9", f"tolerance = {tol}")
+        with pytest.raises(ConfigError, match="tolerance must be positive and finite"):
+            parse_config_text(text)
+
 
 class TestReports:
     def test_invariant_trailer(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from erlangen.numerics import GeometryError, mix_seed, rng_from
-from erlangen.projective import ProjMap, ProjPoint, Quadric
+from erlangen.projective import ProjPoint, Quadric
 from erlangen.moebius import MoebiusMap, circle_quadric
 from erlangen.groups import (
     BUILTIN_GROUP_NAMES,
@@ -30,11 +30,11 @@ def rotation_about_origin(theta, dim=2):
     m[0, 0] = m[1, 1] = np.cos(theta)
     m[0, 1] = -np.sin(theta)
     m[1, 0] = np.sin(theta)
-    return Transformation("projective", ProjMap(m))
+    return Transformation("projective", m)
 
 
 def rotations_about_origin_group():
-    identity = Transformation("projective", ProjMap(np.eye(3)))
+    identity = Transformation("projective", np.eye(3))
 
     def sample(seed):
         rng = rng_from(seed)
@@ -43,7 +43,7 @@ def rotations_about_origin_group():
     def contains(t, tol=1e-8):
         if t.kind != "projective":
             return False
-        m = t.forward.matrix / t.forward.matrix[2, 2]
+        m = t.forward / t.forward[2, 2]
         lin = m[:2, :2].real
         return bool(np.max(np.abs(m[2, :2])) < tol
                     and np.max(np.abs(m[:2, 2])) < tol
@@ -57,18 +57,18 @@ def positive_x_translations_non_group():
     """Translations by positive x only: closed under composition but not
     under inversion (the classical caveat that closure alone does not
     make an infinite family a group)."""
-    identity = Transformation("projective", ProjMap(np.eye(3)))
+    identity = Transformation("projective", np.eye(3))
 
     def sample(seed):
         rng = rng_from(seed)
         m = np.eye(3)
         m[0, 2] = rng.uniform(0.1, 1.0)
-        return Transformation("projective", ProjMap(m))
+        return Transformation("projective", m)
 
     def contains(t, tol=1e-8):
         if t.kind != "projective":
             return False
-        m = t.forward.matrix / t.forward.matrix[2, 2]
+        m = t.forward / t.forward[2, 2]
         shift = m[0, 2].real
         looks_translation = (np.max(np.abs(m[:2, :2] - np.eye(2))) < tol
                              and abs(m[1, 2]) < tol
@@ -110,7 +110,7 @@ class TestBuiltinGroups:
         minus = np.array([1.0, -1.0j, 0.0])
         for i in range(50):
             t = g.sample(mix_seed(99, i))
-            imgs = [t.forward.matrix @ plus, t.forward.matrix @ minus]
+            imgs = [t.forward @ plus, t.forward @ minus]
             from erlangen.numerics import equal_up_to_scale
             keeps = (equal_up_to_scale(imgs[0], plus, 1e-9)
                      and equal_up_to_scale(imgs[1], minus, 1e-9))
@@ -191,8 +191,8 @@ class TestStabilizers:
         assert stabilizes(rot, cfg)
 
     def test_shear_moves_circular_points(self):
-        shear = Transformation("projective", ProjMap(
-            np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])))
+        shear = Transformation("projective",
+                               np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         cfg = Configuration([ProjPoint([1.0, 1.0j, 0.0])])
         assert not stabilizes(shear, cfg)
 
@@ -206,10 +206,17 @@ class TestStabilizers:
             assert stabilizes(t1.compose(t2), cfg)
 
     def test_inapplicable_kind(self):
-        t = Transformation("moebius", MoebiusMap(1, 0, 0, 1))
+        t = Transformation("moebius", np.eye(2))
         cfg = Configuration([Quadric(np.diag([1.0, 1, 1, -1.0]).astype(complex))])
         with pytest.raises(GeometryError):
             stabilizes(t, cfg)
+
+
+@pytest.mark.parametrize("elements", [[], [np.array([1.0, 0.0, 1.0])],
+                                      [ProjPoint([0.0, 0.0, 1.0]), "line"]])
+def test_configuration_takes_points_hyperplanes_and_quadrics_only(elements):
+    with pytest.raises(GeometryError, match="nonempty|unsupported configuration element"):
+        Configuration(elements)
 
 
 @pytest.mark.parametrize("kind", ["contact", "affine", ""])
@@ -304,11 +311,11 @@ class TestInvarianceTest:
         # the distance is defined up to sign; compared signed, these seeds
         # each reported after = -before
         absolute = klein_disk_metric().absolute
-        identity = Transformation("projective", ProjMap(np.eye(3)), check=False)
+        identity = Transformation("projective", np.eye(3), check=False)
         g = GroupDescriptor(
             "disk_preserving", 2, identity,
             lambda s: Transformation(
-                "projective", sample_quadric_preserving_map(absolute, s), check=False),
+                "projective", sample_quadric_preserving_map(absolute, s).matrix, check=False),
             lambda t, tol=1e-8: True)
         prop = builtin_property("ck-distance", metric="klein-disk")
         verdict = invariance_test(prop.evaluate, g, prop.sample_config, seed, 20)
@@ -410,7 +417,8 @@ class TestOrbit:
         for i, img in enumerate(images):
             # oracle: map sampled points of the original circle and fit
             t = g.sample(mix_seed(14, i))
-            pts = [t.forward.apply(center + radius * np.exp(1j * th))
+            m = MoebiusMap(*t.forward.ravel(), t.antilinear)
+            pts = [m.apply(center + radius * np.exp(1j * th))
                    for th in np.linspace(0, 2 * np.pi, 13)[:-1]]
             params, resid = stereographic_circle_fit(pts)
             assert resid < 1e-8
