@@ -11,47 +11,51 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import re
 import sys
 
 import numpy as np
 
+from .names import BUILTIN_GROUP_NAMES, PROPERTY_NAMES
 from .numerics import GeometryError
-from .projective import ProjPoint
-from .moebius import (
-    SpherePoint,
-    inverse_stereographic,
-    stereographic,
-    circle_quadric,
-)
-from .transfers import circle_to_coords, pluecker_embed
-from .cayley_klein import ck_distance, klein_disk_metric, elliptic_metric
-from .binary_forms import (
-    BinaryForm,
-    cubic_invariant_R,
-    hessian,
-    jacobian_covariant,
-    quartic_invariants,
-)
-from .contact import (
-    is_contact_transformation,
-    legendre_map,
-    prolong_point_map,
-    swap_zp_map,
-)
-from .groups import (
-    BUILTIN_GROUP_NAMES,
-    Configuration,
-    builtin_group,
-    check_group_axioms,
-    invariance_test,
-    orbit_sample,
-)
-from .properties import PROPERTY_NAMES, builtin_property
-from .config import ConfigError, check_seed, check_tolerance, load_config
-from .reports import ValueReport, serialize_report, format_number
+from .reports import ValueReport, format_number, serialize_report
 
 __all__ = ["main", "entrypoint", "builtin_property"]
+
+
+def _deferred(name: str):
+    """This package's module ``name``, entered in sys.modules now but run
+    only when one of its attributes is first read (importlib's
+    LazyLoader).  A verb so runs only the modules it uses, while code that
+    looks the package's modules up in sys.modules, such as the span
+    tracer of perfbench/, finds every one."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+(binary_forms, cayley_klein, config, contact, groups, moebius, projective, properties,
+ transfers) = map(_deferred, ("binary_forms", "cayley_klein", "config", "contact", "groups",
+                              "moebius", "projective", "properties", "transfers"))
+
+
+# The verbs build groups and properties through these module-level names,
+# which a caller may rebind around main() (perfbench/child.py wraps what
+# they return to trace sampling and evaluation).
+def builtin_group(name: str, dimension: int = 2):
+    return groups.builtin_group(name, dimension)
+
+
+def builtin_property(name: str, dimension: int = 2, metric=None):
+    return properties.builtin_property(name, dimension, metric)
+
 
 _CONTACT_MAPS = ("legendre", "swap-zp", "prolonged-shear", "prolonged-quadratic")
 
@@ -146,14 +150,14 @@ def _joined_coordinates(argv: list) -> list:
 def _merge_defaults(args, tol: float = 1e-9):
     """Flag > config file > hard default, with seed mandatory; ``tol`` is
     the verb's default tolerance."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else None
+    cfg = config.load_config(args.config) if getattr(args, "config", None) else None
     if getattr(args, "seed", None) is None and cfg is not None:
         args.seed = cfg.seed
     if getattr(args, "trials", None) is None:
         args.trials = cfg.trials if cfg is not None else 100
     if getattr(args, "tol", None) is None:
         args.tol = cfg.tolerance if cfg is not None else tol
-    check_tolerance(args.tol)
+    config.check_tolerance(args.tol)
     if getattr(args, "dimension", None) is None:
         args.dimension = cfg.dimension if cfg is not None else 2
     if getattr(args, "group", None) is None and cfg is not None:
@@ -170,7 +174,7 @@ def _require_seed(args):
     if args.seed is None:
         raise GeometryError("randomized commands require an explicit --seed "
                             "(flag or config file)")
-    check_seed(args.seed)
+    config.check_seed(args.seed)
 
 
 def _run_check_invariance(args) -> int:
@@ -179,8 +183,8 @@ def _run_check_invariance(args) -> int:
     _require_seed(args)
     prop = builtin_property(args.prop, dimension=args.dimension, metric=args.metric)
     group = builtin_group(args.group, args.dimension)
-    verdict = invariance_test(prop.evaluate, group, prop.sample_config,
-                              seed=args.seed, trials=args.trials, tol=args.tol)
+    verdict = groups.invariance_test(prop.evaluate, group, prop.sample_config,
+                                     seed=args.seed, trials=args.trials, tol=args.tol)
     sys.stdout.write(serialize_report(verdict))
     return 0 if verdict.invariant else 1
 
@@ -191,7 +195,7 @@ def _run_axioms(args) -> int:
     _require_group(args)
     _require_seed(args)
     group = builtin_group(args.group, args.dimension)
-    report = check_group_axioms(group, seed=args.seed, trials=args.trials, tol=args.tol)
+    report = groups.check_group_axioms(group, seed=args.seed, trials=args.trials, tol=args.tol)
     sys.stdout.write(serialize_report(report))
     return 0 if report.ok else 1
 
@@ -204,8 +208,10 @@ def _run_distance(args) -> int:
             if not x * x + y * y < 1.0:
                 raise GeometryError(f"{flag}: klein-disk points must lie inside the "
                                     f"unit disk x^2 + y^2 < 1, got {x},{y}")
-    metric = klein_disk_metric() if args.metric == "klein-disk" else elliptic_metric()
-    value = ck_distance(ProjPoint([px, py, 1.0]), ProjPoint([qx, qy, 1.0]), metric)
+    metric = (cayley_klein.klein_disk_metric() if args.metric == "klein-disk"
+              else cayley_klein.elliptic_metric())
+    value = cayley_klein.ck_distance(projective.ProjPoint([px, py, 1.0]),
+                                     projective.ProjPoint([qx, qy, 1.0]), metric)
     shown = abs(value)
     report = ValueReport("distance", [("metric", args.metric),
                                       ("value", shown)])
@@ -218,7 +224,7 @@ def _run_transfer(args) -> int:
         if not args.point:
             raise GeometryError("stereographic requires --point x,y,z")
         x, y, z = _floats(args.point, 3, "--point")
-        w = stereographic(SpherePoint(x, y, z))
+        w = moebius.stereographic(moebius.SpherePoint(x, y, z))
         value = "inf" if w.infinite else format_number(w.value)
         report = ValueReport("transfer", [("kind", "stereographic"),
                                           ("value", value)])
@@ -226,15 +232,15 @@ def _run_transfer(args) -> int:
         if not args.z:
             raise GeometryError("inverse-stereographic requires --z re,im")
         re, im = _floats(args.z, 2, "--z")
-        p = inverse_stereographic(complex(re, im))
+        p = moebius.inverse_stereographic(complex(re, im))
         report = ValueReport("transfer", [("kind", "inverse-stereographic"),
                                           ("x", p.x), ("y", p.y), ("z", p.z)])
     elif args.kind == "pluecker":
         if not args.a or not args.b:
             raise GeometryError("pluecker requires --a and --b (4 numbers each)")
-        a = ProjPoint(_floats(args.a, 4, "--a"))
-        b = ProjPoint(_floats(args.b, 4, "--b"))
-        line = pluecker_embed(a, b)
+        a = projective.ProjPoint(_floats(args.a, 4, "--a"))
+        b = projective.ProjPoint(_floats(args.b, 4, "--b"))
+        line = transfers.pluecker_embed(a, b)
         fields = [("kind", "pluecker")]
         fields += [(f"p{i}", line.p[i]) for i in range(6)]
         report = ValueReport("transfer", fields)
@@ -242,7 +248,7 @@ def _run_transfer(args) -> int:
         if args.center is None or args.radius is None:
             raise GeometryError("circle-coords requires --center re,im and --radius r")
         re, im = _floats(args.center, 2, "--center")
-        coords = circle_to_coords(complex(re, im), args.radius, args.orientation)
+        coords = transfers.circle_to_coords(complex(re, im), args.radius, args.orientation)
         fields = [("kind", "circle-coords")]
         fields += [(f"u{i+1}", coords.u[i]) for i in range(5)]
         report = ValueReport("transfer", fields)
@@ -255,17 +261,17 @@ def _run_covariants(args) -> int:
         coeffs = [complex(tok.strip().replace(" ", "")) for tok in args.coeffs.split(",")]
     except ValueError:
         raise GeometryError(f"--coeffs: cannot parse {args.coeffs!r}")
-    form = BinaryForm(coeffs)
+    form = binary_forms.BinaryForm(coeffs)
     if form.degree == 3:
-        h = hessian(form)
-        q = jacobian_covariant(form, h)
-        fields = [("degree", 3), ("discriminant", cubic_invariant_R(form))]
+        h = binary_forms.hessian(form)
+        q = binary_forms.jacobian_covariant(form, h)
+        fields = [("degree", 3), ("discriminant", binary_forms.cubic_invariant_R(form))]
         fields += [(f"hessian_{i}", h.coeffs[i]) for i in range(len(h.coeffs))]
         fields += [(f"jacobian_{i}", q.coeffs[i]) for i in range(len(q.coeffs))]
     elif form.degree == 4:
-        inv_i, inv_j = quartic_invariants(form)
-        h = hessian(form)
-        t = jacobian_covariant(form, h)
+        inv_i, inv_j = binary_forms.quartic_invariants(form)
+        h = binary_forms.hessian(form)
+        t = binary_forms.jacobian_covariant(form, h)
         fields = [("degree", 4), ("i", inv_i), ("j", inv_j)]
         fields += [(f"hessian_{i}", h.coeffs[i]) for i in range(len(h.coeffs))]
         fields += [(f"sextic_{i}", t.coeffs[i]) for i in range(len(t.coeffs))]
@@ -277,12 +283,12 @@ def _run_covariants(args) -> int:
 
 def _contact_map(name: str):
     if name == "legendre":
-        return legendre_map()
+        return contact.legendre_map()
     if name == "swap-zp":
-        return swap_zp_map()
+        return contact.swap_zp_map()
     if name == "prolonged-shear":
         shear = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        return prolong_point_map(lambda w: shear @ w, lambda w: shear)
+        return contact.prolong_point_map(lambda w: shear @ w, lambda w: shear)
     # prolonged-quadratic: a nonlinear point transformation
     def f(w):
         return np.array([w[0] + 0.2 * w[1] ** 2, w[1], w[2] + 0.1 * w[0] * w[1]])
@@ -292,15 +298,15 @@ def _contact_map(name: str):
                          [0.0, 1.0, 0.0],
                          [0.1 * w[1], 0.1 * w[0], 1.0]])
 
-    return prolong_point_map(f, jac)
+    return contact.prolong_point_map(f, jac)
 
 
 def _run_contact_check(args) -> int:
     _merge_defaults(args)
     _require_seed(args)
     samples = args.samples if args.samples is not None else 40
-    verdict = is_contact_transformation(_contact_map(args.map_name),
-                                        seed=args.seed, samples=samples, tol=args.tol)
+    verdict = contact.is_contact_transformation(_contact_map(args.map_name),
+                                                seed=args.seed, samples=samples, tol=args.tol)
     sys.stdout.write(serialize_report(verdict))
     return 0 if verdict.is_contact else 1
 
@@ -312,20 +318,20 @@ def _run_orbit(args) -> int:
     count = args.count if args.count is not None else 10
     if args.circle:
         cx, cy, r = _floats(args.circle, 3, "--circle")
-        config = Configuration([circle_quadric(complex(cx, cy), r)])
+        start = groups.Configuration([moebius.circle_quadric(complex(cx, cy), r)])
     elif args.point:
         vals = [float(t) for t in args.point.split(",")]
         if len(vals) != args.dimension:
             raise GeometryError(f"--point needs {args.dimension} coordinates")
-        config = Configuration([ProjPoint(vals + [1.0])])
+        start = groups.Configuration([projective.ProjPoint(vals + [1.0])])
     else:
         raise GeometryError("orbit requires --point or --circle")
     group = builtin_group(args.group, args.dimension)
-    images = orbit_sample(config, group, seed=args.seed, count=count)
+    images = groups.orbit_sample(start, group, seed=args.seed, count=count)
     fields = [("group", args.group), ("count", count)]
     for i, img in enumerate(images):
         el = img[0]
-        if isinstance(el, ProjPoint):
+        if isinstance(el, projective.ProjPoint):
             desc = ":".join(format_number(z) for z in el.normalized())
         else:
             desc = ",".join(format_number(z) for z in el.matrix.ravel())
@@ -354,7 +360,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _RUNNERS[args.verb](args)
-    except (GeometryError, ConfigError, ValueError) as exc:
+    except (GeometryError, config.ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

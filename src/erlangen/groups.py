@@ -73,6 +73,7 @@ from .moebius import (
     random_moebius_stack,
 )
 from .transfers import random_pentaspherical_stack
+from .names import BUILTIN_GROUP_NAMES
 
 __all__ = [
     "Transformation",
@@ -107,8 +108,8 @@ class Transformation:
     ProjMap matrices ('projective'), Moebius coefficient matrices
     [[a, b], [c, d]] ('moebius') or matrices acting on circle coordinates
     ('pentaspherical').  ``antilinear`` marks the Moebius maps that
-    conjugate first; it is False for the other kinds.  Each operation is
-    the batch of one of the kind's stacked code.
+    conjugate first, and the constructor refuses it for the other kinds.
+    Each operation is the batch of one of the kind's stacked code.
 
     The constructor runs the kind's checks on ``forward`` and on the
     inverse (computed as the kind inverts when not given) and raises the
@@ -123,6 +124,8 @@ class Transformation:
         if kind not in _KINDS:
             raise GeometryError(f"unknown transformation kind: {kind}")
         spec = _KINDS[kind]
+        if antilinear and not spec.antilinear:
+            raise GeometryError(f"a {kind} transformation cannot be antilinear")
         flags = np.array([bool(antilinear)])
         faults = []
         forward = _checked(spec, np.array(forward, dtype=complex)[None], faults)
@@ -271,17 +274,6 @@ class GroupDescriptor:
     def blocked(self) -> bool:
         """Whether the trial loops take the block path for this group."""
         return self.sample_matrices is not None and self.contains_matrices is not None
-
-
-BUILTIN_GROUP_NAMES = (
-    "euclidean_isometries",
-    "principal",
-    "affine",
-    "projective",
-    "moebius",
-    "inversive_pentaspherical",
-    "lie_sphere_extended",
-)
 
 
 def _affine_stack(linear: np.ndarray, translation: np.ndarray) -> np.ndarray:
@@ -525,9 +517,13 @@ class _Kind(NamedTuple):
     configuration raises before an image is built (for one element, that
     error); an image row that ProjPoint, Hyperplane or Quadric would
     refuse comes back as it is.  Transformation.apply is its batch of one.
+
+    ``antilinear`` says whether the kind has antilinear elements, ones
+    that conjugate before they act; only Moebius maps do.
     """
 
     name: str
+    antilinear: bool
     errors: tuple
     faults: Callable
     inverse: Callable
@@ -705,16 +701,16 @@ def _act_on(kind: "_Kind", elements, e, slot: int):
 
 
 _KINDS = {kind.name: kind for kind in (
-    _Kind("projective", tuple((GeometryError, message) for message in PROJMAP_FAULTS),
+    _Kind("projective", False, tuple((GeometryError, message) for message in PROJMAP_FAULTS),
           projmap_faults,
           # ProjMap's checks pass only matrices that np.linalg.inv inverts
           lambda stack, _: (np.linalg.inv(stack), None),
           _linear_compose, _projective_act),
-    _Kind("moebius", MOEBIUS_FAULTS, moebius_faults,
+    _Kind("moebius", True, MOEBIUS_FAULTS, moebius_faults,
           lambda stack, antilinear: (moebius_inverses(stack, antilinear), None),
           _moebius_compose, _moebius_act),
     # a pentaspherical element must be finite, and inverting one may raise
-    _Kind("pentaspherical",
+    _Kind("pentaspherical", False,
           ((None, ""), (np.linalg.LinAlgError, "Singular matrix"),
            (GeometryError, f"{_PENTASPHERICAL_MAP}: non-finite entries")),
           _finite_faults, _inverses, _linear_compose, _pentaspherical_act),

@@ -7,6 +7,11 @@ and use explicit tolerances -- there is no ambient global state.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -220,6 +225,67 @@ def random_antisymmetric(rng: np.random.Generator, n: int, scale: float = 0.8,
     return a
 
 
+@functools.cache
+def _pade_kernel():
+    """scipy's compiled Pade kernel for expm (the extension
+    scipy.linalg._matfuncs_expm), loaded from its file so that the
+    scipy.linalg package is not imported, or None where it does not load
+    or lacks either function scipy.linalg.expm calls."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_matfuncs_expm" + suffix)
+            if os.path.isfile(path):
+                ext = importlib.util.spec_from_file_location("scipy.linalg._matfuncs_expm", path)
+                try:
+                    kernel = importlib.util.module_from_spec(ext)
+                    ext.loader.exec_module(kernel)
+                except ImportError:
+                    return None
+                found = hasattr(kernel, "pick_pade_structure") and hasattr(kernel, "pade_UV_calc")
+                return kernel if found else None
+    return None
+
+
+def expm_stack(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of each (n, n) matrix of the (B, n, n) stack ``a``,
+    bit for bit.
+
+    The scaling-and-squaring algorithm of Al-Mohy and Higham (SIAM J.
+    Matrix Anal. Appl. 31(3), 2009) runs as scipy's own generic branch
+    does: its compiled Pade kernel picks the order m and the number s of
+    squarings, evaluates the approximant, and numpy squares it s times.
+    A float64 or complex128 stack whose every matrix has a nonzero entry
+    both below and above the diagonal takes that path; any other stack,
+    or any stack where the kernel does not load, goes to
+    scipy.linalg.expm whole, which has branches of its own for diagonal
+    and triangular matrices.
+    """
+    kernel = _pade_kernel()
+    general = (np.tril(a, -1).any(axis=(1, 2)) & np.triu(a, 1).any(axis=(1, 2))).all()
+    if kernel is None or a.dtype not in (np.float64, np.complex128) or not general:
+        from scipy.linalg import expm
+
+        return expm(a)
+    out = np.empty_like(a)
+    work = np.empty((5,) + a.shape[1:], dtype=a.dtype)  # the powers the kernel uses
+    for k, matrix in enumerate(a):
+        work[0] = matrix
+        m, s = kernel.pick_pade_structure(work)
+        if m < 0:
+            raise MemoryError(f"expm: the Pade kernel could not allocate (code {m})")
+        info = kernel.pade_UV_calc(work, m)
+        if info != 0:
+            if info <= -11:
+                raise MemoryError(f"expm: the Pade kernel could not allocate (code {info})")
+            raise RuntimeError(f"expm: internal LAPACK error in the Pade kernel (code {info})")
+        e = work[0]
+        for _ in range(s):
+            e = e @ e
+        out[k] = e
+    return out
+
+
 def indefinite_orthogonal_stack(normals: np.ndarray, flips: np.ndarray, p: int) -> np.ndarray:
     """Samples from O(p, q), one per (n, n) matrix of standard normal draws
     in the stack ``normals`` (n = p + q): exp(G A), with A the
@@ -227,15 +293,13 @@ def indefinite_orthogonal_stack(normals: np.ndarray, flips: np.ndarray, p: int) 
     identity component.  Where the (B, 2) mask ``flips`` is set, the sign
     of the first (column 0) or the last (column 1) coordinate is flipped
     after, which reaches the other components."""
-    from scipy.linalg import expm
-
     n = normals.shape[-1]
     a = (normals - normals.transpose(0, 2, 1)) / 2.0
     flat = a.reshape(len(a), -1)
     nrm = np.sqrt(row_dot(flat, flat))
     a = a * np.divide(0.8, nrm, out=np.ones_like(nrm), where=nrm > 0)[:, None, None]
     g = np.diag(np.concatenate([np.ones(p), -np.ones(n - p)]))
-    m = expm(g @ a)
+    m = expm_stack(g @ a)
     for k, i in enumerate((0, n - 1)):
         flip = np.eye(n)
         flip[i, i] = -1.0
@@ -308,8 +372,6 @@ def sample_form_preserving(qmat: np.ndarray, seed: int,
 
 
 def _complex_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    from scipy.linalg import expm
-
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    return expm(random_antisymmetric(rng, n, complex_entries=True))
+    return expm_stack(random_antisymmetric(rng, n, complex_entries=True)[None])[0]

@@ -32,18 +32,9 @@ from .groups import Configuration, PropertyUndefined
 from .moebius import circle_matrix, circle_parameters
 from .cayley_klein import (CKMetric, _sign_normalized, ck_distance, klein_disk_metric,
                            elliptic_metric)
+from .names import PROPERTY_NAMES
 
 __all__ = ["BuiltinProperty", "Functional", "Sampler", "builtin_property", "PROPERTY_NAMES"]
-
-PROPERTY_NAMES = (
-    "euclidean-distance",
-    "angle",
-    "cross-ratio",
-    "incidence",
-    "tangency",
-    "collinearity",
-    "ck-distance",
-)
 
 
 @dataclass(frozen=True)

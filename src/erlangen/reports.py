@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contact import ContactVerdict
-from .groups import AxiomReport, Invariant, Violated
-
 __all__ = ["ValueReport", "serialize_report", "parse_report_trailer", "format_number"]
 
 
@@ -48,7 +45,20 @@ def _trailer(verdict: str, pairs) -> str:
 
 
 def serialize_report(v) -> str:
-    """Render a Verdict / AxiomReport / ContactVerdict / ValueReport."""
+    """Render a Verdict / AxiomReport / ContactVerdict / ValueReport.
+
+    The verdict classes are imported at call time, so that a ValueReport
+    loads neither ``groups`` nor ``contact``.
+    """
+    if isinstance(v, ValueReport):
+        lines = [f"{v.kind}:"]
+        for key, val in v.fields:
+            lines.append(f"  {key}: {val if isinstance(val, str) else format_number(val)}")
+        lines.append(_trailer(v.kind, [(k, val if isinstance(val, str) else format_number(val))
+                                       for k, val in v.fields]))
+        return "\n".join(lines) + "\n"
+    from .groups import AxiomReport, Invariant, Violated
+
     if isinstance(v, Invariant):
         lines = [
             "invariance check: no violation found",
@@ -98,6 +108,8 @@ def serialize_report(v) -> str:
             pairs.append(("witness_seed", failures[0][1]))
         lines.append(_trailer(verdict, pairs))
         return "\n".join(lines) + "\n"
+    from .contact import ContactVerdict
+
     if isinstance(v, ContactVerdict):
         verdict = "contact" if v.is_contact else "not-contact"
         lines = [
@@ -114,13 +126,6 @@ def serialize_report(v) -> str:
             lines.append(f"  witness residual: {format_number(v.witness_residual)}")
             pairs.append(("witness_seed", v.seed))
         lines.append(_trailer(verdict, pairs))
-        return "\n".join(lines) + "\n"
-    if isinstance(v, ValueReport):
-        lines = [f"{v.kind}:"]
-        for key, val in v.fields:
-            lines.append(f"  {key}: {val if isinstance(val, str) else format_number(val)}")
-        lines.append(_trailer(v.kind, [(k, val if isinstance(val, str) else format_number(val))
-                                       for k, val in v.fields]))
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(v).__name__}")
 

@@ -1710,5 +1710,6 @@ def test_a_matrix_of_the_wrong_shape_or_kind_is_refused(kind, forward, inverse):
 def test_the_record_has_no_branch_on_its_kind():
     source = inspect.getsource(Transformation)
     assert not any(word in source for word in ('"projective"', '"moebius"', '"pentaspherical"'))
-    assert groups._Kind._fields == ("name", "errors", "faults", "inverse", "compose", "act")
+    assert groups._Kind._fields == ("name", "antilinear", "errors", "faults", "inverse",
+                                    "compose", "act")
     assert not hasattr(ProjMap, "from_checked") and not hasattr(MoebiusMap, "from_checked")

@@ -293,3 +293,78 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2
         assert out1.encode() == out2.encode()
+
+
+# -- what each verb imports ----------------------------------------------------
+
+def test_package_import_runs_no_submodule():
+    proc = _python("-c", "import sys, erlangen; "
+                         "print(sorted(m for m in sys.modules if m.startswith('erlangen.')))")
+    assert proc.stdout.split() == ["[]"], proc.stderr
+
+
+def test_every_public_name_is_its_module_attribute():
+    proc = _python("-c", """
+import importlib, erlangen
+names = erlangen.__all__
+assert len(names) == len(set(names)) == 89, len(names)
+assert set(names) <= set(dir(erlangen))
+for name in names:
+    module = importlib.import_module("erlangen." + erlangen._MODULE_OF[name])
+    assert getattr(erlangen, name) is getattr(module, name), name
+import erlangen.groups as groups, erlangen.properties as properties
+assert erlangen.BUILTIN_GROUP_NAMES is groups.BUILTIN_GROUP_NAMES
+assert erlangen.PROPERTY_NAMES is properties.PROPERTY_NAMES
+assert not hasattr(erlangen, "main")
+print("ok")
+""")
+    assert proc.stdout == "ok\n", proc.stderr
+
+
+#: one invocation of each step of the CLI tour that perfbench/ times
+TOUR = (
+    ("distance", "--metric", "klein-disk", "--p=0.1,0.2", "--q=-0.3,0.4"),
+    ("transfer", "--kind", "circle-coords", "--center=0.1,-0.2", "--radius=0.5"),
+    ("covariants", "--coeffs=1,0,0,-1"),
+    ("contact-check", "--map", "legendre", "--samples=20", "--seed=3"),
+    ("orbit", "--group", "projective", "--point=0.1,0.2", "--count=8", "--seed=1"),
+    ("orbit", "--group", "moebius", "--circle=0.1,0.2,0.8", "--count=8", "--seed=1"),
+    ("check-invariance", "--group", "projective", "--property", "cross-ratio",
+     "--trials=100", "--seed=1"),
+    ("check-invariance", "--group", "moebius", "--property", "tangency",
+     "--trials=100", "--seed=1"),
+    ("check-invariance", "--group", "affine", "--property", "euclidean-distance",
+     "--trials=100", "--seed=1"),
+    ("axioms", "--group", "principal", "--trials=50", "--seed=1"),
+    ("axioms", "--group", "lie_sphere_extended", "--trials=50", "--seed=1"),
+    ("axioms", "--group", "inversive_pentaspherical", "--trials=50", "--seed=1"),
+)
+
+
+def _loaded_after(argv):
+    """(exit code, whether scipy.linalg is loaded, the erlangen modules
+    that ran) after cli.main(argv) in a fresh interpreter; a module the
+    CLI entered in sys.modules but never read from has not run."""
+    proc = _python("-c", f"""
+import contextlib, io, sys, types
+import erlangen.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({list(argv)!r})
+ran = sorted(n for n, m in sys.modules.items()
+             if n.startswith("erlangen") and type(m) is types.ModuleType)
+print(code, "scipy.linalg" in sys.modules, *ran)
+""")
+    assert proc.returncode == 0, proc.stderr
+    code, scipy_linalg, *ran = proc.stdout.split()
+    return int(code), scipy_linalg == "True", ran
+
+
+@pytest.mark.parametrize("argv", TOUR, ids=lambda argv: "-".join(argv[:3]))
+def test_no_tour_step_loads_scipy_linalg(argv):
+    code, scipy_linalg, ran = _loaded_after(argv)
+    assert code in (0, 1)
+    assert not scipy_linalg
+    assert "erlangen.cli" in ran
+    if argv[0] in ("distance", "transfer", "covariants"):
+        assert "erlangen.groups" not in ran
+        assert "erlangen.properties" not in ran

@@ -225,6 +225,21 @@ def test_unknown_transformation_kind(kind):
         Transformation(kind, np.eye(5), np.eye(5), check=False)
 
 
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("kind, n", [("projective", 3), ("pentaspherical", 4)])
+def test_only_moebius_elements_are_antilinear(kind, n, check):
+    with pytest.raises(GeometryError, match=f"a {kind} transformation cannot be antilinear"):
+        Transformation(kind, np.eye(n), antilinear=True, check=check)
+    assert Transformation(kind, np.eye(n), check=check).is_identity()
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_antilinear_moebius_elements_construct(check):
+    conj = Transformation("moebius", np.eye(2), antilinear=True, check=check)
+    assert conj.antilinear and not conj.is_identity()
+    assert conj.compose(conj).is_identity()
+
+
 def distance_to_origin(c):
     v = c[0].normalized()
     if abs(v[2]) < 1e-12:

@@ -1,18 +1,28 @@
 """The form-orthonormal completion behind symmetric_gram_basis and
-sample_form_preserving, against the two Gram-Schmidt loops it replaced."""
+sample_form_preserving, against the two Gram-Schmidt loops it replaced;
+and expm_stack against scipy.linalg.expm, bit for bit."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from erlangen import numerics
 from erlangen.numerics import (
     GeometryError,
     _complex_orthogonal,
     _form_orthonormal_completion,
+    _pade_kernel,
+    expm_stack,
     rng_from,
     sample_form_preserving,
     symmetric_gram_basis,
 )
-from erlangen.transfers import klein_quadric
+from erlangen.transfers import klein_quadric, random_pentaspherical_stack
 
 
 # -- the two loops the completion replaced, as they were -----------------------
@@ -142,3 +152,88 @@ def test_completion_keeps_the_given_vectors():
     assert np.allclose(b.T @ q @ b, np.eye(3))
     with pytest.raises(GeometryError, match="^no basis$"):
         _form_orthonormal_completion(np.diag([1.0, 0.0]).astype(complex), [], "no basis")
+
+
+# -- expm_stack ------------------------------------------------------------------
+
+def _antisymmetric_stack(rng, b, n, norm, complex_entries):
+    g = rng.normal(size=(b, n, n))
+    if complex_entries:
+        g = g + 1j * rng.normal(size=(b, n, n))
+    a = g - g.transpose(0, 2, 1)
+    return a * (norm / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
+
+
+def _squarings(matrix):
+    work = np.empty((5,) + matrix.shape, dtype=matrix.dtype)
+    work[0] = matrix
+    return _pade_kernel().pick_pade_structure(work)[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_expm_stack_is_scipy_expm_bitwise(n, complex_entries):
+    rng = np.random.default_rng(100 * n + complex_entries)
+    # real stacks are G A in O(p, q), as the circle groups sample them
+    g = np.diag([1.0] * (n - n // 2) + [-1.0] * (n // 2))
+    squarings = set()
+    for norm in (0.8, 3.0, 8.0, 20.0, 40.0):
+        a = _antisymmetric_stack(rng, 200, n, norm, complex_entries)
+        if not complex_entries:
+            a = g @ a
+        assert expm_stack(a).tobytes() == expm(a).tobytes()
+        squarings.update(_squarings(m) for m in a)
+    assert {0, 1, 2, 3} <= squarings
+
+
+def test_expm_stack_sends_diagonal_and_triangular_stacks_to_scipy():
+    rng = np.random.default_rng(7)
+    a = _antisymmetric_stack(rng, 8, 4, 20.0, False)
+    upper = np.triu(rng.normal(size=(4, 4))) * 5.0
+    specials = (np.zeros((4, 4)), np.diag(rng.normal(size=4)), upper, upper.T)
+    for special in specials:
+        for stack in (np.concatenate([a, special[None]]), special[None]):
+            assert expm_stack(stack).tobytes() == expm(stack).tobytes()
+            z = stack + 0j
+            assert expm_stack(z).tobytes() == expm(z).tobytes()
+    # scipy's branch for triangular matrices differs from the generic one
+    assert _squarings(upper) > 0
+
+
+def test_expm_stack_without_the_kernel_is_scipy_expm(monkeypatch):
+    monkeypatch.setattr(numerics, "_pade_kernel", lambda: None)
+    a = _antisymmetric_stack(np.random.default_rng(3), 20, 5, 3.0, True)
+    assert expm_stack(a).tobytes() == expm(a).tobytes()
+
+
+def test_expm_stack_on_the_stacks_the_samplers_build(monkeypatch):
+    calls = []
+
+    def checked(a):
+        out = expm_stack(a)
+        assert out.tobytes() == expm(a).tobytes()
+        calls.append(len(a))
+        return out
+
+    monkeypatch.setattr(numerics, "expm_stack", checked)
+    seeds = list(range(500))
+    for n in (4, 5):
+        random_pentaspherical_stack(seeds, n)
+        for seed in seeds:
+            random_pentaspherical_stack([seed], n)
+    circle = np.diag([1.0, 1.0, -1.0]).astype(complex)
+    for seed in seeds:
+        sample_form_preserving(circle, seed)
+        sample_form_preserving(klein_quadric().matrix, seed, fixing=np.arange(1.0, 7.0))
+    assert calls == [500] + [1] * 500 + [500] + [1] * 500 + [1] * 1000
+
+
+def test_the_pade_kernel_loads_without_scipy_linalg():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from erlangen.numerics import _pade_kernel; "
+         "print(_pade_kernel() is not None, 'scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["True", "False"], proc.stderr
