@@ -27,8 +27,7 @@ _EXPORTS = {
                   "lie_apply"),
     "names": ("BUILTIN_GROUP_NAMES", "PROPERTY_NAMES"),
     "groups": ("Transformation", "Configuration", "GroupDescriptor", "builtin_group",
-               "check_group_axioms", "AxiomReport", "stabilizes", "invariance_test",
-               "Invariant", "Violated", "PropertyUndefined",
+               "check_group_axioms", "stabilizes", "invariance_test", "PropertyUndefined",
                "is_similarity_via_circular_points", "orbit_sample"),
     "cayley_klein": ("CKMetric", "klein_disk_metric", "elliptic_metric", "ck_distance",
                      "ck_angle", "OnAbsolute", "DegeneracyVerdict", "on_quadric_degeneracy",
@@ -37,10 +36,11 @@ _EXPORTS = {
                      "quartic_invariants", "roots_on_sphere", "SphericalRootSet",
                      "cubic_pencil_member", "quartic_pencil_member"),
     "contact": ("SurfaceElement", "LineElement2D", "FiveMap", "pfaffian_residual",
-                "is_contact_transformation", "ContactVerdict", "element_family_of_point",
+                "is_contact_transformation", "element_family_of_point",
                 "element_family_of_surface", "line_element_check", "legendre_map"),
     "config": ("RunConfig", "ConfigError", "load_config"),
-    "reports": ("serialize_report", "parse_report_trailer", "ValueReport"),
+    "reports": ("Invariant", "Violated", "AxiomReport", "ContactVerdict", "serialize_report",
+                "parse_report_trailer", "ValueReport"),
     "fixtures": ("FixtureSet", "FixtureValue", "builtin_fixtures", "regenerate"),
     "properties": ("builtin_property",),
 }

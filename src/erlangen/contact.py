@@ -15,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import GeometryError, mix_seed, rng_from
+from .reports import ContactVerdict
 
 __all__ = [
     "SurfaceElement",
@@ -110,9 +111,6 @@ class FiveMap:
             jac[:, j] = (self(vp) - self(vm)) / (2.0 * h)
         return jac
 
-    def with_fd_step(self, fd_step: float) -> "FiveMap":
-        return FiveMap(self.forward, self.jacobian, self.dim, fd_step)
-
     def compose(self, other: "FiveMap") -> "FiveMap":
         if self.dim != other.dim:
             raise GeometryError("composition dimension mismatch")
@@ -132,25 +130,6 @@ def _contact_covector(v: np.ndarray) -> np.ndarray:
     if v.size == 5:
         return np.array([-v[3], -v[4], 1.0, 0.0, 0.0])
     return np.array([-v[2], 1.0, 0.0])    # dy - p dx on (x, y, p)
-
-
-@dataclass
-class ContactVerdict:
-    """Outcome of the united-position preservation check.
-
-    ``factors`` holds the per-sample proportionality factor rho of the
-    pulled-back form against the original one (rho may vary by point);
-    a failed sample is recorded with its point and residual.
-    """
-
-    is_contact: bool
-    samples_used: int
-    max_residual: float
-    tol: float
-    seed: int
-    factors: list
-    witness_point: Optional[np.ndarray] = None
-    witness_residual: Optional[float] = None
 
 
 def _alignment_check(m: FiveMap, seed: int, samples: int, tol: float,

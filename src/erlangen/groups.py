@@ -30,7 +30,7 @@ descriptor and property runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -74,6 +74,7 @@ from .moebius import (
 )
 from .transfers import random_pentaspherical_stack
 from .names import BUILTIN_GROUP_NAMES
+from .reports import AxiomReport, Invariant, Violated
 
 __all__ = [
     "Transformation",
@@ -453,31 +454,6 @@ def builtin_group(name: str, dimension: int = 2) -> GroupDescriptor:
                          sample_matrices(dimension), contains_matrices)
 
 
-@dataclass
-class AxiomReport:
-    """Outcome of randomized group-axiom checking.
-
-    Failure lists hold (trial index, seed1, seed2) triples; re-running
-    the sampler on the recorded seeds reproduces the witnesses.
-    """
-
-    group: str
-    trials: int
-    tol: float
-    closure_failures: list = field(default_factory=list)
-    inverse_failures: list = field(default_factory=list)
-    identity_failures: list = field(default_factory=list)
-
-    @property
-    def total_failures(self) -> int:
-        return (len(self.closure_failures) + len(self.inverse_failures)
-                + len(self.identity_failures))
-
-    @property
-    def ok(self) -> bool:
-        return self.total_failures == 0
-
-
 #: the most trials one block of the block path holds
 _BLOCK = 64
 
@@ -509,14 +485,13 @@ class _Kind(NamedTuple):
     inversions that raise (or None).  ``compose(t1, t2)`` returns the
     forward and inverse matrices of t1.compose(t2).
 
-    ``act(forward, inverse, antilinear, points, hyperplanes, quadrics)``
-    is the action of a block's elements on stacked configurations, one
-    per element: (B, k, n+1) point and (B, h, n+1) hyperplane rows and
-    (B, q, n+1, n+1) quadric matrices.  It returns the image stacks and
-    (B,) codes in _APPLY_ERRORS, nonzero where applying the element to its
-    configuration raises before an image is built (for one element, that
-    error); an image row that ProjPoint, Hyperplane or Quadric would
-    refuse comes back as it is.  Transformation.apply is its batch of one.
+    ``maps`` holds per slot of _ELEMENT_TYPES the kind's map, or None:
+    ``map(elements, rows)`` takes a block's elements and one configuration's
+    (B, k, m) rows or (B, k, m, m) quadric matrices per element, and returns
+    their images and (B, k) codes in _APPLY_ERRORS (0: none), or None for a
+    map that never fails.  n x n elements map rows of size ``size(n)``
+    (None: none); other rows, or rows in a slot without a map, give the
+    trial the code ``refusal``.
 
     ``antilinear`` says whether the kind has antilinear elements, ones
     that conjugate before they act; only Moebius maps do.
@@ -528,7 +503,27 @@ class _Kind(NamedTuple):
     faults: Callable
     inverse: Callable
     compose: Callable
-    act: Callable
+    maps: tuple
+    size: Callable
+    refusal: int
+
+    def act(self, forward, inverse, antilinear, points, hyperplanes, quadrics):
+        """The images of stacked configurations, one per element of a block,
+        and (B,) codes in _APPLY_ERRORS, nonzero where applying the element
+        raises before it builds an image (for one element, that error); an
+        image row its element type would refuse comes back as it is.
+        Transformation.apply is its batch of one."""
+        stacks, size = [points, hyperplanes, quadrics], self.size(forward.shape[-1])
+        codes = np.zeros(len(forward), dtype=np.int8)
+        if any(rows.shape[1] and (f is None or rows.shape[-1] != size)
+               for f, rows in zip(self.maps, stacks)):
+            return (*stacks, codes + self.refusal)
+        for slot, f in enumerate(self.maps):
+            if stacks[slot].shape[1]:
+                stacks[slot], c = f((forward, inverse, antilinear), stacks[slot])
+                if c is not None:
+                    codes = np.maximum(codes, c.max(axis=1))
+        return (*stacks, codes)
 
 
 #: what the errors of a pentaspherical Transformation name
@@ -598,34 +593,10 @@ def _circle_codes(faults: np.ndarray) -> np.ndarray:
     return np.where(faults != 0, faults + _CIRCLE, 0).astype(np.int8)
 
 
-def _refused(code: int, points, hyperplanes, quadrics):
-    """Every row refused with ``code``, the stacks unmapped."""
-    return points, hyperplanes, quadrics, np.full(len(points), code, dtype=np.int8)
-
-
-def _projective_act(forward, inverse, antilinear, points, hyperplanes, quadrics):
-    """ProjMap.apply, apply_hyperplane and apply_quadric on stacks; the
-    hyperplanes and quadrics map through the elements' inverses."""
-    n = forward.shape[-1]
-    if any(x.shape[1] and x.shape[-1] != n for x in (points, hyperplanes, quadrics)):
-        return _refused(2, points, hyperplanes, quadrics)
-    return (map_points(forward, points), map_hyperplanes(inverse, hyperplanes),
-            map_quadrics(inverse, quadrics), np.zeros(len(forward), dtype=np.int8))
-
-
-def _moebius_act(forward, inverse, antilinear, points, hyperplanes, quadrics):
-    """Moebius maps on plane points, through the affine chart, and on
-    circles (moebius.moebius_circles); hyperplanes are refused."""
-    if hyperplanes.shape[1] or any(x.shape[1] and x.shape[-1] != 3 for x in (points, quadrics)):
-        return _refused(1, points, hyperplanes, quadrics)
-    faults = np.zeros(len(forward), dtype=np.int8)
-    if points.shape[1]:
-        points, f = _moebius_points(forward, antilinear, points)
-        faults = np.maximum(faults, f.max(axis=1))
-    if quadrics.shape[1]:
-        quadrics, f = moebius_circles(forward, antilinear, quadrics)
-        faults = np.maximum(faults, _circle_codes(f).max(axis=1))
-    return points, hyperplanes, quadrics, faults
+def _moebius_circles(elements, conics: np.ndarray):
+    """moebius.moebius_circles as a map of the moebius kind."""
+    images, faults = moebius_circles(elements[0], elements[2], conics)
+    return images, _circle_codes(faults)
 
 
 def _moebius_points(coeffs: np.ndarray, antilinear: np.ndarray, coords: np.ndarray):
@@ -648,18 +619,6 @@ def _moebius_points(coeffs: np.ndarray, antilinear: np.ndarray, coords: np.ndarr
     out[..., 0], out[..., 1] = image.real, image.imag
     faults = np.where(at_infinity, 3, np.where(infinite, 4, np.where(np.isfinite(image), 0, 5)))
     return out, faults.astype(np.int8)
-
-
-def _pentaspherical_act(forward, inverse, antilinear, points, hyperplanes, quadrics):
-    """4 x 4 pentaspherical matrices on circles; everything else is refused."""
-    if points.shape[1] or hyperplanes.shape[1] or quadrics.shape[1] and (
-            quadrics.shape[-1] != 3 or forward.shape[-1] != 4):
-        return _refused(1, points, hyperplanes, quadrics)
-    faults = np.zeros(len(forward), dtype=np.int8)
-    if quadrics.shape[1]:
-        quadrics, f = _pentaspherical_circles(forward, quadrics)
-        faults = f.max(axis=1)
-    return points, hyperplanes, quadrics, faults
 
 
 def _pentaspherical_circles(matrices: np.ndarray, conics: np.ndarray):
@@ -692,28 +651,32 @@ def _act_on(kind: "_Kind", elements, e, slot: int):
     a block's elements (forward, inverse, antilinear), as a (B, ...) stack,
     and the (B,) codes of the errors applying them raises."""
     data = getattr(e, _ELEMENT_TYPES[slot][1])
-    b, m = len(elements[0]), data.shape[0]
-    stacks = [np.empty((b, 0, m), dtype=complex), np.empty((b, 0, m), dtype=complex),
-              np.empty((b, 0, m, m), dtype=complex)]
+    b = len(elements[0])
+    stacks = [np.empty((b, 0))] * 3
     stacks[slot] = np.broadcast_to(data, (b, 1) + data.shape)
     *images, faults = kind.act(*elements, *stacks)
     return images[slot][:, 0], faults
 
 
 _KINDS = {kind.name: kind for kind in (
+    # ProjMap's checks pass only matrices that np.linalg.inv inverts
     _Kind("projective", False, tuple((GeometryError, message) for message in PROJMAP_FAULTS),
-          projmap_faults,
-          # ProjMap's checks pass only matrices that np.linalg.inv inverts
-          lambda stack, _: (np.linalg.inv(stack), None),
-          _linear_compose, _projective_act),
+          projmap_faults, _inverses, _linear_compose,
+          (lambda e, rows: (map_points(e[0], rows), None),
+           lambda e, rows: (map_hyperplanes(e[1], rows), None),
+           lambda e, rows: (map_quadrics(e[1], rows), None)), lambda n: n, 2),
     _Kind("moebius", True, MOEBIUS_FAULTS, moebius_faults,
           lambda stack, antilinear: (moebius_inverses(stack, antilinear), None),
-          _moebius_compose, _moebius_act),
+          _moebius_compose,
+          (lambda e, rows: _moebius_points(e[0], e[2], rows), None, _moebius_circles),
+          {2: 3}.get, 1),
     # a pentaspherical element must be finite, and inverting one may raise
     _Kind("pentaspherical", False,
           ((None, ""), (np.linalg.LinAlgError, "Singular matrix"),
            (GeometryError, f"{_PENTASPHERICAL_MAP}: non-finite entries")),
-          _finite_faults, _inverses, _linear_compose, _pentaspherical_act),
+          _finite_faults, _inverses, _linear_compose,
+          (None, None, lambda e, conics: _pentaspherical_circles(e[0], conics)),
+          {4: 3}.get, 1),
 )}
 
 
@@ -892,38 +855,6 @@ def stabilizes(t: Transformation, c: Configuration, tol: float = 1e-8) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Invariant:
-    """No counterexample in the executed trials (statistical only)."""
-
-    trials_executed: int
-    trials_skipped: int
-    tol: float
-
-    @property
-    def invariant(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class Violated:
-    """A reproducible counterexample to invariance."""
-
-    trial: int
-    config_seed: int
-    transform_seed: int
-    before: object
-    after: object
-    config: Configuration
-    transformation: Transformation
-    trials_executed: int
-    tol: float
-
-    @property
-    def invariant(self) -> bool:
-        return False
-
-
 def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
                     config_sampler: Callable[[int], Configuration], seed: int,
                     trials: int, tol: float = 1e-9):
@@ -938,8 +869,8 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     Trial i draws its configuration from mix_seed(seed, 3i) and its
     transformation from mix_seed(seed, 3i + 1).  For a blocked group the
     transformations are sampled a block at a time.  For a blocked group,
-    a functional with ``evaluate_stacks`` and a sampler of g's dimension
-    with ``sample_stacks`` (every built-in property but ck-distance),
+    a functional with ``evaluate_stacks`` and a sampler with
+    ``sample_stacks`` (every built-in property but ck-distance),
     whole blocks of trials are also sampled, mapped by the group's
     action and evaluated on stacks.  The verdict is that of the per-trial
     loop.
@@ -947,7 +878,6 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     stacked = (g.blocked and hasattr(prop, "evaluate_stacks")
-               and getattr(config_sampler, "dimension", None) == g.dimension
                and hasattr(config_sampler, "sample_stacks"))
     outcomes = (_block_outcomes if stacked else _trial_outcomes)(prop, g, config_sampler,
                                                                  seed, trials)

@@ -212,19 +212,6 @@ def orthogonal_from_normals(g: np.ndarray) -> np.ndarray:
     return q * d[..., None, :]
 
 
-def random_antisymmetric(rng: np.random.Generator, n: int, scale: float = 0.8,
-                         complex_entries: bool = False) -> np.ndarray:
-    if complex_entries:
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    else:
-        g = rng.normal(size=(n, n))
-    a = (g - g.T) / 2.0
-    nrm = np.linalg.norm(a)
-    if nrm > 0:
-        a *= scale / nrm
-    return a
-
-
 @functools.cache
 def _pade_kernel():
     """scipy's compiled Pade kernel for expm (the extension
@@ -372,6 +359,12 @@ def sample_form_preserving(qmat: np.ndarray, seed: int,
 
 
 def _complex_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """exp(A) in O(n, C), for a complex antisymmetric A of Frobenius norm 0.8."""
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    return expm_stack(random_antisymmetric(rng, n, complex_entries=True)[None])[0]
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = (g - g.T) / 2.0
+    nrm = np.linalg.norm(a)
+    if nrm > 0:
+        a *= 0.8 / nrm
+    return expm_stack(a[None])[0]

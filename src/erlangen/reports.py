@@ -1,4 +1,4 @@
-"""Serialization of verdicts and reports.
+"""The verdict records, and their serialization.
 
 Every report is a human-readable block followed by one machine-readable
 trailer line starting with ``RESULT:``.  Field order is fixed and all
@@ -8,9 +8,16 @@ serialize to identical bytes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
+
 import numpy as np
 
-__all__ = ["ValueReport", "serialize_report", "parse_report_trailer", "format_number"]
+if TYPE_CHECKING:
+    from .groups import Configuration, Transformation
+
+__all__ = ["Invariant", "Violated", "AxiomReport", "ContactVerdict", "ValueReport",
+           "serialize_report", "parse_report_trailer", "format_number"]
 
 
 def format_number(x) -> str:
@@ -38,6 +45,82 @@ class ValueReport:
         return f"ValueReport({self.kind!r}, {self.fields!r})"
 
 
+@dataclass(frozen=True)
+class Invariant:
+    """No counterexample in the executed trials (statistical only)."""
+
+    trials_executed: int
+    trials_skipped: int
+    tol: float
+
+    @property
+    def invariant(self) -> bool:
+        return True
+
+
+@dataclass(frozen=True)
+class Violated:
+    """A reproducible counterexample to invariance."""
+
+    trial: int
+    config_seed: int
+    transform_seed: int
+    before: object
+    after: object
+    config: Configuration
+    transformation: Transformation
+    trials_executed: int
+    tol: float
+
+    @property
+    def invariant(self) -> bool:
+        return False
+
+
+@dataclass
+class AxiomReport:
+    """Outcome of randomized group-axiom checking.
+
+    Failure lists hold (trial index, seed1, seed2) triples; re-running
+    the sampler on the recorded seeds reproduces the witnesses.
+    """
+
+    group: str
+    trials: int
+    tol: float
+    closure_failures: list = field(default_factory=list)
+    inverse_failures: list = field(default_factory=list)
+    identity_failures: list = field(default_factory=list)
+
+    @property
+    def total_failures(self) -> int:
+        return (len(self.closure_failures) + len(self.inverse_failures)
+                + len(self.identity_failures))
+
+    @property
+    def ok(self) -> bool:
+        return self.total_failures == 0
+
+
+@dataclass
+class ContactVerdict:
+    """Outcome of the united-position preservation check.
+
+    ``factors`` holds the per-sample proportionality factor rho of the
+    pulled-back form against the original one (rho may vary by point);
+    a failed sample is recorded with its point and residual.
+    """
+
+    is_contact: bool
+    samples_used: int
+    max_residual: float
+    tol: float
+    seed: int
+    factors: list
+    witness_point: Optional[np.ndarray] = None
+    witness_residual: Optional[float] = None
+
+
 def _trailer(verdict: str, pairs) -> str:
     parts = [f"RESULT: {verdict}"]
     parts.extend(f"{k}={v}" for k, v in pairs)
@@ -45,11 +128,8 @@ def _trailer(verdict: str, pairs) -> str:
 
 
 def serialize_report(v) -> str:
-    """Render a Verdict / AxiomReport / ContactVerdict / ValueReport.
-
-    The verdict classes are imported at call time, so that a ValueReport
-    loads neither ``groups`` nor ``contact``.
-    """
+    """Render an Invariant / Violated / AxiomReport / ContactVerdict /
+    ValueReport."""
     if isinstance(v, ValueReport):
         lines = [f"{v.kind}:"]
         for key, val in v.fields:
@@ -57,8 +137,6 @@ def serialize_report(v) -> str:
         lines.append(_trailer(v.kind, [(k, val if isinstance(val, str) else format_number(val))
                                        for k, val in v.fields]))
         return "\n".join(lines) + "\n"
-    from .groups import AxiomReport, Invariant, Violated
-
     if isinstance(v, Invariant):
         lines = [
             "invariance check: no violation found",
@@ -108,8 +186,6 @@ def serialize_report(v) -> str:
             pairs.append(("witness_seed", failures[0][1]))
         lines.append(_trailer(verdict, pairs))
         return "\n".join(lines) + "\n"
-    from .contact import ContactVerdict
-
     if isinstance(v, ContactVerdict):
         verdict = "contact" if v.is_contact else "not-contact"
         lines = [

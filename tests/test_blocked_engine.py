@@ -1711,5 +1711,10 @@ def test_the_record_has_no_branch_on_its_kind():
     source = inspect.getsource(Transformation)
     assert not any(word in source for word in ('"projective"', '"moebius"', '"pentaspherical"'))
     assert groups._Kind._fields == ("name", "antilinear", "errors", "faults", "inverse",
-                                    "compose", "act")
+                                    "compose", "maps", "size", "refusal")
     assert not hasattr(ProjMap, "from_checked") and not hasattr(MoebiusMap, "from_checked")
+    # one action for every kind, over the maps, size and refusal each kind declares
+    for name in ("_projective_act", "_moebius_act", "_pentaspherical_act", "_refused"):
+        assert not hasattr(groups, name)
+    source = inspect.getsource(groups._Kind.act)
+    assert not any(word in source for word in ("projective", "moebius", "pentaspherical"))

@@ -368,3 +368,13 @@ def test_no_tour_step_loads_scipy_linalg(argv):
     if argv[0] in ("distance", "transfer", "covariants"):
         assert "erlangen.groups" not in ran
         assert "erlangen.properties" not in ran
+
+
+def test_contact_check_runs_no_group_module():
+    """The report writer holds the verdict records, so serializing a
+    ContactVerdict runs none of the group and transfer modules."""
+    code, _, ran = _loaded_after(["contact-check", "--map", "legendre", "--samples=20",
+                                  "--seed=3"])
+    assert code == 0
+    for module in ("groups", "projective", "moebius", "transfers", "properties"):
+        assert f"erlangen.{module}" not in ran

@@ -237,3 +237,25 @@ def test_the_pade_kernel_loads_without_scipy_linalg():
          "print(_pade_kernel() is not None, 'scipy.linalg' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout.split() == ["True", "False"], proc.stderr
+
+
+def _old_complex_orthogonal(rng, n):
+    """The draw _complex_orthogonal made through random_antisymmetric
+    (complex entries, scale 0.8), then its exponential."""
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = (g - g.T) / 2.0
+    nrm = np.linalg.norm(a)
+    if nrm > 0:
+        a *= 0.8 / nrm
+    return expm_stack(a[None])[0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_complex_orthogonal_keeps_its_draws(n):
+    for seed in range(200):
+        new, old = rng_from(seed), rng_from(seed)
+        assert _complex_orthogonal(new, n).tobytes() == _old_complex_orthogonal(old, n).tobytes()
+        # and leaves the generator where the old draw did
+        assert new.bit_generator.state == old.bit_generator.state
