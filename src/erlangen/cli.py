@@ -320,10 +320,8 @@ def _run_orbit(args) -> int:
         cx, cy, r = _floats(args.circle, 3, "--circle")
         start = groups.Configuration([moebius.circle_quadric(complex(cx, cy), r)])
     elif args.point:
-        vals = [float(t) for t in args.point.split(",")]
-        if len(vals) != args.dimension:
-            raise GeometryError(f"--point needs {args.dimension} coordinates")
-        start = groups.Configuration([projective.ProjPoint(vals + [1.0])])
+        coords = _floats(args.point, args.dimension, "--point") + [1.0]
+        start = groups.Configuration([projective.ProjPoint(coords)])
     else:
         raise GeometryError("orbit requires --point or --circle")
     group = builtin_group(args.group, args.dimension)

@@ -19,13 +19,12 @@ acts on stacked configurations; the operations of a Transformation are
 the batch of one of that code.  For descriptors with the block fields
 ``sample_matrices``/``contains_matrices`` (all seven built-in groups)
 the trial loops sample, validate, invert, compose and check a block of
-trials at once on stacked matrices.  Orbits map their configuration a
-block of elements at a time, and with a property that has stacked forms
-(see invariance_test) the invariance trials also sample, map and
-evaluate their configurations a block at a time.  Each trial still
-draws from its own generators, so verdicts, witness seeds, errors and
-output bytes are those of the per-trial loop, which every other
-descriptor and property runs.
+trials at once on stacked matrices, and map configurations a block at a
+time: the orbit's, and the invariance trials' wherever the sampler has
+stacked forms, which a property with stacked forms also evaluates on
+stacks (see invariance_test).  Each trial still draws from its own
+generators, so verdicts, witness seeds, errors and output bytes are
+those of the per-trial loop, which every other descriptor runs.
 """
 
 from __future__ import annotations
@@ -748,36 +747,18 @@ def _block_element(kind: _Kind, elements, faults: np.ndarray, k: int) -> Transfo
 
 def _element_blocks(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
                     first_block: int):
-    """For a blocked descriptor, yield (start, seeds, elements, faults) per
-    block of _block_bounds(trials, first_block): the seeds
-    mix_seed(seed, stride * i + offset) of its trials i, the stacks
-    (forward, inverse, antilinear) of their checked elements, and per
-    trial the code of the first check g.sample would fail (0: none)."""
+    """For a blocked descriptor, yield (start, elements, faults) per block
+    of _block_bounds(trials, first_block): the stacks (forward, inverse,
+    antilinear) of the checked elements of seeds
+    mix_seed(seed, stride * i + offset) of its trials i, and per trial the
+    code of the first check g.sample would fail (0: none).  A block is
+    sampled only when the caller asks for it."""
     kind = _KINDS[g.identity.kind]
     for start, stop in _block_bounds(trials, first_block):
         seeds = [mix_seed(seed, stride * i + offset) for i in range(start, stop)]
         faults = []
         elements = _sampled(kind, g.sample_matrices, seeds, faults)
-        yield start, seeds, elements, _first_faults(faults)
-
-
-def _elements(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
-              first_block: int):
-    """Yield (i, s, make) for trial i < trials, where s is
-    mix_seed(seed, stride * i + offset) and make() returns g.sample(s) or
-    raises what it would raise.  On the block path the elements are
-    sampled and checked a block at a time, and only when the caller asks
-    for the block's first trial."""
-    if not g.blocked:
-        for i in range(trials):
-            s = mix_seed(seed, stride * i + offset)
-            yield i, s, partial(g.sample, s)
-        return
-    kind = _KINDS[g.identity.kind]
-    for start, seeds, elements, faults in _element_blocks(g, seed, trials, stride, offset,
-                                                          first_block):
-        for k, s in enumerate(seeds):
-            yield start + k, s, partial(_block_element, kind, elements, faults, k)
+        yield start, elements, _first_faults(faults)
 
 
 def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
@@ -867,20 +848,23 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     raised.
 
     Trial i draws its configuration from mix_seed(seed, 3i) and its
-    transformation from mix_seed(seed, 3i + 1).  For a blocked group the
-    transformations are sampled a block at a time.  For a blocked group,
-    a functional with ``evaluate_stacks`` and a sampler with
-    ``sample_stacks`` (every built-in property but ck-distance),
-    whole blocks of trials are also sampled, mapped by the group's
-    action and evaluated on stacks.  The verdict is that of the per-trial
-    loop.
+    transformation from mix_seed(seed, 3i + 1).  A blocked group runs the
+    trials a block at a time (_block_outcomes): its transformations are
+    sampled on stacks, and so are the configurations of a sampler with
+    ``sample_stacks`` (every built-in one), which the group's action maps
+    at once.  A functional with ``evaluate_stacks`` (every built-in
+    property but ck-distance) is evaluated on the stacks, any other
+    property per trial.  The verdict, and any error, are those of the
+    per-trial loop, which every other group runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    stacked = (g.blocked and hasattr(prop, "evaluate_stacks")
-               and hasattr(config_sampler, "sample_stacks"))
-    outcomes = (_block_outcomes if stacked else _trial_outcomes)(prop, g, config_sampler,
-                                                                 seed, trials)
+    if g.blocked:
+        outcomes = _block_outcomes(prop, g, config_sampler, seed, trials)
+    else:
+        outcomes = ((i, _trial(prop, config_sampler(mix_seed(seed, 3 * i)),
+                               partial(g.sample, mix_seed(seed, 3 * i + 1))))
+                    for i in range(trials))
     skipped = 0
     executed = 0
     for i, outcome in outcomes:
@@ -906,60 +890,80 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     return Invariant(trials_executed=executed, trials_skipped=skipped, tol=tol)
 
 
-def _trial(prop, config_sampler, cseed: int, make):
-    """One trial of invariance_test: None if the property is undefined on
-    the configuration or its image, else (before, after, witness), where
-    witness() returns the configuration and the transformation."""
-    config = config_sampler(cseed)
+def _trial(prop, config: Configuration, make, image=None):
+    """One trial of invariance_test on a configuration: None if the property
+    is undefined on it or its image, else (before, after, witness), where
+    witness() returns the configuration and the transformation make()
+    returns.  The image is transform_configuration's, or image()."""
     t = make()
     try:
         before = prop(config)
-        image = transform_configuration(t, config)
-        after = prop(image)
+        after = prop(transform_configuration(t, config) if image is None else image())
     except PropertyUndefined:
         return None
     return before, after, lambda: (config, t)
 
 
-def _trial_outcomes(prop, g, config_sampler, seed: int, trials: int):
-    """Yield (i, outcome of _trial) for each trial i of invariance_test."""
-    # blocks grow from one trial, so a witness at trial 0 samples one element
-    for i, _, make in _elements(g, seed, trials, 3, 1, 1):
-        yield i, _trial(prop, config_sampler, mix_seed(seed, 3 * i), make)
-
-
 def _block_outcomes(prop, g, config_sampler, seed: int, trials: int):
-    """_trial_outcomes on stacks: each block of trials samples its
-    configurations, maps them by the group's action and evaluates the
-    property before and after at once.  A trial whose configuration,
-    element or image the scalar objects would refuse runs as _trial, which
-    raises that error."""
+    """Yield (i, outcome of _trial) for each trial i of invariance_test on a
+    blocked group, a block of trials at a time (see _stacked_trials); blocks
+    grow from one trial, so a witness at trial 0 samples one element and
+    one configuration."""
     kind = _KINDS[g.identity.kind]
-    for start, _, elements, faults in _element_blocks(g, seed, trials, 3, 1, 1):
+    for start, elements, faults in _element_blocks(g, seed, trials, 3, 1, 1):
         cseeds = [mix_seed(seed, 3 * i) for i in range(start, start + len(faults))]
-        config = config_sampler.sample_stacks(cseeds)
-        irregular = (faults != 0) | _faulty(config)
-        config = _sanitized(config, irregular)
-        *images, codes = kind.act(*elements, *config)
-        refused = (codes != 0) | _faulty(images)
-        images = _sanitized(images, refused)
-        # the configurations and their images in one stack: rows are independent
-        values, undefined = prop.evaluate_stacks(
-            *(np.concatenate([x, y]) for x, y in zip(config, images)))
-        b = len(faults)
-        # an image is made only when the property is defined before
-        irregular |= (undefined[:b] == 0) & refused
-        undefined = undefined[:b] | undefined[b:]
-        before, after = values[:b].tolist(), values[b:].tolist()
+        alone, outcome = _stacked_trials(prop, kind, config_sampler, cseeds, elements, faults)
         for k, cseed in enumerate(cseeds):
             make = partial(_block_element, kind, elements, faults, k)
-            if irregular[k]:
-                yield start + k, _trial(prop, config_sampler, cseed, make)
-            elif undefined[k]:
-                yield start + k, None
-            else:
-                yield start + k, (before[k], after[k],
-                                  partial(_witness, config_sampler, config, k, make))
+            yield start + k, (_trial(prop, config_sampler(cseed), make) if alone[k]
+                              else outcome(k, make))
+
+
+def _stacked_trials(prop, kind: _Kind, config_sampler, cseeds, elements, faults):
+    """(alone, outcome): the mask of a block's trials that run alone as
+    _trial, which raises the per-trial loop's error at its trial, and
+    outcome(k, make) of each other trial k.  The configurations are sampled
+    and mapped on stacks; a functional with ``evaluate_stacks`` is
+    evaluated on them, any other property called per trial on their rows.
+    A trial runs alone where the scalar objects would refuse its
+    configuration, element or image (for a functional, an image only where
+    it is defined before).  Every trial does where the sampler has no
+    ``sample_stacks``, or where ``sample_stacks`` or ``evaluate_stacks``
+    raises: both may be user code, whose error belongs to its trial."""
+    everyone = np.ones(len(cseeds), dtype=bool), None
+    if not hasattr(config_sampler, "sample_stacks"):
+        return everyone
+    try:
+        config = config_sampler.sample_stacks(cseeds)
+    except Exception:
+        return everyone
+    alone = (faults != 0) | _faulty(config)
+    config = _sanitized(config, alone)
+    *images, codes = kind.act(*elements, *config)
+    refused = (codes != 0) | _faulty(images)
+    images = _sanitized(images, refused)
+    if not hasattr(prop, "evaluate_stacks"):
+        return alone | refused, lambda k, make: _trial(
+            prop, _rows(config_sampler, config, k), make,
+            partial(_rows, config_sampler, images, k))
+    # the configurations and their images in one stack: rows are independent
+    stacks = [np.concatenate([x, y]) for x, y in zip(config, images)]
+    try:
+        values, undefined = prop.evaluate_stacks(*stacks)
+    except Exception:
+        return everyone
+    b = len(cseeds)
+    # an image is made only when the property is defined before
+    alone |= (undefined[:b] == 0) & refused
+    undefined = undefined[:b] | undefined[b:]
+    before, after = values[:b].tolist(), values[b:].tolist()
+    return alone, lambda k, make: None if undefined[k] else (
+        before[k], after[k], lambda: (_rows(config_sampler, config, k), make()))
+
+
+def _rows(config_sampler, stacks, k: int) -> Configuration:
+    """The Configuration of trial k's rows of a block's stacks."""
+    return config_sampler.configuration(*(x[k] for x in stacks))
 
 
 def _faulty(stacks) -> np.ndarray:
@@ -984,10 +988,6 @@ def _sanitized(stacks, irregular: np.ndarray):
     if not irregular.any():
         return stacks
     return [np.where(irregular.reshape((-1,) + (1,) * (x.ndim - 1)), 1.0, x) for x in stacks]
-
-
-def _witness(config_sampler, config, k: int, make):
-    return config_sampler.configuration(*(x[k] for x in config)), make()
 
 
 _CIRCULAR_PLUS = np.array([1.0, 1.0j, 0.0])
@@ -1027,12 +1027,11 @@ def orbit_sample(c: Configuration, g: GroupDescriptor, seed: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     if not g.blocked:
-        return [transform_configuration(make(), c)
-                for _, _, make in _elements(g, seed, count, 1, 0, _BLOCK)]
+        return [transform_configuration(g.sample(mix_seed(seed, i)), c) for i in range(count)]
     kind = _KINDS[g.identity.kind]
     slots = [_slot(e) for e in c]
     orbit = []
-    for _, _, elements, faults in _element_blocks(g, seed, count, 1, 0, _BLOCK):
+    for _, elements, faults in _element_blocks(g, seed, count, 1, 0, _BLOCK):
         # each element of the configuration under the whole block at once
         images, refused = [], faults != 0
         for e, slot in zip(c, slots):

@@ -15,8 +15,9 @@ Functional and each sampler a Sampler, whose scalar calls are batches of
 one, and invariance_test runs them a block of trials at a time.  The
 stacked steps round as the scalar ones did (numerics.complex_product and
 friends), so values and verdicts are bit for bit those of the former
-scalar bodies.  Only ck-distance is evaluated per
-configuration.
+scalar bodies.  ck-distance is sampled by a Sampler too, so
+invariance_test samples and maps its configurations on stacks, but it is
+evaluated per configuration.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ Every built-in group carries a stacked sampler and membership test, so
 check_group_axioms, invariance_test and orbit_sample sample, validate,
 invert and compose its elements a block of trials at a time, and each
 kind of element has one stacked action, so orbit_sample maps its
-configuration a block of elements at a time; the built-in properties but
-ck-distance carry stacked samplers and functionals, so invariance_test
-also samples, maps and evaluates configurations a block at a time.
-Rebuilding the same group without the block fields gives the per-trial
+configuration a block of elements at a time; the built-in samplers are
+stacked, so invariance_test also samples and maps configurations a block
+at a time, and evaluates them on stacks with every built-in functional
+but ck-distance, which it calls per trial on the rows, as it does any
+other callable.  Rebuilding the same group without the block fields gives the per-trial
 loop, and the scalar samplers, property bodies, actions and constructors
 the stacked ones replaced, and the tagged-union group element that the
 record Transformation replaced, are kept below: together they are the
@@ -68,7 +69,7 @@ from erlangen.groups import (
     orbit_sample,
     transform_configuration,
 )
-from erlangen.properties import PROPERTY_NAMES, Sampler, builtin_property
+from erlangen.properties import PROPERTY_NAMES, Functional, Sampler, builtin_property
 from erlangen.reports import serialize_report
 from erlangen.transfers import random_inversive_map, random_lie_map
 
@@ -400,6 +401,76 @@ def test_invariance_raises_only_if_no_earlier_trial_is_a_witness():
     assert run(g) == run(per_trial(g)) == (GeometryError, "ProjMap: non-finite entries")
 
 
+def _raising(which, bad_seed):
+    """The angle functional and sampler, with ``which`` of their stacked
+    forms raising RuntimeError on the configuration of ``bad_seed``."""
+    angle = builtin_property("angle", 2)
+    bad = angle.sample_config.sample_stacks([bad_seed])[0][0]
+
+    class Raising(Sampler):
+        def sample_stacks(self, seeds):
+            if which == "sample_stacks" and bad_seed in seeds:
+                raise RuntimeError(f"no stacks for {bad_seed}")
+            return super().sample_stacks(seeds)
+
+    def evaluate_stacks(points, hyperplanes, quadrics):
+        if which == "evaluate_stacks" and (points == bad).all(axis=(1, 2)).any():
+            raise RuntimeError("no values for those points")
+        return angle.evaluate.evaluate_stacks(points, hyperplanes, quadrics)
+
+    return (Functional(evaluate_stacks, angle.evaluate.reasons),
+            Raising(2, angle.sample_config.draw))
+
+
+def _outcome_or_runtime_error(fn):
+    try:
+        return _outcome_of(fn)
+    except RuntimeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("which", ["sample_stacks", "evaluate_stacks"])
+def test_a_raising_stacked_form_does_not_preempt_an_earlier_witness(which):
+    prop, sampler = _raising(which, mix_seed(1, 6))
+
+    def run(g):
+        return _outcome_or_runtime_error(lambda: invariance_test(prop, g, sampler, 1, 10))
+
+    # trial 0 maps by the identity; trials 1 and 2 share a block, trial 1 is
+    # the witness and trial 2 draws the configuration that raises
+    g = faulty_group({mix_seed(1, 1): np.eye(3)})
+    blocked = run(g)
+    assert blocked == run(per_trial(g))
+    assert blocked["type"] is Violated and blocked["trial"] == 1
+    # with no witness before it, trial 2 raises on both paths
+    g = faulty_group({mix_seed(1, 1): np.eye(3), mix_seed(1, 4): np.eye(3)})
+    assert run(g) == run(per_trial(g)) == (RuntimeError, "no stacks for "
+                                           f"{mix_seed(1, 6)}" if which == "sample_stacks"
+                                           else "no values for those points")
+
+
+def test_a_sampler_that_raises_at_random_trials_matches_the_per_trial_loop():
+    """Cross-ratio at a tolerance of a few ulps is violated at a trial that
+    the last bits decide; the sampler raises for about one seed in 16."""
+    prop = builtin_property("cross-ratio", 2)
+
+    class Raising(Sampler):
+        def sample_stacks(self, seeds):
+            if any(seed % 16 == 0 for seed in seeds):
+                raise RuntimeError("no stacks")
+            return super().sample_stacks(seeds)
+
+    sampler = Raising(2, prop.sample_config.draw)
+    g = builtin_group("projective", 2)
+    outcomes = []
+    for seed in range(60):
+        blocked, serial = (_outcome_or_runtime_error(lambda: invariance_test(
+            prop.evaluate, h, sampler, seed, 30, 1e-15)) for h in (g, per_trial(g)))
+        assert blocked == serial
+        outcomes.append(blocked[0] if isinstance(blocked, tuple) else blocked["type"])
+    assert {RuntimeError, Violated} <= set(outcomes)
+
+
 # -- the scalar property bodies and samplers the stacked ones replace ----------
 
 def _old_affine(p):
@@ -701,7 +772,7 @@ def _counting_sampler(prop):
     return Counting(prop.sample_config.dimension, prop.sample_config.draw), requested
 
 
-def test_a_wrapped_functional_takes_the_per_trial_loop():
+def test_a_wrapped_functional_samples_configurations_on_stacks():
     g = builtin_group("projective", 2)
     prop = builtin_property("cross-ratio", 2)
     sampler, requested = _counting_sampler(prop)
@@ -709,8 +780,8 @@ def test_a_wrapped_functional_takes_the_per_trial_loop():
     assert [len(seeds) for seeds in requested] == [1, 2, 4, 8, 5]
     del requested[:]
     wrapped = invariance_test(lambda c: prop.evaluate(c), g, sampler, 3, 20)
-    # one batch of one per trial: the scalar sampler
-    assert [len(seeds) for seeds in requested] == [1] * 20
+    # the same blocks, with the wrapped functional called per trial on their rows
+    assert [len(seeds) for seeds in requested] == [1, 2, 4, 8, 5]
     assert serialize_report(wrapped) == serialize_report(blocked)
 
 
@@ -1463,7 +1534,7 @@ def test_a_hyperplane_under_a_moebius_map_raises_at_its_trial():
             tangency.evaluate, per_trial(g), sampler, seed, trials)) == expected
 
 
-def test_every_builtin_cell_but_ck_distance_takes_the_stacked_path(monkeypatch):
+def test_every_builtin_cell_takes_the_stacked_path(monkeypatch):
     taken = []
     block_outcomes = groups._block_outcomes
 
@@ -1479,7 +1550,7 @@ def test_every_builtin_cell_but_ck_distance_takes_the_stacked_path(monkeypatch):
             del taken[:]
             _outcome_of(lambda: invariance_test(prop.evaluate, builtin_group(name),
                                                 prop.sample_config, 1, 3))
-            assert taken == ([] if prop_name == "ck-distance" else [name])
+            assert taken == [name]
     # one mechanism: the kind's action, looked up in one table
     source = inspect.getsource(block_outcomes)
     assert "_KINDS[g.identity.kind]" in source
@@ -1718,3 +1789,51 @@ def test_the_record_has_no_branch_on_its_kind():
         assert not hasattr(groups, name)
     source = inspect.getsource(groups._Kind.act)
     assert not any(word in source for word in ("projective", "moebius", "pentaspherical"))
+
+
+# -- properties called per trial on the rows of the block path ------------------
+
+
+def _same_on_rows(fn, g, sampler, seeds, trials=12):
+    """The block path, which calls ``fn`` per trial on the Configurations of
+    the stacked rows, against the per-trial loop."""
+    for seed in seeds:
+        blocked = _outcome_of(lambda: invariance_test(fn, g, sampler, seed, trials))
+        assert blocked == _outcome_of(lambda: invariance_test(fn, per_trial(g), sampler, seed,
+                                                              trials))
+
+
+@pytest.mark.parametrize("name,dim,prop_name", CELLS)
+def test_plain_callables_on_rows_match_the_per_trial_loop(name, dim, prop_name):
+    prop = builtin_property(prop_name, dim)
+    old_eval, _ = OLD_PROPERTIES[prop_name]
+    for fn in (old_eval, lambda c: prop.evaluate(c)):
+        _same_on_rows(fn, builtin_group(name, dim), prop.sample_config, SEEDS)
+
+
+@pytest.mark.parametrize("name,prop_name", CIRCLE_CELLS)
+def test_plain_circle_callables_on_rows_match_the_per_trial_loop(name, prop_name):
+    prop = builtin_property(prop_name, 2)
+    old_eval, _ = OLD_CIRCLE_PROPERTIES[prop_name]
+    for fn in (old_eval, lambda c: prop.evaluate(c)):
+        _same_on_rows(fn, builtin_group(name), prop.sample_config, SEEDS)
+
+
+@pytest.mark.parametrize("metric", ["klein-disk", "elliptic"])
+@pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
+def test_ck_distance_on_rows_matches_the_per_trial_loop(name, metric):
+    prop = builtin_property("ck-distance", 2, metric)
+    _same_on_rows(prop.evaluate, builtin_group(name), prop.sample_config, SEEDS)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad_row", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                     [1e308, 1e308, 1e308]])
+def test_wrapped_functional_errors_in_trial_order(bad_row):
+    """As test_invariance_errors_in_trial_order, with the functional called
+    per trial: a refused configuration or image raises at its trial."""
+    for name, prop_name in [("euclidean_isometries", "angle"), ("projective", "angle"),
+                            ("projective", "collinearity")]:
+        prop = builtin_property(prop_name, 2)
+        _same_on_rows(lambda c: prop.evaluate(c), builtin_group(name, 2), _triangle_or(bad_row),
+                      range(12), 30)

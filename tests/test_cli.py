@@ -226,6 +226,15 @@ class TestValues:
             builtin_property("perimeter")
 
 
+@pytest.mark.parametrize("point,message", [
+    ("a,b", "--point: expected comma-separated numbers, got 'a,b'"),
+    ("0.2", "--point: expected 2 numbers, got 1")])
+def test_orbit_point_is_parsed_as_every_coordinate_flag(capsys, point, message):
+    code, out, err = run(capsys, "orbit", "--group", "principal", "--point", point,
+                         "--seed", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag,argv", [
     ("--p", ["distance", "--metric", "klein-disk", "--p", "-0.1,0.2", "--q", "0.3,0.4"]),
     ("--q", ["distance", "--metric", "klein-disk", "--p", "0.1,0.2", "--q", "-0.3,0.4"]),

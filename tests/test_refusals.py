@@ -9,6 +9,7 @@ it maps combine by max.  The rules below are read from the code, the
 digests are those of the image bytes.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -18,7 +19,9 @@ from erlangen import groups
 from erlangen.groups import (
     _APPLY_ERRORS,
     _KINDS,
+    Configuration,
     GroupDescriptor,
+    PropertyUndefined,
     Transformation,
     Violated,
     builtin_group,
@@ -260,6 +263,24 @@ def test_the_per_trial_axioms_record_an_identity_that_changes_elements():
     assert report.identity_failures == [(i, mix_seed(3, 2 * i), mix_seed(3, 2 * i + 1))
                                         for i in range(5)]
     assert report.closure_failures == report.inverse_failures == []
+
+
+def test_the_axioms_record_an_identity_that_contains_rejects():
+    g = builtin_group("euclidean_isometries", 2)
+    # the block path decides the trials by contains_matrices, the identity by contains
+    report = check_group_axioms(dataclasses.replace(g, contains=lambda t, tol=1e-8: False), 3, 5)
+    assert report.identity_failures == [(-1, 0, 0)]
+    assert report.closure_failures == report.inverse_failures == []
+
+
+@pytest.mark.parametrize("points,reason", [
+    ([[0.1, 0.2, 1.0]], "needs two points"),
+    # a point on the absolute
+    ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]], "outside the metric domain")])
+def test_ck_distance_is_undefined_off_its_domain(points, reason):
+    prop = builtin_property("ck-distance", 2, "klein-disk")
+    with pytest.raises(PropertyUndefined, match=f"^{reason}$"):
+        prop.evaluate(Configuration([ProjPoint(p) for p in points]))
 
 
 def test_ck_distance_takes_the_elliptic_metric_and_refuses_another():
