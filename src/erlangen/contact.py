@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import GeometryError, mix_seed, rng_from
+from .numerics import GeometryError, mix_seed, rng_stack
 from .reports import ContactVerdict
 
 __all__ = [
@@ -142,8 +142,7 @@ def _alignment_check(m: FiveMap, seed: int, samples: int, tol: float,
     factors = []
     witness_pt = witness_res = None
     verdict = True
-    for i in range(samples):
-        rng = rng_from(mix_seed(seed, i))
+    for rng in rng_stack([mix_seed(seed, i) for i in range(samples)]):
         v = rng.uniform(-box, box, size=m.dim)
         try:
             image = m(v)

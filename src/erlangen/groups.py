@@ -47,7 +47,7 @@ from .numerics import (
     orthogonal_from_normals,
     proportionality,
     proportionality_stack,
-    rng_from,
+    rng_stack,
     times_i,
 )
 from .projective import (
@@ -293,8 +293,7 @@ def _similarity_matrices(dim: int, scaled: bool):
         normals = np.empty((len(seeds), dim, dim))
         scale = np.ones(len(seeds))
         tr = np.empty((len(seeds), dim))
-        for b, seed in enumerate(seeds):
-            rng = rng_from(seed)
+        for b, rng in enumerate(rng_stack(seeds)):
             normals[b] = rng.normal(size=(dim, dim))
             if scaled:
                 scale[b] = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
@@ -309,8 +308,7 @@ def _affine_matrices(dim: int):
         stretch = np.zeros((len(seeds), dim, dim))
         tr = np.empty((len(seeds), dim))
         diag = np.arange(dim)
-        for b, seed in enumerate(seeds):
-            rng = rng_from(seed)
+        for b, rng in enumerate(rng_stack(seeds)):
             normals[0, b] = rng.normal(size=(dim, dim))
             normals[1, b] = rng.normal(size=(dim, dim))
             stretch[b, diag, diag] = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=dim))
@@ -323,7 +321,7 @@ def _affine_matrices(dim: int):
 def _projective_matrices(dim: int):
     def sample_matrices(seeds) -> np.ndarray:
         shape = (dim + 1, dim + 1)
-        rngs = [rng_from(seed) for seed in seeds]
+        rngs = rng_stack(seeds)
         m = np.empty((len(seeds),) + shape)
         redo = np.arange(len(seeds))
         # rejection sampling, each redraw on the trial's own generator

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import GeometryError, complex_abs, complex_product, rng_from, times_i
+from .numerics import GeometryError, complex_abs, complex_product, rng_stack, times_i
 from .projective import ProjMap, ProjPoint, Quadric
 
 __all__ = [
@@ -207,7 +207,7 @@ def moebius_inverses(coeffs: np.ndarray, conjugating: np.ndarray) -> np.ndarray:
 def random_moebius_stack(seeds, conjugating=None):
     """The coefficient matrices and conjugating flags of random_moebius
     for each seed: a (B, 2, 2) complex stack and a (B,) mask."""
-    rngs = [rng_from(seed) for seed in seeds]
+    rngs = rng_stack(seeds)
     re, im = np.empty((2, len(seeds), 4))
     redo = np.arange(len(seeds))
     # rejection sampling, each redraw on the trial's own generator, until

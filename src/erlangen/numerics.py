@@ -41,7 +41,126 @@ def mix_seed(seed: int, index: int) -> int:
 
 
 def rng_from(seed: int) -> np.random.Generator:
+    """numpy's own generator for a seed: PCG64 seeded through
+    SeedSequence(seed & MASK64).  rng_stack builds the same generators for
+    a block of seeds at a lower cost per seed."""
     return np.random.Generator(np.random.PCG64(int(seed) & MASK64))
+
+
+def _hash_steps(init: int, mult: int, steps: int):
+    """The xor and multiplier constants of ``steps`` successive steps of
+    SeedSequence's hash: the hash constant starts at ``init`` and is
+    multiplied by ``mult`` (mod 2^32) at each step, before it multiplies
+    the word."""
+    xors, mults = [], []
+    for _ in range(steps):
+        xors.append(init)
+        init = init * mult & 0xFFFFFFFF
+        mults.append(init)
+    return np.array(xors, np.uint32), np.array(mults, np.uint32)
+
+
+@functools.cache
+def _seeding():
+    """The hash constants and the seed sequence type behind rng_stack, made
+    on first use so that importing this module does not load numpy.random.
+
+    The constants are those of SeedSequence with its pool of 4 words
+    (numpy/random/bit_generator.pyx): 4 steps of INIT_A/MULT_A hash the
+    entropy into the pool, 12 more mix the pool (3 per source word, one per
+    other word), and 8 steps of INIT_B/MULT_B draw the 8 state words from
+    the pool read twice."""
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+
+    xa, ma = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+    # row src: the steps of the pass that mixes pool word src into the
+    # others; its own entry stays 0, as the pass restores that word
+    mix_xor, mix_mult = np.zeros((2, 4, 4), np.uint32)
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        mix_xor[src, others], mix_mult[src, others] = xa[steps], ma[steps]
+    xb, mb = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+    # the 4 pool words of a 64-bit seed: its low and high 32 bits, then two
+    # zeros (numpy shifts every bit out for a shift of 64)
+    split = np.array([0, 32, 64, 64], np.uint64)
+
+    class Hashed(ISpawnableSeedSequence):
+        """SeedSequence(seed) whose 4 uint64 state words are already
+        hashed.  PCG64 reads those words; anything else (another
+        generate_state, spawn, entropy, pool, ...) goes to a
+        SeedSequence(seed) made on first use, so spawning counts its
+        children as numpy's does."""
+
+        __slots__ = ("seed", "words", "_sequence")
+
+        def __init__(self, seed, words):
+            self.seed, self.words, self._sequence = seed, words, None
+
+        def sequence(self):
+            if self._sequence is None:
+                self._sequence = SeedSequence(self.seed)
+            return self._sequence
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and dtype is np.uint64:
+                return self.words
+            return self.sequence().generate_state(n_words, dtype)
+
+        def spawn(self, n_children):
+            return self.sequence().spawn(n_children)
+
+        def __getattr__(self, name):
+            return getattr(self.sequence(), name)
+
+        def __reduce__(self):  # pickles as numpy's own SeedSequence
+            return self.sequence().__reduce__()
+
+    def hashed(seeds, words):
+        return [Generator(PCG64(Hashed(s, w))) for s, w in zip(seeds, words)]
+
+    return split, xa[:4], ma[:4], mix_xor, mix_mult, xb.reshape(2, 4), mb.reshape(2, 4), hashed
+
+
+def rng_stack(seeds) -> list:
+    """[rng_from(s) for s in seeds]: the same generators, in the same
+    states, with the same streams.
+
+    NEP 19 freezes the stream that SeedSequence and PCG64 give a seed, so
+    the hash SeedSequence(s).generate_state(4, uint64) that seeds each PCG64
+    can run for the whole block at once, in uint32 arithmetic: each seed
+    (masked to 64 bits) is split into its low and high 32-bit words, as
+    SeedSequence reads an integer, and a seed below 2^32, which it reads as
+    one word, hashes the same, since the pool hashes a missing word as 0.
+    Each PCG64 is then built from its words.  The one difference from
+    rng_from: ``bit_generator.seed_seq`` is not a numpy SeedSequence but an
+    object that hands everything but PCG64's words (spawn, entropy,
+    generate_state of other sizes) to SeedSequence(s), so ``rng.spawn`` and
+    ``seed_seq.spawn`` give numpy's children.
+    """
+    split, init_xor, init_mult, mix_xor, mix_mult, out_xor, out_mult, hashed = _seeding()
+    seeds = [int(s) & MASK64 for s in seeds]
+    pool = (np.array(seeds, dtype=np.uint64)[:, None] >> split).astype(np.uint32)
+    pool ^= init_xor
+    pool *= init_mult
+    pool ^= pool >> 16
+    for src in range(4):
+        # hash the source word once per other word, mix each into that word
+        h = pool[:, src:src + 1] ^ mix_xor[src]
+        h *= mix_mult[src]
+        h ^= h >> 16
+        mixed = pool * 0xCA01F9DD
+        mixed -= h * 0x4973F715
+        mixed ^= mixed >> 16
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    words = pool[:, None, :] ^ out_xor  # the pool read twice: 8 words
+    words *= out_mult
+    words ^= words >> 16
+    # numpy reads the 8 words as little-endian pairs
+    words = words.reshape(len(seeds), 8).astype("<u4", copy=False)
+    return hashed(seeds, words.view("<u8").astype(np.uint64, copy=False))
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import GeometryError, complex_abs, rng_from, row_dot, row_norm
+from .numerics import GeometryError, complex_abs, rng_stack, row_dot, row_norm
 from .projective import Hyperplane, ProjPoint, Quadric, cross_ratio_stack, incident_stack
 from .groups import Configuration, PropertyUndefined
 from .moebius import circle_matrix, circle_parameters
@@ -80,11 +80,19 @@ class Sampler:
     (h, n+1), and its quadric matrices, (q, n+1, n+1), as arrays or
     sequences of them.
     ``sample_stacks(seeds)`` draws one configuration per seed, each from
-    its own ``rng_from(seed)``, and stacks them as (B, k, n+1) point,
+    its own generator, and stacks them as (B, k, n+1) point,
     (B, h, n+1) hyperplane and (B, q, n+1, n+1) quadric arrays.  Called on
     one seed it is the batch of one and returns the Configuration of the
     points, then the hyperplanes, then the quadrics (``configuration`` of
     its rows).
+
+    The generators come from numerics.rng_stack(seeds): numpy's
+    Generator(PCG64(seed)) for each seed, with numpy's stream, built from
+    one stacked SeedSequence hash per block (NEP 19 freezes that stream).
+    A ``draw`` sees the same draws as from rng_from(seed), and
+    ``rng.spawn`` gives numpy's children, but
+    ``rng.bit_generator.seed_seq`` is a stand-in that forwards to
+    numpy's SeedSequence(seed), not a SeedSequence itself.
     """
 
     def __init__(self, dimension: int, draw):
@@ -92,7 +100,7 @@ class Sampler:
         self.draw = draw
 
     def sample_stacks(self, seeds):
-        rows = [self.draw(rng_from(seed)) for seed in seeds]
+        rows = [self.draw(rng) for rng in rng_stack(seeds)]
         m = self.dimension + 1
         return tuple(np.array([r[j] for r in rows], dtype=complex)
                      .reshape((len(rows), len(rows[0][j])) + shape) if len(rows[0][j])

@@ -32,7 +32,7 @@ from .numerics import (
     indefinite_orthogonal_stack,
     lex_key,
     proportionality,
-    rng_from,
+    rng_stack,
 )
 from .moebius import (
     INFINITY,
@@ -516,8 +516,7 @@ def random_pentaspherical_stack(seeds, n: int, scale: bool = True) -> np.ndarray
     normals = np.empty((len(seeds), n, n))
     flips = np.empty((len(seeds), 2), dtype=bool)
     factor = np.empty(len(seeds))
-    for k, seed in enumerate(seeds):
-        rng = rng_from(seed)
+    for k, rng in enumerate(rng_stack(seeds)):
         normals[k] = rng.normal(size=(n, n))
         flips[k] = rng.random() < 0.5, rng.random() < 0.5
         if scale:

@@ -351,9 +351,10 @@ TOUR = (
 
 
 def _loaded_after(argv):
-    """(exit code, whether scipy.linalg is loaded, the erlangen modules
-    that ran) after cli.main(argv) in a fresh interpreter; a module the
-    CLI entered in sys.modules but never read from has not run."""
+    """(exit code, whether scipy.linalg is loaded, whether numpy.random is
+    loaded, the erlangen modules that ran) after cli.main(argv) in a fresh
+    interpreter; a module the CLI entered in sys.modules but never read
+    from has not run."""
     proc = _python("-c", f"""
 import contextlib, io, sys, types
 import erlangen.cli as cli
@@ -361,20 +362,21 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({list(argv)!r})
 ran = sorted(n for n, m in sys.modules.items()
              if n.startswith("erlangen") and type(m) is types.ModuleType)
-print(code, "scipy.linalg" in sys.modules, *ran)
+print(code, "scipy.linalg" in sys.modules, "numpy.random" in sys.modules, *ran)
 """)
     assert proc.returncode == 0, proc.stderr
-    code, scipy_linalg, *ran = proc.stdout.split()
-    return int(code), scipy_linalg == "True", ran
+    code, scipy_linalg, numpy_random, *ran = proc.stdout.split()
+    return int(code), scipy_linalg == "True", numpy_random == "True", ran
 
 
 @pytest.mark.parametrize("argv", TOUR, ids=lambda argv: "-".join(argv[:3]))
 def test_no_tour_step_loads_scipy_linalg(argv):
-    code, scipy_linalg, ran = _loaded_after(argv)
+    code, scipy_linalg, numpy_random, ran = _loaded_after(argv)
     assert code in (0, 1)
     assert not scipy_linalg
     assert "erlangen.cli" in ran
     if argv[0] in ("distance", "transfer", "covariants"):
+        assert not numpy_random
         assert "erlangen.groups" not in ran
         assert "erlangen.properties" not in ran
 
@@ -382,8 +384,8 @@ def test_no_tour_step_loads_scipy_linalg(argv):
 def test_contact_check_runs_no_group_module():
     """The report writer holds the verdict records, so serializing a
     ContactVerdict runs none of the group and transfer modules."""
-    code, _, ran = _loaded_after(["contact-check", "--map", "legendre", "--samples=20",
-                                  "--seed=3"])
+    code, _, _, ran = _loaded_after(["contact-check", "--map", "legendre", "--samples=20",
+                                     "--seed=3"])
     assert code == 0
     for module in ("groups", "projective", "moebius", "transfers", "properties"):
         assert f"erlangen.{module}" not in ran

@@ -1,6 +1,7 @@
 """The form-orthonormal completion behind symmetric_gram_basis and
 sample_form_preserving, against the two Gram-Schmidt loops it replaced;
-and expm_stack against scipy.linalg.expm, bit for bit."""
+expm_stack against scipy.linalg.expm, and rng_stack against numpy's own
+generator construction, bit for bit."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from erlangen import numerics
@@ -18,7 +20,9 @@ from erlangen.numerics import (
     _form_orthonormal_completion,
     _pade_kernel,
     expm_stack,
+    mix_seed,
     rng_from,
+    rng_stack,
     sample_form_preserving,
     symmetric_gram_basis,
 )
@@ -259,3 +263,76 @@ def test_complex_orthogonal_keeps_its_draws(n):
         assert _complex_orthogonal(new, n).tobytes() == _old_complex_orthogonal(old, n).tobytes()
         # and leaves the generator where the old draw did
         assert new.bit_generator.state == old.bit_generator.state
+
+
+# -- rng_stack against Generator(PCG64(seed)) ----------------------------------
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, -2**63]
+
+
+def _assert_numpy_generators(seeds):
+    """Each generator of rng_stack(seeds) is in the state of numpy's own for
+    its seed (masked to 64 bits, as rng_from masks it) and makes the same
+    first draws."""
+    stacked = rng_stack(seeds)
+    assert len(stacked) == len(seeds)
+    for seed, rng in zip(seeds, stacked):
+        ref = np.random.Generator(np.random.PCG64(seed & numerics.MASK64))
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+        for draw in ("normal", "uniform", "random"):
+            assert getattr(rng, draw)() == getattr(ref, draw)(), (seed, draw)
+
+
+def test_rng_stack_is_numpy_on_the_edge_seeds():
+    _assert_numpy_generators(EDGE_SEEDS)
+
+
+def test_rng_stack_is_numpy_on_random_seeds():
+    seeds = [int(s) for s in rng_from(2024).integers(0, 2**64, size=1000, dtype=np.uint64)]
+    _assert_numpy_generators(seeds)
+
+
+def test_rng_stack_of_no_seeds():
+    assert rng_stack([]) == []
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2**63, 2**64 - 1), max_size=5))
+def test_rng_stack_is_numpy_on_any_block(seeds):
+    _assert_numpy_generators(seeds)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS[:6] + [mix_seed(3, 4)])
+def test_rng_stack_spawns_numpy_children(seed):
+    stacked, ref = rng_stack([seed])[0], rng_from(seed)
+    for _ in range(3):  # the second and third spawn continue the count
+        assert ([c.random(4).tobytes() for c in stacked.spawn(2)]
+                == [c.random(4).tobytes() for c in ref.spawn(2)])
+        assert ([c.generate_state(2).tobytes() for c in stacked.bit_generator.seed_seq.spawn(2)]
+                == [c.generate_state(2).tobytes() for c in ref.bit_generator.seed_seq.spawn(2)])
+
+
+def test_rng_stack_seed_sequence_reads_as_numpy():
+    """Anything but PCG64's state words comes from numpy's SeedSequence,
+    and a pickled generator comes back with numpy's own."""
+    import pickle
+
+    rng, ref = rng_stack([2**40 + 7])[0], rng_from(2**40 + 7)
+    seq, ref_seq = rng.bit_generator.seed_seq, ref.bit_generator.seed_seq
+    assert seq.entropy == ref_seq.entropy and seq.pool_size == ref_seq.pool_size
+    assert seq.generate_state(3).tobytes() == ref_seq.generate_state(3).tobytes()
+    copy = pickle.loads(pickle.dumps(rng))
+    assert isinstance(copy.bit_generator.seed_seq, np.random.SeedSequence)
+    assert copy.random() == rng.random() == ref.random()
+
+
+def test_numerics_loads_no_numpy_random():
+    """rng_stack builds its seed sequence type on first use, so importing
+    numerics leaves numpy.random unloaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, erlangen.numerics; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["False"], proc.stderr
