@@ -38,6 +38,7 @@ import numpy as np
 from .numerics import (
     DimensionMismatch,
     GeometryError,
+    UniformWindow,
     complex_abs,
     complex_product,
     complex_quotient,
@@ -49,6 +50,7 @@ from .numerics import (
     proportionality_stack,
     rng_stack,
     times_i,
+    uniform,
 )
 from .projective import (
     PROJMAP_FAULTS,
@@ -319,15 +321,18 @@ def _affine_matrices(dim: int):
 
 
 def _projective_matrices(dim: int):
+    """Sampler of matrices with entries uniform in [-1, 1], each redrawn
+    until its condition number is below 50."""
+    n = dim + 1
+
     def sample_matrices(seeds) -> np.ndarray:
-        shape = (dim + 1, dim + 1)
-        rngs = rng_stack(seeds)
-        m = np.empty((len(seeds),) + shape)
-        redo = np.arange(len(seeds))
-        # rejection sampling, each redraw on the trial's own generator
-        while redo.size:
-            m[redo] = [rngs[b].uniform(-1.0, 1.0, size=shape) for b in redo]
-            redo = redo[~(np.linalg.cond(m[redo]) < 50.0)]
+        window = UniformWindow(rng_stack(seeds), n * n, n * n)
+        m = uniform(-1.0, 1.0, window.take(None, n * n)).reshape(-1, n, n)
+        rows = np.flatnonzero(~(np.linalg.cond(m) < 50.0))
+        # rejection sampling, each redraw from the trial's next doubles
+        while rows.size:
+            m[rows] = uniform(-1.0, 1.0, window.take(rows, n * n)).reshape(-1, n, n)
+            rows = rows[~(np.linalg.cond(m[rows]) < 50.0)]
         return m.astype(complex)
     return sample_matrices
 

@@ -29,6 +29,7 @@ __all__ = [
     "unit_sphere_quadric",
     "chordal_distance",
     "circle_matrix",
+    "circle_matrices",
     "circle_quadric",
     "CIRCLE_FAULTS",
     "circle_parameters",
@@ -331,9 +332,18 @@ def circle_matrix(center, radius: float) -> np.ndarray:
     r = float(radius)
     if r < 0 or not np.isfinite(r):
         raise GeometryError("radius must be a finite nonnegative real")
-    a, b = c.real, c.imag
-    cc = a * a + b * b - r * r
-    return np.array([[1.0, 0.0, -a], [0.0, 1.0, -b], [-a, -b, cc]], dtype=complex)
+    return circle_matrices(np.array([c.real, c.imag, r]))
+
+
+def circle_matrices(circles: np.ndarray) -> np.ndarray:
+    """The (..., 3, 3) stack of circle_matrix(x + iy, r) for a (..., 3)
+    real stack of circles (x, y, r)."""
+    m = np.zeros(circles.shape[:-1] + (3, 3), dtype=complex)
+    m[..., [0, 1], [0, 1]] = 1.0
+    m[..., :2, 2] = m[..., 2, :2] = -circles[..., :2]
+    squares = circles * circles
+    m[..., 2, 2] = squares[..., 0] + squares[..., 1] - squares[..., 2]
+    return m
 
 
 def circle_quadric(center, radius: float) -> Quadric:

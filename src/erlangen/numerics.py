@@ -123,6 +123,11 @@ def _seeding():
     return split, xa[:4], ma[:4], mix_xor, mix_mult, xb.reshape(2, 4), mb.reshape(2, 4), hashed
 
 
+#: the fewest seeds rng_stack hashes as a stack: the stacked hash costs
+#: about as much as 5 calls of rng_from, so smaller blocks take those calls
+_STACKED_FROM = 6
+
+
 def rng_stack(seeds) -> list:
     """[rng_from(s) for s in seeds]: the same generators, in the same
     states, with the same streams.
@@ -133,14 +138,18 @@ def rng_stack(seeds) -> list:
     (masked to 64 bits) is split into its low and high 32-bit words, as
     SeedSequence reads an integer, and a seed below 2^32, which it reads as
     one word, hashes the same, since the pool hashes a missing word as 0.
-    Each PCG64 is then built from its words.  The one difference from
-    rng_from: ``bit_generator.seed_seq`` is not a numpy SeedSequence but an
-    object that hands everything but PCG64's words (spawn, entropy,
+    Each PCG64 is then built from its words.  A block of fewer than
+    _STACKED_FROM seeds, where the stacked hash does not pay for itself,
+    is rng_from of each seed.  The one difference from rng_from, in a
+    larger block: ``bit_generator.seed_seq`` is not a numpy SeedSequence
+    but an object that hands everything but PCG64's words (spawn, entropy,
     generate_state of other sizes) to SeedSequence(s), so ``rng.spawn`` and
     ``seed_seq.spawn`` give numpy's children.
     """
-    split, init_xor, init_mult, mix_xor, mix_mult, out_xor, out_mult, hashed = _seeding()
     seeds = [int(s) & MASK64 for s in seeds]
+    if len(seeds) < _STACKED_FROM:
+        return [rng_from(s) for s in seeds]
+    split, init_xor, init_mult, mix_xor, mix_mult, out_xor, out_mult, hashed = _seeding()
     pool = (np.array(seeds, dtype=np.uint64)[:, None] >> split).astype(np.uint32)
     pool ^= init_xor
     pool *= init_mult
@@ -161,6 +170,74 @@ def rng_stack(seeds) -> list:
     # numpy reads the 8 words as little-endian pairs
     words = words.reshape(len(seeds), 8).astype("<u4", copy=False)
     return hashed(seeds, words.view("<u8").astype(np.uint64, copy=False))
+
+
+#: the rejection rounds a sampler's window holds beyond its first pass
+WINDOW_REDRAWS = 3
+
+
+class UniformWindow:
+    """The next uniform doubles of a block of generators, read ahead.
+
+    Generator.random and Generator.uniform read one double of the stream
+    per number, in C order, and NEP 19 freezes both, so the draws a trial
+    makes of those two kinds are the next doubles of its generator, in
+    turn.  The window reads ``once + WINDOW_REDRAWS * again`` of them from
+    each generator, one ``random(out=row)`` call per generator: ``once``
+    for the draws of a sampler's first pass, ``again`` for those of one
+    rejection round.  ``take(rows, n)`` hands out each row's next n
+    doubles, from a cursor per row.  A row that runs past its window reads
+    its next doubles from its own generator, which stands just past the
+    window, so the doubles a row hands out are its generator's stream in
+    order, however wide the window.  An empty window (``once`` 0) reads
+    every draw from the generators, as the draws would have been made on
+    them, and leaves each generator just past the doubles its row took.
+    """
+
+    def __init__(self, rngs, once: int, again: int = 0):
+        self.rngs = rngs
+        self.width = once + WINDOW_REDRAWS * again
+        self.doubles = np.empty((len(rngs), self.width))
+        if self.width:
+            for rng, row in zip(rngs, self.doubles):
+                rng.random(out=row)
+        # the cursor the rows share while they stay in step; once some rows
+        # take alone, the (B,) cursors, and step None
+        self.step, self.cursors = 0, None
+
+    def take(self, rows, n: int) -> np.ndarray:
+        """The next n doubles of each row in ``rows``, an increasing array
+        of row indices (None: every row), as a (rows, n) array, which the
+        caller does not write to."""
+        if self.step is not None and (rows is None or len(rows) == len(self.rngs)):
+            if self.step + n <= self.width:
+                self.step += n
+                return self.doubles[:, self.step - n:self.step]
+        if rows is None:
+            rows = np.arange(len(self.rngs))
+        if self.cursors is None:
+            self.cursors = np.full(len(self.rngs), self.step)
+            self.step = None
+        start = self.cursors[rows]
+        self.cursors[rows] = start + n
+        starts = start.tolist()
+        if not starts:
+            return np.empty((0, n))
+        if min(starts) == max(starts) and starts[0] + n <= self.width:
+            return self.doubles[rows, starts[0]:starts[0] + n]
+        out = np.empty((len(rows), n))
+        for row, r, s in zip(out, rows.tolist(), starts):
+            inside = min(n, max(0, self.width - s))
+            row[:inside] = self.doubles[r, s:s + inside]
+            if inside < n:
+                self.rngs[r].random(out=row[inside:])
+        return out
+
+
+def uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
+    """Generator.uniform(low, high) of the doubles ``u``, bit for bit: numpy
+    draws low + (high - low) * u."""
+    return low + (high - low) * u
 
 
 def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -401,7 +478,7 @@ def indefinite_orthogonal_stack(normals: np.ndarray, flips: np.ndarray, p: int) 
     after, which reaches the other components."""
     n = normals.shape[-1]
     a = (normals - normals.transpose(0, 2, 1)) / 2.0
-    flat = a.reshape(len(a), -1)
+    flat = a.reshape(len(a), n * n)
     nrm = np.sqrt(row_dot(flat, flat))
     a = a * np.divide(0.8, nrm, out=np.ones_like(nrm), where=nrm > 0)[:, None, None]
     g = np.diag(np.concatenate([np.ones(p), -np.ones(n - p)]))

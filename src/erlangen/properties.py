@@ -18,6 +18,14 @@ friends), so values and verdicts are bit for bit those of the former
 scalar bodies.  ck-distance is sampled by a Sampler too, so
 invariance_test samples and maps its configurations on stacks, but it is
 evaluated per configuration.
+
+Every built-in sampler draws only uniform numbers, so it is written on a
+numerics.UniformWindow: each trial's draws are read ahead as one window of
+its generator's doubles, and the block's configurations are built from
+the (B, K) window at once.  A coin becomes a mask, and a rejection loop a
+masked redraw from the rows' next doubles; a row that runs past its
+window reads on from its own generator.  So each configuration is bit for
+bit the one the trial's generator gave when it was drawn number by number.
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import GeometryError, complex_abs, rng_stack, row_dot, row_norm
+from .numerics import (GeometryError, UniformWindow, complex_abs, rng_stack, row_dot, row_norm,
+                       times_i, uniform)
 from .projective import Hyperplane, ProjPoint, Quadric, cross_ratio_stack, incident_stack
 from .groups import Configuration, PropertyUndefined
-from .moebius import circle_matrix, circle_parameters
+from .moebius import circle_matrices, circle_parameters
 from .cayley_klein import (CKMetric, _sign_normalized, ck_distance, klein_disk_metric,
                            elliptic_metric)
 from .names import PROPERTY_NAMES
@@ -87,12 +96,16 @@ class Sampler:
     its rows).
 
     The generators come from numerics.rng_stack(seeds): numpy's
-    Generator(PCG64(seed)) for each seed, with numpy's stream, built from
-    one stacked SeedSequence hash per block (NEP 19 freezes that stream).
-    A ``draw`` sees the same draws as from rng_from(seed), and
-    ``rng.spawn`` gives numpy's children, but
-    ``rng.bit_generator.seed_seq`` is a stand-in that forwards to
+    Generator(PCG64(seed)) for each seed, with numpy's stream (NEP 19
+    freezes it), built from one stacked SeedSequence hash in a block of
+    more than a few seeds.  A ``draw`` sees the same draws as from
+    rng_from(seed), and ``rng.spawn`` gives numpy's children, but in such
+    a block ``rng.bit_generator.seed_seq`` is a stand-in that forwards to
     numpy's SeedSequence(seed), not a SeedSequence itself.
+
+    A Sampler(dimension, draw) calls ``draw`` once per generator.  The
+    built-in samplers are WindowSamplers, which build the whole block from
+    one window of uniform doubles per trial.
     """
 
     def __init__(self, dimension: int, draw):
@@ -103,7 +116,7 @@ class Sampler:
         rows = [self.draw(rng) for rng in rng_stack(seeds)]
         m = self.dimension + 1
         return tuple(np.array([r[j] for r in rows], dtype=complex)
-                     .reshape((len(rows), len(rows[0][j])) + shape) if len(rows[0][j])
+                     .reshape((len(rows), len(rows[0][j])) + shape) if rows and len(rows[0][j])
                      else np.empty((len(rows), 0) + shape, dtype=complex)
                      for j, shape in enumerate(((m,), (m,), (m, m))))
 
@@ -118,8 +131,36 @@ class Sampler:
                              + [Quadric(q) for q in quadrics])
 
 
-_NO_ROWS = np.empty((0, 0))
-_NO_QUADRICS = np.empty((0, 0, 0))
+class WindowSampler(Sampler):
+    """A Sampler whose draws are all uniform numbers, made on windows.
+
+    ``stacks(window)`` builds the configurations of a block from a
+    numerics.UniformWindow over the block's generators and returns their
+    stacks, as ``sample_stacks`` does; ``once`` and ``again`` size the
+    window (see UniformWindow).  ``sample_stacks(seeds)`` runs it on a
+    window over rng_stack(seeds), which it reads with one call per
+    generator.  ``draw(rng)`` is its batch of one on an empty window: it
+    reads its draws from ``rng`` one call at a time, as they were made
+    number by number, and leaves ``rng`` just past them.
+    """
+
+    def __init__(self, dimension: int, stacks, once: int, again: int = 0):
+        self.dimension, self.stacks, self.once, self.again = dimension, stacks, once, again
+
+    def draw(self, rng):
+        return tuple(x[0] for x in self.stacks(UniformWindow([rng], 0)))
+
+    def sample_stacks(self, seeds):
+        return self.stacks(UniformWindow(rng_stack(seeds), self.once, self.again))
+
+
+def _configurations(m: int, points=None, hyperplanes=None, quadrics=None):
+    """The complex point, hyperplane and quadric stacks of a block of
+    configurations of n+1 = m coordinates, from the real stacks given; a
+    slot not given holds no rows."""
+    b = len(next(x for x in (points, hyperplanes, quadrics) if x is not None))
+    return tuple(np.empty((b, 0) + shape, dtype=complex) if x is None else np.asarray(x, complex)
+                 for x, shape in ((points, (m,)), (hyperplanes, (m,)), (quadrics, (m, m))))
 
 
 def _stacks(c: Configuration):
@@ -175,10 +216,12 @@ def _homogeneous(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _points_draw(count: int, dimension: int):
-    def draw(rng):
-        return _homogeneous(rng.uniform(-1, 1, (count, dimension))), _NO_ROWS, _NO_QUADRICS
-    return draw
+def _points_sampler(count: int, dimension: int) -> WindowSampler:
+    """count points, each coordinate uniform in [-1, 1]."""
+    def stacks(window):
+        coords = uniform(-1, 1, window.take(None, count * dimension))
+        return _configurations(dimension + 1, _homogeneous(coords.reshape(-1, count, dimension)))
+    return WindowSampler(dimension, stacks, count * dimension)
 
 
 def _euclidean_distance(points, hyperplanes, quadrics):
@@ -202,20 +245,28 @@ def _angle_at_vertex(points, hyperplanes, quadrics):
     return np.arccos(np.clip(cosv, -1.0, 1.0)).astype(complex), undefined
 
 
-def _collinear_quadruple_draw(dimension: int):
-    def draw(rng):
-        # one draw of 2d numbers takes the same stream as two of d
-        base, direction = rng.uniform(-1, 1, (2, dimension))
-        # np.linalg.norm of a real vector, without its dispatch
-        direction /= np.sqrt(direction.dot(direction))
-        while True:
-            ts = rng.uniform(-2, 2, 4)
-            # the closest pair of parameters is a neighbouring pair in order
-            t = sorted(ts.tolist())
-            if min(t[1] - t[0], t[2] - t[1], t[3] - t[2]) > 0.05:
-                break
-        return _homogeneous(base + ts[:, None] * direction), _NO_ROWS, _NO_QUADRICS
-    return draw
+def _collinear_quadruple_sampler(dimension: int) -> WindowSampler:
+    """Four points base + t * direction of a line through a base point,
+    with a unit direction; the parameters t are uniform in [-2, 2] and
+    redrawn until no two lie within 0.05."""
+    # base and direction uniform in [-1, 1]^d, then the four parameters
+    bounds = np.repeat([[-1.0, -2.0], [1.0, 2.0]], [2 * dimension, 4], axis=1)
+
+    def spaced(ts):
+        # the closest pair of parameters is a neighbouring pair in order
+        return np.diff(np.sort(ts, axis=1), axis=1).min(axis=1) > 0.05
+
+    def stacks(window):
+        line = uniform(*bounds, window.take(None, 2 * dimension + 4))
+        base, direction, ts = line[:, :dimension], line[:, dimension:-4], line[:, -4:]
+        direction = direction / np.sqrt(row_dot(direction, direction))[:, None]
+        rows = np.flatnonzero(~spaced(ts))
+        while rows.size:
+            ts[rows] = uniform(-2, 2, window.take(rows, 4))
+            rows = rows[~spaced(ts[rows])]
+        points = base[:, None] + ts[:, :, None] * direction[:, None]
+        return _configurations(dimension + 1, _homogeneous(points))
+    return WindowSampler(dimension, stacks, 2 * dimension + 4, 4)
 
 
 def _cross_ratio_prop(points, hyperplanes, quadrics):
@@ -225,21 +276,28 @@ def _cross_ratio_prop(points, hyperplanes, quadrics):
     return values, np.where(faults != 0, 2, 0)
 
 
-def _incidence_draw(dimension: int):
-    def draw(rng):
-        coeffs = rng.uniform(-1, 1, dimension + 1)
-        if rng.random() < 0.5:
-            # construct an incident point inside the hyperplane
-            basis = np.eye(dimension + 1)
-            k = int(np.argmax(np.abs(coeffs)))
-            vecs = [basis[:, i] - (coeffs[i] / coeffs[k]) * basis[:, k]
-                    for i in range(dimension + 1) if i != k]
-            weights = rng.uniform(-1, 1, len(vecs))
-            pt = sum(w * v for w, v in zip(weights, vecs))
-        else:
-            pt = _homogeneous(rng.uniform(-1, 1, dimension))
-        return pt[None], coeffs[None], _NO_QUADRICS
-    return draw
+def _incidence_sampler(dimension: int) -> WindowSampler:
+    """A hyperplane with coefficients uniform in [-1, 1] and, on a coin, a
+    point inside it (a combination of the basis vectors e_i - (c_i/c_k) e_k,
+    i != k, with c_k the coefficient of largest magnitude, by weights
+    uniform in [-1, 1]), else a point of uniform affine coordinates."""
+    n = dimension + 1
+
+    def stacks(window):
+        u = window.take(None, 2 * n)
+        coeffs, weights = uniform(-1, 1, u[:, :n]), uniform(-1, 1, u[:, n + 1:])
+        k = np.argmax(np.abs(coeffs), axis=1)
+        # the indices i != k, in order
+        others = np.arange(dimension) + (np.arange(dimension) >= k[:, None])
+        ratios = np.take_along_axis(coeffs, others, 1) / np.take_along_axis(coeffs, k[:, None], 1)
+        basis = np.eye(n)
+        terms = weights[..., None] * (basis[others] - ratios[..., None] * basis[k][:, None])
+        incident = 0  # summed in order from 0, as Python's sum adds them
+        for i in range(dimension):
+            incident = incident + terms[:, i]
+        points = np.where(u[:, n:n + 1] < 0.5, incident, _homogeneous(weights))
+        return _configurations(n, points[:, None], coeffs[:, None])
+    return WindowSampler(dimension, stacks, 2 * n)
 
 
 def _incidence_prop(points, hyperplanes, quadrics):
@@ -248,23 +306,48 @@ def _incidence_prop(points, hyperplanes, quadrics):
     return incident_stack(points[:, 0], hyperplanes[:, 0], 1e-8), np.zeros(len(points), np.int8)
 
 
-def _circle_pair_draw(rng):
-    c1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    r1 = rng.uniform(0.3, 1.2)
-    if rng.random() < 0.5:
-        # externally tangent companion
-        theta = rng.uniform(0, 2 * np.pi)
-        r2 = rng.uniform(0.3, 1.2)
-        c2 = c1 + (r1 + r2) * np.exp(1j * theta)
-    else:
+#: the bounds of a circle pair's first six uniform draws: the first
+#: circle's centre x and y and radius, the coin, and on the coin the
+#: tangent circle's direction and radius
+_TANGENT_PAIR = (np.array([-1.0, -1.0, 0.3, 0.0, 0.0, 0.3]),
+                 np.array([1.0, 1.0, 1.2, 1.0, 2 * np.pi, 1.2]))
+#: the bounds of the other circle off the coin: centre x and y, radius
+_OTHER_CIRCLE = np.array([-2.0, -2.0, 0.3]), np.array([2.0, 2.0, 1.2])
+
+
+def _circle_pair(window):
+    """Two circles: the first with its centre uniform in [-1, 1]^2 and
+    radius in [0.3, 1.2]; on a coin, the second is externally tangent to it
+    (a direction uniform in [0, 2 pi), a radius in [0.3, 1.2]), else its
+    centre is uniform in [-2, 2]^2 and its radius in [0.3, 1.2], redrawn
+    until it is 0.05 away from tangency inside and out."""
+    u = window.take(None, 6)
+    v = uniform(*_TANGENT_PAIR, u)
+    circles = np.empty((len(u), 2, 3))  # per circle: centre x and y, radius
+    circles[:, 0] = v[:, :3]
+    circles[:, 1, 2] = v[:, 5]
+    # c1 + (r1 + r2) * exp(1j * theta): the complex product's other terms
+    # are exact zeros
+    e = np.exp(times_i(v[:, 4]))
+    circles[:, 1, :2] = v[:, :2] + (v[:, 2] + v[:, 5])[:, None] * e[:, None].view(float)
+    # off the coin, the first centre drawn is the same two doubles, and its
+    # radius one more
+    rows = np.flatnonzero(~(u[:, 3] < 0.5))
+    if rows.size:
+        first = v[rows, :3]
+        draws = np.concatenate([u[rows, 4:], window.take(rows, 1)], axis=1)
         while True:
-            c2 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            r2 = rng.uniform(0.3, 1.2)
-            d = abs(c2 - c1)
+            second = uniform(*_OTHER_CIRCLE, draws)
+            circles[rows, 1] = second
+            d = np.hypot(*(second[:, :2] - first[:, :2]).T)  # abs() of c2 - c1
+            r1, r2 = first[:, 2], second[:, 2]
             # keep decidedly away from tangency so the verdict is stable
-            if min(abs(d - (r1 + r2)), abs(d - abs(r1 - r2))) > 0.05:
+            redo = ~(np.minimum(np.abs(d - (r1 + r2)), np.abs(d - np.abs(r1 - r2))) > 0.05)
+            if not redo.any():
                 break
-    return _NO_ROWS, _NO_ROWS, [circle_matrix(c1, r1), circle_matrix(c2, r2)]
+            rows, first = rows[redo], first[redo]
+            draws = window.take(rows, 3)
+    return _configurations(3, quadrics=circle_matrices(circles))
 
 
 def _tangency(points, hyperplanes, quadrics):
@@ -291,16 +374,24 @@ def _tangency(points, hyperplanes, quadrics):
     return gap < 1e-7 * np.maximum(1.0, scale), undefined.astype(np.int8)
 
 
-def _triple_maybe_collinear_draw(dimension: int):
-    def draw(rng):
-        if rng.random() < 0.5:
-            base, direction = rng.uniform(-1, 1, (2, dimension))
-            ts = rng.uniform(-1.5, 1.5, 2)
-            pts = np.array([base, base + ts[0] * direction, base + ts[1] * direction])
-        else:
-            pts = rng.uniform(-1, 1, (3, dimension))
-        return _homogeneous(pts), _NO_ROWS, _NO_QUADRICS
-    return draw
+def _triple_maybe_collinear_sampler(dimension: int) -> WindowSampler:
+    """Three points: on a coin, base and base + t * direction for two t
+    uniform in [-1.5, 1.5] (base and direction uniform in [-1, 1]^d), else
+    three points uniform in [-1, 1]^d."""
+    def stacks(window):
+        u = window.take(None, 2 * dimension + 3)
+        base = uniform(-1, 1, u[:, 1:dimension + 1])
+        direction = uniform(-1, 1, u[:, dimension + 1:-2])
+        points = np.empty((len(u), 3, dimension))
+        points[:, 0] = base
+        ts = uniform(-1.5, 1.5, u[:, -2:])
+        points[:, 1:] = base[:, None] + ts[..., None] * direction[:, None]
+        # off the coin the 3d numbers are the same 2d + 2 doubles and d - 2 more
+        rows = np.flatnonzero(~(u[:, 0] < 0.5))
+        spread = np.concatenate([u[rows, 1:], window.take(rows, dimension - 2)], axis=1)
+        points[rows] = uniform(-1, 1, spread).reshape(-1, 3, dimension)
+        return _configurations(dimension + 1, _homogeneous(points))
+    return WindowSampler(dimension, stacks, 1 + 3 * dimension)
 
 
 def _collinearity_prop(points, hyperplanes, quadrics):
@@ -327,13 +418,19 @@ def _ck_distance_prop(metric: CKMetric):
     return evaluate
 
 
-def _disk_pair_draw(rng):
-    pts = []
-    while len(pts) < 2:
-        p = rng.uniform(-1, 1, 2)
-        if np.linalg.norm(p) < 0.9:
-            pts.append(p)
-    return _homogeneous(np.array(pts)), _NO_ROWS, _NO_QUADRICS
+def _disk_pair(window):
+    """Two points of the disk of radius 0.9, each uniform in [-1, 1]^2 and
+    redrawn until it falls inside."""
+    b = len(window.rngs)
+    points, found = np.empty((b, 2, 2)), np.zeros(b, dtype=np.intp)
+    rows = np.arange(b)
+    while rows.size:
+        p = uniform(-1, 1, window.take(rows, 2))
+        inside = np.sqrt(row_dot(p, p)) < 0.9  # np.linalg.norm of each point
+        points[rows[inside], found[rows[inside]]] = p[inside]
+        found[rows[inside]] += 1
+        rows = rows[found[rows] < 2]
+    return _configurations(3, _homogeneous(points))
 
 
 def builtin_property(name: str, dimension: int = 2,
@@ -347,37 +444,35 @@ def builtin_property(name: str, dimension: int = 2,
         raise GeometryError(f"property {name!r} takes no metric parameter")
     if name == "euclidean-distance":
         return BuiltinProperty(name, Functional(_euclidean_distance, _DISTANCE_REASONS),
-                               Sampler(dimension, _points_draw(2, dimension)), False)
+                               _points_sampler(2, dimension), False)
     if name == "angle":
         return BuiltinProperty(name, Functional(_angle_at_vertex, _ANGLE_REASONS),
-                               Sampler(dimension, _points_draw(3, dimension)), False)
+                               _points_sampler(3, dimension), False)
     if name == "cross-ratio":
         return BuiltinProperty(name, Functional(_cross_ratio_prop, _CROSS_RATIO_REASONS),
-                               Sampler(dimension, _collinear_quadruple_draw(dimension)),
-                               False)
+                               _collinear_quadruple_sampler(dimension), False)
     if name == "incidence":
         return BuiltinProperty(name, Functional(_incidence_prop, _INCIDENCE_REASONS),
-                               Sampler(dimension, _incidence_draw(dimension)), True)
+                               _incidence_sampler(dimension), True)
     if name == "tangency":
         if dimension != 2:
             raise GeometryError("tangency is a plane property")
         return BuiltinProperty(name, Functional(_tangency, _TANGENCY_REASONS),
-                               Sampler(2, _circle_pair_draw), True)
+                               WindowSampler(2, _circle_pair, 7, 3), True)
     if name == "collinearity":
         if dimension < 2:
             raise GeometryError("collinearity needs dimension >= 2: all points of "
                                 "P^1 lie on its one line")
         return BuiltinProperty(name, Functional(_collinearity_prop, _COLLINEARITY_REASONS),
-                               Sampler(dimension, _triple_maybe_collinear_draw(dimension)),
-                               True)
+                               _triple_maybe_collinear_sampler(dimension), True)
     if name == "ck-distance":
         if metric is None:
             raise GeometryError("ck-distance requires a metric parameter")
         if metric == "klein-disk":
             return BuiltinProperty(name, _ck_distance_prop(klein_disk_metric()),
-                                   Sampler(2, _disk_pair_draw), False)
+                                   WindowSampler(2, _disk_pair, 4, 4), False)
         if metric == "elliptic":
             return BuiltinProperty(name, _ck_distance_prop(elliptic_metric()),
-                                   Sampler(2, _points_draw(2, 2)), False)
+                                   _points_sampler(2, 2), False)
         raise GeometryError(f"unknown metric {metric!r}")
     raise GeometryError(f"unknown property: {name}")

@@ -297,14 +297,27 @@ def test_rng_stack_of_no_seeds():
 
 
 @settings(deadline=None, derandomize=True)
-@given(st.lists(st.integers(-2**63, 2**64 - 1), max_size=5))
+@given(st.lists(st.integers(-2**63, 2**64 - 1), max_size=2 * numerics._STACKED_FROM))
 def test_rng_stack_is_numpy_on_any_block(seeds):
     _assert_numpy_generators(seeds)
 
 
+def test_small_blocks_are_rng_from():
+    """Below the break-even a block is rng_from of each seed, with numpy's
+    own SeedSequence; from it, the stacked hash's stand-in."""
+    for size in range(1, 2 * numerics._STACKED_FROM):
+        seq = rng_stack(EDGE_SEEDS[:1] * size)[0].bit_generator.seed_seq
+        assert isinstance(seq, np.random.SeedSequence) == (size < numerics._STACKED_FROM)
+
+
+def _stacked(seed):
+    """The generator of ``seed`` from a block that rng_stack hashes as a stack."""
+    return rng_stack([seed] + list(range(numerics._STACKED_FROM - 1)))[0]
+
+
 @pytest.mark.parametrize("seed", EDGE_SEEDS[:6] + [mix_seed(3, 4)])
 def test_rng_stack_spawns_numpy_children(seed):
-    stacked, ref = rng_stack([seed])[0], rng_from(seed)
+    stacked, ref = _stacked(seed), rng_from(seed)
     for _ in range(3):  # the second and third spawn continue the count
         assert ([c.random(4).tobytes() for c in stacked.spawn(2)]
                 == [c.random(4).tobytes() for c in ref.spawn(2)])
@@ -317,7 +330,8 @@ def test_rng_stack_seed_sequence_reads_as_numpy():
     and a pickled generator comes back with numpy's own."""
     import pickle
 
-    rng, ref = rng_stack([2**40 + 7])[0], rng_from(2**40 + 7)
+    rng, ref = _stacked(2**40 + 7), rng_from(2**40 + 7)
+    assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
     seq, ref_seq = rng.bit_generator.seed_seq, ref.bit_generator.seed_seq
     assert seq.entropy == ref_seq.entropy and seq.pool_size == ref_seq.pool_size
     assert seq.generate_state(3).tobytes() == ref_seq.generate_state(3).tobytes()
