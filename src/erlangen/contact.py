@@ -132,8 +132,7 @@ def _contact_covector(v: np.ndarray) -> np.ndarray:
     return np.array([-v[2], 1.0, 0.0])    # dy - p dx on (x, y, p)
 
 
-def _alignment_check(m: FiveMap, seed: int, samples: int, tol: float,
-                     box: float = 1.0) -> ContactVerdict:
+def _alignment_check(m: FiveMap, seed: int, samples: int, tol: float) -> ContactVerdict:
     if samples < 10:
         raise ValueError("need at least 10 samples")
     used = 0
@@ -143,7 +142,7 @@ def _alignment_check(m: FiveMap, seed: int, samples: int, tol: float,
     witness_pt = witness_res = None
     verdict = True
     for rng in rng_stack([mix_seed(seed, i) for i in range(samples)]):
-        v = rng.uniform(-box, box, size=m.dim)
+        v = rng.uniform(-1.0, 1.0, size=m.dim)
         try:
             image = m(v)
             jac = m.jacobian_at(v)

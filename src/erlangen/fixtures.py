@@ -3,13 +3,6 @@
 Every derived value names the oracle that produced it; ``regenerate``
 reruns the oracles and reports mismatches, so a drifting computation
 cannot silently keep a stale expected value alive.
-
-Serialization is line-oriented and byte-deterministic:
-
-    <name> | <provenance> | <oracle or -> | <tolerance> | <value>
-
-with values encoded by repr (17 significant digits suffice for exact
-round-trips of doubles); lists are comma-separated inside brackets.
 """
 
 from __future__ import annotations
@@ -36,8 +29,6 @@ __all__ = [
     "FixtureSet",
     "builtin_fixtures",
     "regenerate",
-    "serialize_fixtures",
-    "parse_fixtures",
     "ORACLES",
     "cubic_hessian_cube_lambda",
     "quartic_square_pencil",
@@ -180,71 +171,3 @@ def _values_close(a, b, tol) -> bool:
         return len(a) == len(b) and all(_values_close(x, y, tol) for x, y in zip(a, b))
     return abs(complex(a) - complex(b)) <= tol * max(1.0, abs(complex(a)))
 
-
-# -- text round trip --------------------------------------------------------
-
-
-def _encode_value(v) -> str:
-    from .reports import format_number
-    if isinstance(v, (tuple, list)):
-        return "[" + ",".join(_encode_value(x) for x in v) + "]"
-    return format_number(v)
-
-
-def _decode_value(text: str):
-    text = text.strip()
-    if text.startswith("["):
-        inner = text[1:-1]
-        return tuple(_decode_value(tok) for tok in _split_top(inner)) if inner else ()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return complex(text)
-
-
-def _split_top(text: str):
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
-
-
-def serialize_fixtures(fs: FixtureSet) -> str:
-    from .reports import format_number
-    lines = [f"fixtures {fs.name}"]
-    for fv in fs:
-        lines.append(" | ".join([
-            fv.name, fv.provenance, fv.oracle or "-",
-            format_number(fv.tolerance), _encode_value(fv.value),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_fixtures(text: str) -> FixtureSet:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("fixtures "):
-        raise GeometryError("not a fixture block")
-    name = lines[0][len("fixtures "):].strip()
-    values = []
-    for line in lines[1:]:
-        fields = [f.strip() for f in line.split("|")]
-        if len(fields) != 5:
-            raise GeometryError(f"bad fixture line: {line!r}")
-        fname, prov, oracle, tol, value = fields
-        values.append(FixtureValue(fname, _decode_value(value), prov,
-                                   None if oracle == "-" else oracle, float(tol)))
-    return FixtureSet(name, values)

@@ -145,10 +145,9 @@ class MoebiusMap:
                           conjugating=self.conjugating != other.conjugating)
 
     def inverse(self) -> "MoebiusMap":
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if self.conjugating:
-            a, b, c, d = np.conj(a), np.conj(b), np.conj(c), np.conj(d)
-        return MoebiusMap(d, -b, -c, a, conjugating=self.conjugating)
+        (a, b), (c, d) = moebius_inverses(self.coeff_matrix[None],
+                                          np.array([self.conjugating]))[0].tolist()
+        return MoebiusMap(a, b, c, d, conjugating=self.conjugating)
 
     def equals(self, other: "MoebiusMap", tol: float = 1e-10) -> bool:
         if self.conjugating != other.conjugating:

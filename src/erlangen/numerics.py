@@ -255,28 +255,18 @@ def equal_up_to_scale(v, w, tol: float = DEFAULT_TOL) -> bool:
     """Scale-free equality of coordinate vectors (or flattened matrices).
 
     Both vectors are normalized by the coordinate at which the first one
-    attains its largest magnitude, then compared with relative tolerance.
+    attains its largest magnitude, then compared with relative tolerance;
+    the batch of one of equal_up_to_scale_stack.
     """
     v = np.asarray(v, dtype=complex).ravel()
     w = np.asarray(w, dtype=complex).ravel()
-    if v.shape != w.shape:
-        return False
-    k = int(np.argmax(np.abs(v)))
-    if abs(v[k]) == 0.0:
-        return False
-    wmax = float(np.max(np.abs(w)))
-    if wmax == 0.0 or abs(w[k]) < 0.5 * wmax:
-        return False
-    vn = v / v[k]
-    wn = w / w[k]
-    return float(np.max(np.abs(vn - wn))) <= tol * max(1.0, float(np.max(np.abs(vn))))
+    return v.shape == w.shape and bool(equal_up_to_scale_stack(v[None], w[None], tol)[0])
 
 
 def equal_up_to_scale_stack(v: np.ndarray, w: np.ndarray,
                             tol: float = DEFAULT_TOL) -> np.ndarray:
     """equal_up_to_scale applied pairwise to two stacks of equal shape:
-    entry b compares v[b] with w[b], each flattened, and gives the same
-    verdict."""
+    entry b compares v[b] with w[b], each flattened."""
     v = v.reshape(len(v), -1)
     w = w.reshape(len(w), -1)
     av, aw = np.abs(v), np.abs(w)

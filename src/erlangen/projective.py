@@ -143,9 +143,6 @@ class Quadric:
     def evaluate(self, p: ProjPoint) -> complex:
         return complex(p.coords @ self.matrix @ p.coords)
 
-    def bilinear(self, p: ProjPoint, q: ProjPoint) -> complex:
-        return complex(p.coords @ self.matrix @ q.coords)
-
     def equals(self, other: "Quadric", tol: float = DEFAULT_TOL) -> bool:
         return equal_up_to_scale(self.matrix, other.matrix, tol)
 
@@ -160,19 +157,16 @@ PROJMAP_FAULTS = ("", "ProjMap: non-finite entries", "ProjMap matrix must not va
 
 
 class ProjMap:
-    """Projectivity of P^n given by an invertible matrix, up to scale."""
+    """Projectivity of P^n given by an invertible matrix, up to scale; its
+    checks and actions are batches of one of projmap_faults and map_*."""
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, singular_tol: float = 1e-12):
+    def __init__(self, matrix):
         arr = as_complex_array(matrix, "ProjMap")
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-            raise GeometryError("ProjMap needs a square matrix of size >= 2")
-        scale = float(np.max(np.abs(arr)))
-        if scale == 0.0:
-            raise GeometryError(PROJMAP_FAULTS[2])
-        if abs(np.linalg.det(arr / scale)) <= singular_tol:
-            raise GeometryError(PROJMAP_FAULTS[3])
+        fault = projmap_faults(arr[None])[0]
+        if fault:
+            raise GeometryError(PROJMAP_FAULTS[fault])
         self.matrix = arr
 
     @property
@@ -187,22 +181,21 @@ class ProjMap:
         max-magnitude (phase preserved) so chained maps stay conditioned."""
         if p.dim != self.dim:
             raise DimensionMismatch(f"map on P^{self.dim} applied to P^{p.dim} point")
-        out = self.matrix @ p.coords
-        return ProjPoint(out / np.max(np.abs(out)))
+        return ProjPoint(map_points(self.matrix[None], p.coords[None, None])[0, 0])
 
     def apply_hyperplane(self, h: Hyperplane) -> Hyperplane:
         """Image hyperplane: coefficients transform by the inverse transpose."""
         if h.dim != self.dim:
             raise DimensionMismatch("hyperplane dimension mismatch")
-        out = np.linalg.inv(self.matrix).T @ h.coeffs
-        return Hyperplane(out / np.max(np.abs(out)))
+        inverse = np.linalg.inv(self.matrix)[None]
+        return Hyperplane(map_hyperplanes(inverse, h.coeffs[None, None])[0, 0])
 
     def apply_quadric(self, q: Quadric) -> Quadric:
         """Image quadric M^{-T} Q M^{-1} (so image points satisfy it)."""
         if q.dim != self.dim:
             raise DimensionMismatch("quadric dimension mismatch")
-        inv = np.linalg.inv(self.matrix)
-        return Quadric.from_matrix(inv.T @ q.matrix @ inv)
+        inverse = np.linalg.inv(self.matrix)[None]
+        return Quadric(map_quadrics(inverse, q.matrix[None, None])[0, 0])
 
     def equals(self, other: "ProjMap", tol: float = DEFAULT_TOL) -> bool:
         return equal_up_to_scale(self.matrix, other.matrix, tol)
@@ -211,7 +204,7 @@ class ProjMap:
         return f"ProjMap({self.matrix.tolist()!r})"
 
 
-def projmap_faults(stack: np.ndarray, singular_tol: float = 1e-12) -> np.ndarray:
+def projmap_faults(stack: np.ndarray) -> np.ndarray:
     """The checks of ProjMap.__init__ on a (B, n, n) complex stack at once.
 
     Entry b is the index in PROJMAP_FAULTS of the first check stack[b]
@@ -228,7 +221,7 @@ def projmap_faults(stack: np.ndarray, singular_tol: float = 1e-12) -> np.ndarray
         # det sees the identity in place of a matrix that failed already
         stack = np.where(ok[:, None, None], stack, np.eye(stack.shape[1]))
         scale = np.where(ok, scale, 1.0)
-    faults[np.abs(np.linalg.det(stack / scale[:, None, None])) <= singular_tol] = 3
+    faults[np.abs(np.linalg.det(stack / scale[:, None, None])) <= 1e-12] = 3
     return faults
 
 
@@ -327,15 +320,14 @@ class ChordIntersections(NamedTuple):
 
 
 def line_quadric_intersections(a: ProjPoint, b: ProjPoint, q: Quadric,
-                               tol: float = DEFAULT_TOL,
-                               tangent_tol: float = 1e-12) -> ChordIntersections:
+                               tol: float = DEFAULT_TOL) -> ChordIntersections:
     """Both intersections of the line a-b with a quadric.
 
     Solves the quadratic q(s*a + t*b) = 0 in the projective parameter
-    (s:t).  A double root (relative discriminant below ``tangent_tol``)
-    is returned twice with the tangent flag set.  A line lying entirely
-    in the quadric raises GeneratorChord.  The two points are labeled
-    deterministically (lexicographic on normalized coordinates).
+    (s:t).  A double root (relative discriminant below 1e-12) is returned
+    twice with the tangent flag set.  A line lying entirely in the quadric
+    raises GeneratorChord.  The two points are labeled deterministically
+    (lexicographic on normalized coordinates).
     """
     if a.dim != b.dim or a.dim != q.dim:
         raise DimensionMismatch("line/quadric dimension mismatch")
@@ -352,7 +344,7 @@ def line_quadric_intersections(a: ProjPoint, b: ProjPoint, q: Quadric,
         raise GeneratorChord("line lies in the quadric (generator)")
     # roots of qa*s^2 + 2*qab*s*t + qb*t^2 = 0 as (s:t) pairs
     disc = qab * qab - qa * qb
-    if abs(disc) <= tangent_tol * scale * scale:
+    if abs(disc) <= 1e-12 * scale * scale:
         reps = [(-qab, qa), (qb, -qab)]
         s, t = max(reps, key=lambda r: abs(r[0]) + abs(r[1]))
         x = ProjPoint(s * av + t * bv)

@@ -405,10 +405,16 @@ def _collinearity_prop(points, hyperplanes, quadrics):
     return s[:, 2] < 1e-8 * s[:, 0], np.zeros(len(points), np.int8)
 
 
-def _ck_distance_prop(metric: CKMetric):
+def _ck_distance_prop(metric: CKMetric, disk: bool):
+    """The distance of the first two points; with ``disk``, the metric's
+    domain is the inside of its absolute x^2 + y^2 = w^2."""
     def evaluate(c: Configuration):
         if len(c) < 2:
             raise PropertyUndefined("needs two points")
+        # the test reads the same at every complex scale of the coordinates
+        if disk and any(np.sum(np.abs(p.coords[:-1]) ** 2) >= abs(p.coords[-1]) ** 2
+                        for p in (c[0], c[1])):
+            raise PropertyUndefined("outside the metric domain")
         try:
             # the value is defined up to sign: the labels of the two points
             # on the absolute follow a lexicographic rule, which a map can swap
@@ -469,10 +475,10 @@ def builtin_property(name: str, dimension: int = 2,
         if metric is None:
             raise GeometryError("ck-distance requires a metric parameter")
         if metric == "klein-disk":
-            return BuiltinProperty(name, _ck_distance_prop(klein_disk_metric()),
+            return BuiltinProperty(name, _ck_distance_prop(klein_disk_metric(), True),
                                    WindowSampler(2, _disk_pair, 4, 4), False)
         if metric == "elliptic":
-            return BuiltinProperty(name, _ck_distance_prop(elliptic_metric()),
+            return BuiltinProperty(name, _ck_distance_prop(elliptic_metric(), False),
                                    _points_sampler(2, 2), False)
         raise GeometryError(f"unknown metric {metric!r}")
     raise GeometryError(f"unknown property: {name}")

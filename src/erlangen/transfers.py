@@ -39,7 +39,7 @@ from .moebius import (
     ExtendedComplex,
     MoebiusMap,
     as_extended,
-    moebius_transform_circle,
+    moebius_circles,
 )
 from .projective import (
     Hyperplane,
@@ -483,21 +483,15 @@ def moebius_circle_matrix(m: MoebiusMap) -> np.ndarray:
         [0, 0, 0.5j, -0.5j],
         [0, 0, 0.5, 0.5],
     ], dtype=complex)
-
-    def params_to_quadric(a, b, aa, cc):
-        return Quadric(np.array([[aa, 0, -a], [0, aa, -b], [-a, -b, cc]],
-                                dtype=complex))
-
-    def quadric_to_params(q):
-        mat = q.matrix
-        return np.array([-mat[0, 2], -mat[1, 2], mat[0, 0], mat[2, 2]], dtype=complex)
-
-    cols = []
-    for basis in np.eye(4):
-        a, b, aa, cc = basis
-        q = params_to_quadric(a, b, aa, cc)
-        cols.append(quadric_to_params(moebius_transform_circle(m, q)))
-    tmat = np.column_stack(cols).real
+    # the conics [[A, 0, -a], [0, A, -b], [-a, -b, C]] of the basis
+    # parameters, all circles or lines, so moebius_circles finds no fault
+    a, b, aa, cc = np.eye(4)
+    zero = np.zeros(4)
+    conics = np.array([[aa, zero, -a], [zero, aa, -b], [-a, -b, cc]], dtype=complex)
+    (images,), _ = moebius_circles(m.coeff_matrix[None], np.array([m.conjugating]),
+                                   np.moveaxis(conics, -1, 0)[None])
+    # column j: the parameters (a, b, A, C) of the image of basis circle j
+    tmat = np.array([-images[:, 0, 2], -images[:, 1, 2], images[:, 0, 0], images[:, 2, 2]]).real
     out = lmat @ tmat @ np.linalg.inv(lmat)
     # the congruence scales the form by a positive factor; normalize it
     # away so out^T out = I and the matrix embeds into the 5x5 picture
@@ -505,13 +499,13 @@ def moebius_circle_matrix(m: MoebiusMap) -> np.ndarray:
     return out / np.sqrt(mu.real)
 
 
-def random_pentaspherical_stack(seeds, n: int, scale: bool = True) -> np.ndarray:
+def random_pentaspherical_stack(seeds, n: int) -> np.ndarray:
     """The (B, n, n) stack of random_inversive_map (n = 4) or random_lie_map
     (n = 5) of each seed.
 
     Each seed draws from its own generator: an n x n normal matrix, whose
     antisymmetric part is exponentiated in O(3, n - 3), two reflection
-    coins and, with ``scale``, a log-uniform factor in [1/4, 4].
+    coins and a log-uniform factor in [1/4, 4].
     """
     normals = np.empty((len(seeds), n, n))
     flips = np.empty((len(seeds), 2), dtype=bool)
@@ -519,25 +513,24 @@ def random_pentaspherical_stack(seeds, n: int, scale: bool = True) -> np.ndarray
     for k, rng in enumerate(rng_stack(seeds)):
         normals[k] = rng.normal(size=(n, n))
         flips[k] = rng.random() < 0.5, rng.random() < 0.5
-        if scale:
-            factor[k] = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
+        factor[k] = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
     m = _D[n] @ indefinite_orthogonal_stack(normals, flips, 3) @ _D_INV[n]
-    return m * factor[:, None, None] if scale else m
+    return m * factor[:, None, None]
 
 
-def random_inversive_map(seed: int, scale: bool = True) -> np.ndarray:
+def random_inversive_map(seed: int) -> np.ndarray:
     """Seeded 4x4 matrix preserving the four-variable form up to a factor
     and mapping real circles to real circles."""
-    return random_pentaspherical_stack([seed], 4, scale)[0]
+    return random_pentaspherical_stack([seed], 4)[0]
 
 
-def random_lie_map(seed: int, scale: bool = True) -> np.ndarray:
+def random_lie_map(seed: int) -> np.ndarray:
     """Seeded 5x5 matrix preserving the five-variable form up to a factor
     and mapping real oriented circles to real oriented circles."""
-    return random_pentaspherical_stack([seed], 5, scale)[0]
+    return random_pentaspherical_stack([seed], 5)[0]
 
 
-def stereographic_circle_fit(points, tol: float = 1e-9):
+def stereographic_circle_fit(points):
     """Least-squares circle/line through plane points: returns the real
     parameter vector (A, a, b, C) of A(x^2+y^2) - 2ax - 2by + C = 0 and
     the fit residual (smallest singular value of the design matrix)."""

@@ -52,6 +52,7 @@ from erlangen.projective import (
     coords_faulty,
     map_hyperplanes,
     map_points,
+    map_quadrics,
 )
 from erlangen.groups import (
     _KINDS,
@@ -804,12 +805,17 @@ def test_stacked_action_matches_projmap(dim):
     coords = rng.uniform(-1, 1, (30, 3, dim + 1)) + 1j * rng.uniform(-1, 1, (30, 3, dim + 1))
     points, planes = map_points(forward, coords), map_hyperplanes(inverse, coords)
     assert not coords_faulty(points).any() and not coords_faulty(planes).any()
+    quadrics = coords[..., None] * coords[..., None, :]
+    quadrics = (quadrics + quadrics.swapaxes(-1, -2)) / 2.0
+    conics = map_quadrics(inverse, quadrics)
     for b in range(30):
         m = ProjMap(forward[b])
         for j in range(3):
             assert np.array_equal(points[b, j], m.apply(ProjPoint(coords[b, j])).coords)
             assert np.array_equal(planes[b, j],
                                   m.apply_hyperplane(Hyperplane(coords[b, j])).coeffs)
+            image = m.apply_quadric(Quadric(quadrics[b, j]))
+            assert conics[b, j].tobytes() == image.matrix.tobytes()
 
 
 def test_coordinate_faults_are_the_rows_projpoint_refuses():
@@ -906,14 +912,12 @@ def _old_indefinite_orthogonal(rng, p, q):
     return m
 
 
-def old_pentaspherical_map(seed, n, scale=True):
+def old_pentaspherical_map(seed, n):
     """The old random_inversive_map (n = 4) and random_lie_map (n = 5)."""
     rng = rng_from(seed)
     d = np.diag([1j, 1j, 1j] + [1.0] * (n - 3))
     m = d @ _old_indefinite_orthogonal(rng, 3, n - 3) @ np.linalg.inv(d)
-    if scale:
-        m = m * np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
-    return m
+    return m * np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -928,9 +932,6 @@ def test_stacked_pentaspherical_samples_match_the_scalar_sampler_bitwise(n):
         assert m.tobytes() == ref
         assert scalar(seed).tobytes() == ref
         assert g.sample(seed).forward.tobytes() == ref
-    for seed in seeds[:20]:
-        ref = old_pentaspherical_map(seed, n, scale=False).tobytes()
-        assert scalar(seed, scale=False).tobytes() == ref
 
 
 def test_stacked_moebius_samples_match_the_scalar_sampler_bitwise():

@@ -3,12 +3,7 @@ import pytest
 
 from erlangen.config import ConfigError, RunConfig, load_config, parse_config_text
 from erlangen.contact import is_contact_transformation, legendre_map, swap_zp_map
-from erlangen.fixtures import (
-    builtin_fixtures,
-    parse_fixtures,
-    regenerate,
-    serialize_fixtures,
-)
+from erlangen.fixtures import builtin_fixtures, regenerate
 from erlangen.groups import builtin_group, check_group_axioms, invariance_test
 from erlangen.properties import builtin_property
 from erlangen.reports import (
@@ -155,15 +150,3 @@ class TestFixtures:
             assert fv.provenance in ("literature", "trivial", "derived")
             if fv.provenance == "derived":
                 assert fv.oracle
-
-    def test_serialization_round_trip(self):
-        fs = builtin_fixtures()
-        text = serialize_fixtures(fs)
-        back = parse_fixtures(text)
-        assert serialize_fixtures(back) == text
-        assert len(back) == len(fs)
-        assert back["cubic_hessian_cube_lambda"].value == 432.0
-
-    def test_serialization_deterministic(self):
-        assert (serialize_fixtures(builtin_fixtures()).encode()
-                == serialize_fixtures(builtin_fixtures()).encode())

@@ -1,6 +1,7 @@
 """What each kind of group element maps and what it refuses, pinned; and
 the rarely taken branches of the trial loops, the property table and the
-report writer.
+report writer; the refusals of the group and property lookups and of
+ProjMap, and the scalar comparison and inverse.
 
 A kind acts on the element types it has a map for, on rows of the
 coordinate size it declares for its n x n matrices, and refuses every
@@ -29,8 +30,8 @@ from erlangen.groups import (
     invariance_test,
 )
 from erlangen.moebius import MoebiusMap, circle_quadric
-from erlangen.numerics import DimensionMismatch, GeometryError, mix_seed
-from erlangen.projective import Hyperplane, ProjPoint, Quadric
+from erlangen.numerics import DimensionMismatch, GeometryError, equal_up_to_scale, mix_seed
+from erlangen.projective import Hyperplane, ProjMap, ProjPoint, Quadric
 from erlangen.properties import Sampler, builtin_property
 from erlangen.reports import parse_report_trailer, serialize_report
 from erlangen.transfers import moebius_circle_matrix
@@ -276,7 +277,8 @@ def test_the_axioms_record_an_identity_that_contains_rejects():
 @pytest.mark.parametrize("points,reason", [
     ([[0.1, 0.2, 1.0]], "needs two points"),
     # a point on the absolute
-    ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]], "outside the metric domain")])
+    ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]], "outside the metric domain"),
+    ([[1.5, 0.0, 1.0], [0.0, 0.0, 1.0]], "outside the metric domain")])
 def test_ck_distance_is_undefined_off_its_domain(points, reason):
     prop = builtin_property("ck-distance", 2, "klein-disk")
     with pytest.raises(PropertyUndefined, match=f"^{reason}$"):
@@ -310,3 +312,64 @@ def test_a_sampler_of_another_dimension_takes_the_block_path(monkeypatch):
     monkeypatch.setattr(groups, "_block_outcomes", recording)
     _run("angle", 1, builtin_group("projective", 3), 0)
     assert taken == ["projective"]
+
+
+@pytest.mark.parametrize("matrix,message", [
+    (np.ones(3), "ProjMap needs a square matrix of size >= 2"),
+    (np.ones((2, 3)), "ProjMap needs a square matrix of size >= 2"),
+    ([[1.0]], "ProjMap needs a square matrix of size >= 2"),
+    ([[1.0, np.nan], [0.0, 1.0]], "ProjMap: non-finite entries"),
+    (np.full((2, 3), np.inf), "ProjMap: non-finite entries"),
+    (np.zeros((3, 3)), "ProjMap matrix must not vanish"),
+    ([[1.0, 2.0], [2.0, 4.0 + 1e-14]], "ProjMap matrix is (numerically) singular")])
+def test_projmap_refuses_a_matrix(matrix, message):
+    with pytest.raises(GeometryError) as info:
+        ProjMap(matrix)
+    assert (type(info.value), str(info.value)) == (GeometryError, message)
+
+
+@pytest.mark.parametrize("v,w,equal", [
+    ([1.0, 2j], [2j, -4.0], True),
+    # both sides are flattened
+    (np.eye(2), [1.0, 0.0, 0.0, 1.0], True),
+    ([1.0, 2.0], [1.0, 2.0, 3.0], False),
+    ([0.0, 0.0], [0.0, 0.0], False),
+    ([1.0, 0.0], [0.0, 0.0], False),
+    # w is small where v is largest
+    ([1.0, 0.1], [0.4, 1.0], False),
+    ([1.0, np.nan], [1.0, 1.0], False)])
+def test_equal_up_to_scale_on_edge_cases(v, w, equal):
+    assert equal_up_to_scale(v, w) is equal
+
+
+@pytest.mark.parametrize("conjugating,parts", [
+    (True, [(3.0, 1.0), (0.0, -0.5), (-0.25, 0.0), (1.0, -2.0)]),
+    (False, [(3.0, -1.0), (0.0, 0.5), (-0.25, -0.0), (1.0, 2.0)])])
+def test_moebius_inverse_bytes(conjugating, parts):
+    inverse = MoebiusMap(1 + 2j, -0.5j, 0.25, 3 - 1j, conjugating).inverse()
+    assert inverse.conjugating is conjugating
+    got = np.array([inverse.a, inverse.b, inverse.c, inverse.d])
+    assert got.tobytes() == np.array([complex(*z) for z in parts]).tobytes()
+
+
+@pytest.mark.parametrize("name,dim,message", [
+    ("euclidean_isometries", 4, "euclidean_isometries supports dimensions 2 and 3 only"),
+    ("principal", 1, "principal supports dimensions 2 and 3 only"),
+    ("moebius", 3, "moebius is planar (dimension 2)"),
+    ("lie_sphere_extended", 1, "lie_sphere_extended is planar (dimension 2)"),
+    ("hyperbolic", 2, "unknown builtin group: hyperbolic")])
+def test_builtin_group_refusals(name, dim, message):
+    with pytest.raises(GeometryError) as info:
+        builtin_group(name, dim)
+    assert (type(info.value), str(info.value)) == (GeometryError, message)
+
+
+@pytest.mark.parametrize("name,dim,metric,message", [
+    ("angle", 2, "elliptic", "property 'angle' takes no metric parameter"),
+    ("ck-distance", 2, None, "ck-distance requires a metric parameter"),
+    ("tangency", 3, None, "tangency is a plane property"),
+    ("area", 2, None, "unknown property: area")])
+def test_builtin_property_refusals(name, dim, metric, message):
+    with pytest.raises(GeometryError) as info:
+        builtin_property(name, dim, metric)
+    assert (type(info.value), str(info.value)) == (GeometryError, message)

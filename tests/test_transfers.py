@@ -1,10 +1,11 @@
 import cmath
+import hashlib
 
 import numpy as np
 import pytest
 
 from erlangen.numerics import GeometryError, proportionality
-from erlangen.moebius import INFINITY, random_moebius
+from erlangen.moebius import INFINITY, MoebiusMap, random_moebius
 from erlangen.projective import ProjMap, ProjPoint, Quadric, cross_ratio, incident, on_quadric
 from erlangen.transfers import (
     CircleCoords,
@@ -352,6 +353,14 @@ class TestLieMaps:
                                   (aa + cc) / 2.0])
             _, match = proportionality(image.u[:4], expected4)
             assert match < 1e-7
+
+    def test_circle_matrix_bytes(self):
+        # sha256 (first 16 hex digits) of the matrices of 22 plain and 20
+        # conjugating maps, an inversion among each
+        maps = [random_moebius(t) for t in range(40)] + [MoebiusMap(0, 1, 1, 0),
+                                                          MoebiusMap(0, 1, 1, 0, True)]
+        data = b"".join(moebius_circle_matrix(m).tobytes() for m in maps)
+        assert hashlib.sha256(data).hexdigest()[:16] == "cb97b64187519702"
 
     def test_point_circles_reproduce_moebius_action(self, rng):
         for t in range(50):
