@@ -462,13 +462,15 @@ _BLOCK = 64
 
 def _block_bounds(trials: int, first: int):
     """(start, stop) of consecutive blocks covering range(trials): the
-    first holds ``first`` trials, and each next one twice as many as the
-    one before, up to _BLOCK."""
+    first holds ``first`` trials and each next one _BLOCK.  Invariance
+    starts with one probe trial, since a witness at trial 0 then costs one
+    element; one at trials 1-63 costs a full second block.  Axiom checks
+    and orbits start at _BLOCK."""
     start, size = 0, first
     while start < trials:
         stop = min(trials, start + size)
         yield start, stop
-        start, size = stop, min(2 * size, _BLOCK)
+        start, size = stop, _BLOCK
 
 
 # -- element kinds on stacks ----------------------------------------------------
@@ -851,9 +853,11 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     raised.
 
     Trial i draws its configuration from mix_seed(seed, 3i) and its
-    transformation from mix_seed(seed, 3i + 1).  A blocked group runs the
-    trials a block at a time (_block_outcomes): its transformations are
-    sampled on stacks, and so are the configurations of a sampler with
+    transformation from mix_seed(seed, 3i + 1).  A blocked group runs one
+    probe trial, then blocks of 64 (_block_outcomes): most witnesses are
+    at trial 0, and each block has a fixed cost, so one at trials 1-63
+    pays for a full second block.  Its transformations are sampled on
+    stacks, and so are the configurations of a sampler with
     ``sample_stacks`` (every built-in one), which the group's action maps
     at once.  A functional with ``evaluate_stacks`` (every built-in
     property but ck-distance) is evaluated on the stacks, any other
@@ -909,9 +913,10 @@ def _trial(prop, config: Configuration, make, image=None):
 
 def _block_outcomes(prop, g, config_sampler, seed: int, trials: int):
     """Yield (i, outcome of _trial) for each trial i of invariance_test on a
-    blocked group, a block of trials at a time (see _stacked_trials); blocks
-    grow from one trial, so a witness at trial 0 samples one element and
-    one configuration."""
+    blocked group, a block of trials at a time (see _stacked_trials): one
+    probe trial, then blocks of _BLOCK.  A witness at trial 0 samples one
+    element and one configuration; one at trials 1-63 pays for a full
+    second block."""
     kind = _KINDS[g.identity.kind]
     for start, elements, faults in _element_blocks(g, seed, trials, 3, 1, 1):
         cseeds = [mix_seed(seed, 3 * i) for i in range(start, start + len(faults))]

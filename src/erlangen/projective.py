@@ -114,8 +114,8 @@ class Hyperplane:
 class Quadric:
     """Quadric hypersurface x^T M x = 0 with M symmetric, up to scale.
 
-    The matrix must be exactly symmetric; computed matrices should be
-    symmetrized explicitly (``Quadric.from_matrix``) before construction.
+    The matrix must be exactly symmetric; symmetrize a computed matrix,
+    (M + M^T) / 2, before construction.
     """
 
     __slots__ = ("matrix",)
@@ -129,12 +129,6 @@ class Quadric:
         if float(np.max(np.abs(arr))) == 0.0:
             raise GeometryError("Quadric matrix must not vanish")
         self.matrix = arr
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "Quadric":
-        """Build a quadric from a nearly-symmetric matrix by symmetrizing."""
-        arr = as_complex_array(matrix, "Quadric")
-        return cls((arr + arr.T) / 2.0)
 
     @property
     def dim(self) -> int:

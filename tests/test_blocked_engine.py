@@ -243,7 +243,7 @@ def test_invariance_reports_match(name, dim):
     g = builtin_group(name, dim)
     prop = builtin_property(INVARIANT_PROPERTY[name], dim)
     for seed in SEEDS:
-        # 9 trials span blocks of 1, 2, 4 and 2 trials
+        # 9 trials span the probe trial and a block of 8
         assert _same_invariance(prop, g, seed, 9).invariant
 
 
@@ -307,13 +307,25 @@ def test_block_sizes():
     g, requested = _counting(builtin_group("projective", 2))
     prop = builtin_property("cross-ratio", 2)
     invariance_test(prop.evaluate, g, prop.sample_config, seed=1, trials=200)
-    assert requested == [1, 2, 4, 8, 16, 32, 64, 64, 9]
+    assert requested == [1, 64, 64, 64, 7]
     del requested[:]
     check_group_axioms(g, seed=1, trials=130)
     assert requested == [64, 64, 64, 64, 2, 2]
     del requested[:]
     orbit_sample(Configuration([ProjPoint([0.1, 0.2, 1.0])]), g, seed=1, count=65)
     assert requested == [64, 1]
+
+
+@pytest.mark.parametrize("first", [1, groups._BLOCK])
+def test_blocks_are_contiguous_and_full(first):
+    for trials in range(1, 301):
+        bounds = list(groups._block_bounds(trials, first))
+        assert [b for b, _ in bounds] == [0] + [e for _, e in bounds[:-1]]
+        assert bounds[-1][1] == trials
+        sizes = [e - b for b, e in bounds]
+        assert sizes[0] == min(first, trials)
+        assert all(size == groups._BLOCK for size in sizes[1:-1])
+        assert 0 < sizes[-1] <= groups._BLOCK
 
 
 # -- errors in trial order ---------------------------------------------------
@@ -778,11 +790,11 @@ def test_a_wrapped_functional_samples_configurations_on_stacks():
     prop = builtin_property("cross-ratio", 2)
     sampler, requested = _counting_sampler(prop)
     blocked = invariance_test(prop.evaluate, g, sampler, 3, 20)
-    assert [len(seeds) for seeds in requested] == [1, 2, 4, 8, 5]
+    assert [len(seeds) for seeds in requested] == [1, 19]
     del requested[:]
     wrapped = invariance_test(lambda c: prop.evaluate(c), g, sampler, 3, 20)
     # the same blocks, with the wrapped functional called per trial on their rows
-    assert [len(seeds) for seeds in requested] == [1, 2, 4, 8, 5]
+    assert [len(seeds) for seeds in requested] == [1, 19]
     assert serialize_report(wrapped) == serialize_report(blocked)
 
 
@@ -1585,7 +1597,7 @@ def test_circle_block_sizes(name):
     g, requested = _counting(builtin_group(name))
     prop = builtin_property("tangency", 2)
     invariance_test(prop.evaluate, g, prop.sample_config, seed=1, trials=70)
-    assert requested == [1, 2, 4, 8, 16, 32, 7]
+    assert requested == [1, 64, 5]
     del requested[:]
     check_group_axioms(g, seed=1, trials=66)
     assert requested == [64, 64, 2, 2]
