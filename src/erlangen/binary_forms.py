@@ -238,8 +238,8 @@ def projective_roots(f: BinaryForm, residual_tol: float = 1e-8):
     return refined, lead_zero
 
 
-def roots_on_sphere(f: BinaryForm, residual_tol: float = 1e-8) -> SphericalRootSet:
-    finite, at_infinity = projective_roots(f, residual_tol)
+def roots_on_sphere(f: BinaryForm) -> SphericalRootSet:
+    finite, at_infinity = projective_roots(f)
     pts = [inverse_stereographic(z) for z in finite]
     pts.extend(SpherePoint(0.0, 0.0, 1.0) for _ in range(at_infinity))
     return SphericalRootSet(pts)
@@ -289,11 +289,11 @@ def quartic_discriminant(coeffs) -> complex:
             - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2)
 
 
-def perfect_square_root(f: BinaryForm, tol: float = 1e-8) -> BinaryForm:
+def perfect_square_root(f: BinaryForm) -> BinaryForm:
     """Quadratic q with f ~ q^2, for a quartic that is a perfect square.
 
     The four projective roots must fall into two coincident pairs;
-    raises when the pairing residual exceeds the tolerance.
+    raises when q^2 is not proportional to f within 1e-8.
     """
     if f.degree != 4:
         raise GeometryError("perfect_square_root expects a quartic")
@@ -326,7 +326,7 @@ def perfect_square_root(f: BinaryForm, tol: float = 1e-8) -> BinaryForm:
         quad = np.concatenate([quad, np.zeros(3 - quad.size, dtype=complex)])
     quad = _refine_square_root(quad, f.coeffs)
     q = BinaryForm(quad)
-    if not form_product(q, q).proportional_to(f, tol):
+    if not form_product(q, q).proportional_to(f):
         raise GeometryError("form is not a perfect square within tolerance")
     return q
 

@@ -53,13 +53,12 @@ class CKMetric:
 
     __slots__ = ("absolute", "c")
 
-    def __init__(self, absolute: Quadric, c, allow_degenerate: bool = False):
+    def __init__(self, absolute: Quadric, c):
         self.absolute = absolute
         self.c = complex(c)
-        if not allow_degenerate:
-            mat = absolute.matrix / np.max(np.abs(absolute.matrix))
-            if abs(np.linalg.det(mat)) < 1e-10:
-                raise GeometryError("absolute quadric is degenerate")
+        mat = absolute.matrix / np.max(np.abs(absolute.matrix))
+        if abs(np.linalg.det(mat)) < 1e-10:
+            raise GeometryError("absolute quadric is degenerate")
 
     def __repr__(self):
         return f"CKMetric(absolute={self.absolute!r}, c={self.c!r})"
@@ -75,8 +74,7 @@ def elliptic_metric() -> CKMetric:
     return CKMetric(Quadric(np.eye(3, dtype=complex)), 1.0 / 2.0j)
 
 
-def ck_distance(p: ProjPoint, q: ProjPoint, m: CKMetric,
-                tol: float = 1e-10) -> complex:
+def ck_distance(p: ProjPoint, q: ProjPoint, m: CKMetric) -> complex:
     """Distance c * log CR(p, q; x1, x2) with x1, x2 the chord's
     intersections with the absolute.
 
@@ -88,23 +86,22 @@ def ck_distance(p: ProjPoint, q: ProjPoint, m: CKMetric,
     Points on the absolute raise OnAbsolute; a chord inside the quadric
     raises GeneratorChord.
     """
-    if p.equals(q, tol):
+    if p.equals(q):
         return 0.0 + 0.0j
     # a generator chord is the more specific signal: both its points lie
     # on the absolute, yet the measurement is indeterminate, not infinite
-    hit = line_quadric_intersections(p, q, m.absolute, tol)
-    if on_quadric(p, m.absolute, tol):
+    hit = line_quadric_intersections(p, q, m.absolute)
+    if on_quadric(p, m.absolute):
         raise OnAbsolute("first point lies on the absolute")
-    if on_quadric(q, m.absolute, tol):
+    if on_quadric(q, m.absolute):
         raise OnAbsolute("second point lies on the absolute")
     if hit.tangent:
         return 0.0 + 0.0j
-    cr = cross_ratio(p, q, hit.first, hit.second, tol)
+    cr = cross_ratio(p, q, hit.first, hit.second)
     return m.c * cmath.log(cr)
 
 
-def ck_angle(h1: Hyperplane, h2: Hyperplane, m: CKMetric,
-             tol: float = 1e-10) -> complex:
+def ck_angle(h1: Hyperplane, h2: Hyperplane, m: CKMetric) -> complex:
     """Angle between hyperplanes: c * log of the cross-ratio of h1, h2
     with the two tangent hyperplanes of their pencil, in dual coordinates.
 
@@ -113,7 +110,7 @@ def ck_angle(h1: Hyperplane, h2: Hyperplane, m: CKMetric,
     """
     if h1.dim != h2.dim or h1.dim != m.absolute.dim:
         raise GeometryError("angle operands do not match the metric")
-    if equal_up_to_scale(h1.coeffs, h2.coeffs, tol):
+    if equal_up_to_scale(h1.coeffs, h2.coeffs):
         return 0.0 + 0.0j
     mat = m.absolute.matrix
     dual = np.linalg.inv(mat) * np.linalg.det(mat)   # adjugate
@@ -137,7 +134,7 @@ def ck_angle(h1: Hyperplane, h2: Hyperplane, m: CKMetric,
         taus.append(ProjPoint([s, t]))
     taus.sort(key=lambda p: tuple(np.round(
         np.concatenate([p.normalized().real, p.normalized().imag]), 9)))
-    cr = cross_ratio(ProjPoint([1.0, 0.0]), ProjPoint([0.0, 1.0]), taus[0], taus[1], tol)
+    cr = cross_ratio(ProjPoint([1.0, 0.0]), ProjPoint([0.0, 1.0]), taus[0], taus[1])
     return m.c * cmath.log(cr)
 
 
@@ -146,8 +143,7 @@ class DegeneracyVerdict(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-def on_quadric_degeneracy(p: ProjPoint, q: ProjPoint, quad: Quadric,
-                          tol: float = 1e-10) -> DegeneracyVerdict:
+def on_quadric_degeneracy(p: ProjPoint, q: ProjPoint, quad: Quadric) -> DegeneracyVerdict:
     """Behaviour of the chordal cross-ratio for two points of the quadric.
 
     ZERO: the chord meets the quadric exactly at the two points, and the
@@ -155,17 +151,17 @@ def on_quadric_degeneracy(p: ProjPoint, q: ProjPoint, quad: Quadric,
     INDETERMINATE: the chord lies in the quadric (the points share a
     generator).
     """
-    if not on_quadric(p, quad, max(tol, 1e-8)):
+    if not on_quadric(p, quad, 1e-8):
         raise GeometryError("first point is not on the quadric")
-    if not on_quadric(q, quad, max(tol, 1e-8)):
+    if not on_quadric(q, quad, 1e-8):
         raise GeometryError("second point is not on the quadric")
-    if p.equals(q, tol):
+    if p.equals(q):
         raise GeometryError("points coincide")
     pv = p.coords / np.linalg.norm(p.coords)
     qv = q.coords / np.linalg.norm(q.coords)
     qm = quad.matrix / np.linalg.norm(quad.matrix)
     pairing = abs(pv @ qm @ qv)
-    if pairing < tol:
+    if pairing < 1e-10:
         return DegeneracyVerdict.INDETERMINATE
     return DegeneracyVerdict.ZERO
 
@@ -177,7 +173,7 @@ def _sign_normalized(d: complex) -> complex:
 
 
 def induced_surface_distance(p: ProjPoint, q: ProjPoint, quad: Quadric,
-                             center: ProjPoint, c, tol: float = 1e-10) -> complex:
+                             center: ProjPoint, c) -> complex:
     """Measurement on a quadric surface induced by fixing a point.
 
     Center off the quadric: p and q are projected from the center onto
@@ -192,17 +188,17 @@ def induced_surface_distance(p: ProjPoint, q: ProjPoint, quad: Quadric,
     cval = complex(c)
     if p.dim != quad.dim or q.dim != quad.dim or center.dim != quad.dim:
         raise GeometryError("dimension mismatch")
-    if not on_quadric(p, quad, max(tol, 1e-8)) or not on_quadric(q, quad, max(tol, 1e-8)):
+    if not on_quadric(p, quad, 1e-8) or not on_quadric(q, quad, 1e-8):
         raise GeometryError("both points must lie on the quadric")
-    if center.equals(p, tol) or center.equals(q, tol):
+    if center.equals(p) or center.equals(q):
         raise GeometryError("projection center coincides with a point")
-    if p.equals(q, tol):
+    if p.equals(q):
         return 0.0 + 0.0j
     v = center.coords / np.linalg.norm(center.coords)
     qm = quad.matrix / np.max(np.abs(quad.matrix))
     qvv = complex(v @ qm @ v)
 
-    if on_quadric(center, quad, max(tol, 1e-8)):
+    if on_quadric(center, quad, 1e-8):
         # zero-curvature case: project from the center to a chart plane
         k = int(np.argmax(np.abs(v)))
         imgs = []
@@ -234,10 +230,10 @@ def induced_surface_distance(p: ProjPoint, q: ProjPoint, quad: Quadric,
     for x in (p, q):
         xv = x.coords / np.linalg.norm(x.coords)
         imgs.append(ProjPoint(xv - (complex(v @ qm @ xv) / qvv) * v))
-    if imgs[0].equals(imgs[1], tol):
+    if imgs[0].equals(imgs[1]):
         return 0.0 + 0.0j
     metric = CKMetric(quad, cval)
-    return _sign_normalized(ck_distance(imgs[0], imgs[1], metric, tol))
+    return _sign_normalized(ck_distance(imgs[0], imgs[1], metric))
 
 
 class LinearComplex:
@@ -263,8 +259,7 @@ class LinearComplex:
         return f"LinearComplex({self.coeffs.tolist()!r})"
 
 
-def line_invariant(l1: LinearComplex, l2: LinearComplex, a: LinearComplex,
-                   klein: Quadric | None = None, tol: float = 1e-10) -> complex:
+def line_invariant(l1: LinearComplex, l2: LinearComplex, a: LinearComplex) -> complex:
     """Invariant of two lines relative to a fixed general linear complex:
 
         I = (Om(l1, l2) * Om(a, a)) / (Om(l1, a) * Om(l2, a)),
@@ -277,7 +272,7 @@ def line_invariant(l1: LinearComplex, l2: LinearComplex, a: LinearComplex,
     deliberately not provided: no construction is fixed for it here, and
     special complexes are rejected.
     """
-    kq = klein if klein is not None else klein_quadric()
+    kq = klein_quadric()
     km = kq.matrix / np.max(np.abs(kq.matrix))
 
     def om(x: LinearComplex, y: LinearComplex) -> complex:
@@ -287,11 +282,11 @@ def line_invariant(l1: LinearComplex, l2: LinearComplex, a: LinearComplex,
         raise GeometryError("l1 and l2 must be lines (special complexes)")
     oaa = om(a, a)
     norm_a = np.linalg.norm(a.coeffs) ** 2
-    if abs(oaa) < max(tol, 1e-10) * norm_a:
+    if abs(oaa) < 1e-10 * norm_a:
         raise GeometryError("fixed complex must be general (not special)")
     d1 = om(l1, a)
     d2 = om(l2, a)
-    guard = max(tol, 1e-12) * np.linalg.norm(l1.coeffs) * np.linalg.norm(a.coeffs)
+    guard = 1e-10 * np.linalg.norm(l1.coeffs) * np.linalg.norm(a.coeffs)
     if abs(d1) < guard or abs(d2) < guard:
         raise GeometryError("a line belongs to the fixed complex; invariant undefined")
     return om(l1, l2) * oaa / (d1 * d2)

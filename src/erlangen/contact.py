@@ -188,13 +188,12 @@ def is_contact_transformation(m: FiveMap, seed: int, samples: int,
     return _alignment_check(m, seed, samples, tol)
 
 
-def line_element_check(m: FiveMap, seed: int, samples: int,
-                       tol: float = 1e-6) -> ContactVerdict:
-    """Test preservation of the plane form dy - p dx up to a factor; the
-    prolongation of any invertible plane point map must pass."""
+def line_element_check(m: FiveMap, seed: int, samples: int) -> ContactVerdict:
+    """Test preservation of the plane form dy - p dx up to a factor (to
+    1e-6); the prolongation of any invertible plane point map must pass."""
     if m.dim != 3:
         raise GeometryError("line-element check needs a three-variable map")
-    return _alignment_check(m, seed, samples, tol)
+    return _alignment_check(m, seed, samples, 1e-6)
 
 
 def element_family_of_point(pt, grid) -> list:
@@ -206,10 +205,9 @@ def element_family_of_point(pt, grid) -> list:
 
 
 def element_family_of_surface(f: Callable, grid, fx: Optional[Callable] = None,
-                              fy: Optional[Callable] = None,
-                              fd_step: float = 1e-6) -> list:
+                              fy: Optional[Callable] = None) -> list:
     """The elements covering the graph z = f(x, y): (x, y, f, fx, fy) with
-    derivatives from callbacks or central differences."""
+    derivatives from callbacks or central differences at relative step 1e-6."""
     out = []
     for (x, y) in _pq_grid(grid):
         z = float(f(x, y))
@@ -218,8 +216,8 @@ def element_family_of_surface(f: Callable, grid, fx: Optional[Callable] = None,
         if fx is not None and fy is not None:
             p, q = float(fx(x, y)), float(fy(x, y))
         else:
-            hx = fd_step * (1.0 + abs(x))
-            hy = fd_step * (1.0 + abs(y))
+            hx = 1e-6 * (1.0 + abs(x))
+            hy = 1e-6 * (1.0 + abs(y))
             p = (float(f(x + hx, y)) - float(f(x - hx, y))) / (2.0 * hx)
             q = (float(f(x, y + hy)) - float(f(x, y - hy))) / (2.0 * hy)
         out.append(SurfaceElement(x, y, z, p, q))
@@ -294,7 +292,7 @@ def prolong_point_map(f: Callable, jac: Callable, fd_step: float = 1e-6) -> Five
     return FiveMap(forward, dim=5, fd_step=fd_step)
 
 
-def prolong_plane_map(f: Callable, jac: Callable, fd_step: float = 1e-6) -> FiveMap:
+def prolong_plane_map(f: Callable, jac: Callable) -> FiveMap:
     """Prolong a plane point transformation to line elements (x, y, p)."""
 
     def forward(v):
@@ -308,19 +306,19 @@ def prolong_plane_map(f: Callable, jac: Callable, fd_step: float = 1e-6) -> Five
             raise GeometryError("image direction is vertical (extended slope)")
         return np.array([img[0], img[1], dyx / dxx])
 
-    return FiveMap(forward, dim=3, fd_step=fd_step)
+    return FiveMap(forward, dim=3)
 
 
-def family_base_rank(elements, tol: float = 1e-8) -> int:
+def family_base_rank(elements) -> int:
     """Dimension of the base-point cloud of an element family (principal
-    components above the tolerance): 0 for a point, 1 for a curve, 2 for
-    a surface.  This is the observable signature of the three classes of
-    contact transformations."""
+    components above 1e-8 of the largest, or of 1): 0 for a point, 1 for a
+    curve, 2 for a surface.  This is the observable signature of the three
+    classes of contact transformations."""
     pts = np.array([e.as_array()[:3] for e in elements])
     centered = pts - pts.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
     scale = max(1.0, float(s[0]) if s.size else 1.0)
-    return int(np.sum(s > tol * scale))
+    return int(np.sum(s > 1e-8 * scale))
 
 
 def fit_plane(points) -> tuple:

@@ -45,6 +45,7 @@ from .numerics import (
     equal_up_to_scale,
     equal_up_to_scale_stack,
     mix_seed,
+    normalize_leading_stack,
     orthogonal_from_normals,
     proportionality,
     proportionality_stack,
@@ -386,7 +387,7 @@ def _contains_form_preserving(n: int):
     def contains_matrices(stack: np.ndarray, tol: float) -> np.ndarray:
         if stack.shape[1:] != (n, n):
             return np.zeros(len(stack), dtype=bool)
-        return proportionality_stack(stack.transpose(0, 2, 1) @ stack, np.eye(n)) <= tol
+        return proportionality_stack(stack.transpose(0, 2, 1) @ stack, np.eye(n))[1] <= tol
     return contains_matrices
 
 
@@ -609,8 +610,7 @@ def _moebius_points(coeffs: np.ndarray, antilinear: np.ndarray, coords: np.ndarr
     conjugated first where the map is antilinear, with the rounding of
     Python's complex arithmetic.  Also the (B, k) codes: a point at
     infinity, an image at infinity, a non-finite image."""
-    lead = coords[np.eye(3, dtype=bool)[np.argmax(np.abs(coords), axis=-1)]]
-    x, y, w = np.moveaxis(coords / lead.reshape(coords.shape[:-1] + (1,)), -1, 0)
+    x, y, w = np.moveaxis(normalize_leading_stack(coords), -1, 0)
     at_infinity = complex_abs(w) < 1e-14
     w = np.where(at_infinity, 1.0, w)
     z = x / w + complex_product(1j, y) / w
@@ -831,12 +831,12 @@ def _axioms_block(g: GroupDescriptor, report: AxiomReport, seed: int, start: int
         failures.extend((start + k, s1[k], s2[k]) for k in np.flatnonzero(~ok).tolist())
 
 
-def stabilizes(t: Transformation, c: Configuration, tol: float = 1e-8) -> bool:
+def stabilizes(t: Transformation, c: Configuration) -> bool:
     """True iff every element of the configuration is mapped to itself up
-    to scale (quadrics compared as matrices up to scale)."""
+    to scale, to 1e-8 (quadrics compared as matrices up to scale)."""
     for e in c:
         data = _ELEMENT_TYPES[_slot(e)][1]
-        if not equal_up_to_scale(getattr(t.apply(e), data), getattr(e, data), tol):
+        if not equal_up_to_scale(getattr(t.apply(e), data), getattr(e, data), 1e-8):
             return False
     return True
 
@@ -1002,7 +1002,7 @@ _CIRCULAR_PLUS = np.array([1.0, 1.0j, 0.0])
 _CIRCULAR_MINUS = np.array([1.0, -1.0j, 0.0])
 
 
-def is_similarity_via_circular_points(m, tol: float = 1e-10) -> bool:
+def is_similarity_via_circular_points(m) -> bool:
     """Similarity test by the fixed-pair characterization: a real plane
     projectivity is a similarity (possibly orientation-reversing) exactly
     when it maps the pair of circular points at infinity to itself as a
@@ -1017,10 +1017,10 @@ def is_similarity_via_circular_points(m, tol: float = 1e-10) -> bool:
         raise GeometryError("matrix is singular")
     plus = mat @ _CIRCULAR_PLUS
     minus = mat @ _CIRCULAR_MINUS
-    keeps = (equal_up_to_scale(plus, _CIRCULAR_PLUS, tol)
-             and equal_up_to_scale(minus, _CIRCULAR_MINUS, tol))
-    swaps = (equal_up_to_scale(plus, _CIRCULAR_MINUS, tol)
-             and equal_up_to_scale(minus, _CIRCULAR_PLUS, tol))
+    keeps = (equal_up_to_scale(plus, _CIRCULAR_PLUS)
+             and equal_up_to_scale(minus, _CIRCULAR_MINUS))
+    swaps = (equal_up_to_scale(plus, _CIRCULAR_MINUS)
+             and equal_up_to_scale(minus, _CIRCULAR_PLUS))
     return keeps or swaps
 
 

@@ -204,7 +204,7 @@ def moebius_inverses(coeffs: np.ndarray, conjugating: np.ndarray) -> np.ndarray:
     return np.where(conjugating[:, None, None], np.conj(inv), inv)
 
 
-def random_moebius_stack(seeds, conjugating=None):
+def random_moebius_stack(seeds):
     """The coefficient matrices and conjugating flags of random_moebius
     for each seed: a (B, 2, 2) complex stack and a (B,) mask."""
     rngs = rng_stack(seeds)
@@ -220,17 +220,14 @@ def random_moebius_stack(seeds, conjugating=None):
         scale = np.max(complex_abs(draws), axis=1)
         det = complex_product(a, d) - complex_product(b, c)
         redo = redo[~(complex_abs(det) > 0.2 * scale * scale)]
-    if conjugating is None:
-        flags = np.array([rng.random() < 0.5 for rng in rngs], dtype=bool)
-    else:
-        flags = np.full(len(seeds), bool(conjugating))
+    flags = np.array([rng.random() < 0.5 for rng in rngs], dtype=bool)
     return ((re + 1j * im) / np.sqrt(2)).reshape(-1, 2, 2), flags
 
 
-def random_moebius(seed: int, conjugating=None) -> MoebiusMap:
+def random_moebius(seed: int) -> MoebiusMap:
     """Seeded draw from the full group; the conjugating family comes up
-    with probability 1/2 unless the flag is forced."""
-    coeffs, flags = random_moebius_stack([seed], conjugating)
+    with probability 1/2."""
+    coeffs, flags = random_moebius_stack([seed])
     (a, b), (c, d) = coeffs[0].tolist()
     return MoebiusMap(a, b, c, d, conjugating=flags[0])
 
@@ -355,23 +352,23 @@ def circle_quadric(center, radius: float) -> Quadric:
 CIRCLE_FAULTS = ("", "conic is not a circle or line", "conic is not a real circle")
 
 
-def circle_parameters(matrices: np.ndarray, tol: float = 1e-9):
+def circle_parameters(matrices: np.ndarray):
     """circle_from_quadric on a (..., 3, 3) stack of conic matrices: the
     parameters A, a, b and C as four (...) arrays, and the (...) indices in
     CIRCLE_FAULTS of the error each conic raises (0: none)."""
     mat = matrices / np.abs(matrices).max(axis=(-2, -1), keepdims=True)
-    faults = np.where((complex_abs(mat[..., 0, 0] - mat[..., 1, 1]) > tol)
-                      | (complex_abs(mat[..., 0, 1]) > tol), 1,
+    faults = np.where((complex_abs(mat[..., 0, 0] - mat[..., 1, 1]) > 1e-9)
+                      | (complex_abs(mat[..., 0, 1]) > 1e-9), 1,
                       np.where(np.abs(mat.imag).max(axis=(-2, -1)) > 1e-6, 2, 0))
     mat = mat.real
     lead = mat[..., 0, 0]
     # genuine circles are rescaled to A = 1; dividing by 1 changes nothing
-    lead = np.where(np.abs(lead) > tol, lead, 1.0)
+    lead = np.where(np.abs(lead) > 1e-9, lead, 1.0)
     return ((mat[..., 0, 0] / lead, -(mat[..., 0, 2] / lead), -(mat[..., 1, 2] / lead),
              mat[..., 2, 2] / lead), faults.astype(np.int8))
 
 
-def circle_from_quadric(q: Quadric, tol: float = 1e-9):
+def circle_from_quadric(q: Quadric):
     """Extract (A, a, b, C) from a circle-shaped P^2 conic, rescaled to
     A = 1 for genuine circles (lines, A = 0, stay max-normalized).
 
@@ -381,7 +378,7 @@ def circle_from_quadric(q: Quadric, tol: float = 1e-9):
     """
     if q.dim != 2:
         raise GeometryError("circle quadrics live in P^2")
-    params, faults = circle_parameters(q.matrix, tol)
+    params, faults = circle_parameters(q.matrix)
     if faults:
         raise GeometryError(CIRCLE_FAULTS[faults])
     return tuple(float(x) for x in params)

@@ -337,42 +337,42 @@ def row_norm(x: np.ndarray) -> np.ndarray:
 
 
 def proportionality(a, b):
-    """Best least-squares factor mu with a ~ mu*b plus the relative residual."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    denom = np.vdot(b, b)
-    if abs(denom) == 0.0:
-        return 0.0 + 0.0j, np.inf
-    mu = np.vdot(b, a) / denom
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return mu, 0.0
-    resid = np.linalg.norm(a - mu * b) / scale
-    return mu, float(resid)
+    """Best least-squares factor mu with a ~ mu*b plus the relative
+    residual; the batch of one of proportionality_stack."""
+    mu, resid = proportionality_stack(np.asarray(a)[None], b)
+    return mu[0], float(resid[0])
 
 
-def proportionality_stack(a: np.ndarray, b) -> np.ndarray:
-    """The residuals proportionality(a[k], b) gives, for each array of a
-    stack ``a`` against one array ``b``, as a (B,) array."""
-    a = a.reshape(len(a), -1)
+def proportionality_stack(a: np.ndarray, b):
+    """proportionality(a[k], b) for each array of a stack ``a`` against one
+    array ``b``: the (B,) factors and the (B,) residuals.  A zero ``b``
+    gives factor 0 and residual inf, a zero a[k] residual 0."""
+    a = np.asarray(a, dtype=complex).reshape(len(a), -1)
     b = np.asarray(b, dtype=complex).ravel()
     denom = np.vdot(b, b)
     if abs(denom) == 0.0:
-        return np.full(len(a), np.inf)
+        return np.zeros(len(a), dtype=complex), np.full(len(a), np.inf)
     mu = row_dot(np.conj(b), a) / denom
     scale = row_norm(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         resid = row_norm(a - mu[:, None] * b) / scale
-    return np.where(scale == 0.0, 0.0, resid)
+    return mu, np.where(scale == 0.0, 0.0, resid)
 
 
 def normalize_leading(v) -> np.ndarray:
-    """Projective normal form: divide by the largest-magnitude coordinate."""
+    """Projective normal form: divide by the largest-magnitude coordinate;
+    the batch of one of normalize_leading_stack."""
     v = np.asarray(v, dtype=complex)
-    k = int(np.argmax(np.abs(v)))
-    if abs(v[k]) == 0.0:
+    if not v.any():
         raise GeometryError("cannot normalize the zero vector")
-    return v / v[k]
+    return normalize_leading_stack(v[None])[0]
+
+
+def normalize_leading_stack(rows: np.ndarray) -> np.ndarray:
+    """Each row (last axis) of a stack divided by its largest-magnitude
+    entry; a zero row comes back NaN."""
+    k = np.argmax(np.abs(rows), axis=-1)[..., None]
+    return rows / np.take_along_axis(rows, k, -1)
 
 
 def lex_key(v) -> tuple:

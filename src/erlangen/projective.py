@@ -263,7 +263,7 @@ CROSS_RATIO_FAULTS = ("", "cross-ratio requires collinear points",
                       "cross-ratio is infinite for this coincidence")
 
 
-def cross_ratio_stack(coords: np.ndarray, tol: float = DEFAULT_TOL):
+def cross_ratio_stack(coords: np.ndarray):
     """cross_ratio of each quadruple in a (B, 4, n+1) stack of point
     coordinates: the (B,) values, and the (B,) indices in
     CROSS_RATIO_FAULTS of the error cross_ratio raises (0: none).
@@ -284,12 +284,11 @@ def cross_ratio_stack(coords: np.ndarray, tol: float = DEFAULT_TOL):
     m = np.where(abs_den > abs_num, abs_den, abs_num)
     faults = np.where(m == 0.0, 2, np.where(abs_den < 1e-14 * m, 3, 0))
     if s.shape[-1] > 2:
-        faults[s[:, 2] > max(tol, 1e-12) * s[:, 0] * 100] = 1
+        faults[s[:, 2] > 1e-10 * s[:, 0] * 100] = 1
     return num / np.where(faults == 0, den, 1.0), faults
 
 
-def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint,
-                tol: float = DEFAULT_TOL) -> complex:
+def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint) -> complex:
     """Cross-ratio of four collinear points.
 
     Convention (fixed package-wide): with affine parameters t_i on the
@@ -301,7 +300,7 @@ def cross_ratio(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, p4: ProjPoint,
     dims = {p.dim for p in pts}
     if len(dims) != 1:
         raise DimensionMismatch("cross-ratio points live in different spaces")
-    values, faults = cross_ratio_stack(np.array([[p.coords for p in pts]]), tol)
+    values, faults = cross_ratio_stack(np.array([[p.coords for p in pts]]))
     if faults[0]:
         raise GeometryError(CROSS_RATIO_FAULTS[faults[0]])
     return complex(values[0])
@@ -313,8 +312,7 @@ class ChordIntersections(NamedTuple):
     tangent: bool
 
 
-def line_quadric_intersections(a: ProjPoint, b: ProjPoint, q: Quadric,
-                               tol: float = DEFAULT_TOL) -> ChordIntersections:
+def line_quadric_intersections(a: ProjPoint, b: ProjPoint, q: Quadric) -> ChordIntersections:
     """Both intersections of the line a-b with a quadric.
 
     Solves the quadratic q(s*a + t*b) = 0 in the projective parameter
@@ -325,7 +323,7 @@ def line_quadric_intersections(a: ProjPoint, b: ProjPoint, q: Quadric,
     """
     if a.dim != b.dim or a.dim != q.dim:
         raise DimensionMismatch("line/quadric dimension mismatch")
-    if a.equals(b, tol):
+    if a.equals(b):
         raise GeometryError("chord endpoints coincide")
     av = a.coords / np.max(np.abs(a.coords))
     bv = b.coords / np.max(np.abs(b.coords))
@@ -334,7 +332,7 @@ def line_quadric_intersections(a: ProjPoint, b: ProjPoint, q: Quadric,
     qb = complex(bv @ qm @ bv)
     qab = complex(av @ qm @ bv)
     scale = max(abs(qa), abs(qb), abs(qab))
-    if scale <= max(tol, 1e-13):
+    if scale <= 1e-10:
         raise GeneratorChord("line lies in the quadric (generator)")
     # roots of qa*s^2 + 2*qab*s*t + qb*t^2 = 0 as (s:t) pairs
     disc = qab * qab - qa * qb

@@ -35,8 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import (GeometryError, UniformWindow, complex_abs, rng_stack, row_dot, row_norm,
-                       times_i, uniform)
+from .numerics import (GeometryError, UniformWindow, complex_abs, normalize_leading_stack,
+                       rng_stack, row_dot, row_norm, times_i, uniform)
 from .projective import Hyperplane, ProjPoint, Quadric, cross_ratio_stack, incident_stack
 from .groups import Configuration, PropertyUndefined
 from .moebius import circle_matrices, circle_parameters
@@ -198,10 +198,8 @@ def _undefined(points: np.ndarray, code: int, dtype=complex):
 def _affine(points: np.ndarray):
     """Affine coordinates of a stack of point rows (last axis), and the
     mask of the points at infinity, whose coordinates are meaningless."""
-    m = points.shape[-1]
     # each row divided by its largest-magnitude entry, then by its last one
-    lead = points[np.eye(m, dtype=bool)[np.argmax(np.abs(points), axis=-1)]]
-    v = points / lead.reshape(points.shape[:-1] + (1,))
+    v = normalize_leading_stack(points)
     last = v[..., -1:]
     at_infinity = complex_abs(last[..., 0]) < 1e-10
     if at_infinity.any():
@@ -443,8 +441,8 @@ def builtin_property(name: str, dimension: int = 2,
                      metric: Optional[str] = None) -> BuiltinProperty:
     """Look up a named property functional with its configuration sampler.
 
-    ``ck-distance`` requires a metric parameter ('klein-disk' or
-    'elliptic'); every other property rejects one.
+    ``ck-distance`` is a plane property and requires a metric parameter
+    ('klein-disk' or 'elliptic'); every other property rejects one.
     """
     if name != "ck-distance" and metric is not None:
         raise GeometryError(f"property {name!r} takes no metric parameter")
@@ -474,11 +472,13 @@ def builtin_property(name: str, dimension: int = 2,
     if name == "ck-distance":
         if metric is None:
             raise GeometryError("ck-distance requires a metric parameter")
+        if metric not in ("klein-disk", "elliptic"):
+            raise GeometryError(f"unknown metric {metric!r}")
+        if dimension != 2:
+            raise GeometryError("ck-distance is a plane property")
         if metric == "klein-disk":
             return BuiltinProperty(name, _ck_distance_prop(klein_disk_metric(), True),
                                    WindowSampler(2, _disk_pair, 4, 4), False)
-        if metric == "elliptic":
-            return BuiltinProperty(name, _ck_distance_prop(elliptic_metric(), False),
-                                   _points_sampler(2, 2), False)
-        raise GeometryError(f"unknown metric {metric!r}")
+        return BuiltinProperty(name, _ck_distance_prop(elliptic_metric(), False),
+                               _points_sampler(2, 2), False)
     raise GeometryError(f"unknown property: {name}")

@@ -86,14 +86,14 @@ class PlueckerLine:
 
     __slots__ = ("p",)
 
-    def __init__(self, p, tol: float = 1e-10):
+    def __init__(self, p):
         arr = as_complex_array(p, "PlueckerLine")
         if arr.shape != (6,):
             raise GeometryError("PlueckerLine needs 6 coordinates")
         scale = float(np.max(np.abs(arr)))
         if scale == 0.0:
             raise GeometryError("PlueckerLine must be nonzero")
-        if abs(_klein_value(arr)) > tol * scale * scale:
+        if abs(_klein_value(arr)) > 1e-10 * scale * scale:
             raise GeometryError("coordinates violate the quadric of lines")
         self.p = arr
 
@@ -294,14 +294,14 @@ class CircleCoords:
 
     __slots__ = ("u",)
 
-    def __init__(self, u, tol: float = 1e-8):
+    def __init__(self, u):
         arr = as_complex_array(u, "CircleCoords")
         if arr.shape != (5,):
             raise GeometryError("CircleCoords needs 5 components")
         scale = float(np.max(np.abs(arr)))
         if scale == 0.0:
             raise GeometryError("CircleCoords must be nonzero")
-        if abs(complex(arr @ arr)) > tol * scale * scale:
+        if abs(complex(arr @ arr)) > 1e-8 * scale * scale:
             raise GeometryError("coordinates do not satisfy the null condition")
         self.u = arr
 
@@ -373,14 +373,14 @@ class CircleDescription:
         return "CircleDescription(point_at_infinity)"
 
 
-def coords_to_circle(c: CircleCoords, tol: float = 1e-8) -> CircleDescription:
+def coords_to_circle(c: CircleCoords) -> CircleDescription:
     """Invert circle_to_coords; lines and the improper point are flagged
     by kind rather than silently coerced."""
     u = c.u / np.max(np.abs(c.u))
     aa = complex(-1j * u[2] + u[3])    # the A of the circle equation
     scale = float(np.max(np.abs(u)))
-    if abs(aa) <= tol * scale:
-        if abs(u[4]) <= tol * scale:
+    if abs(aa) <= 1e-8 * scale:
+        if abs(u[4]) <= 1e-8 * scale:
             return CircleDescription("point_at_infinity")
         un = u / u[4]
         n1, n2 = -1j * un[0], -1j * un[1]
@@ -396,7 +396,7 @@ def coords_to_circle(c: CircleCoords, tol: float = 1e-8) -> CircleDescription:
     r2 = a * a + b * b - cc
     r = float(np.sqrt(max(r2, 0.0)))
     center = complex(a, b)
-    if abs(un[4]) <= tol:
+    if abs(un[4]) <= 1e-8:
         return CircleDescription("point", center=center, radius=0.0)
     sigma = +1 if complex(un[4]).real >= 0 else -1
     return CircleDescription("circle", center=center, radius=r, orientation=sigma)
@@ -410,10 +410,10 @@ def point_circle(z) -> CircleCoords:
     return circle_to_coords(z.value, 0.0)
 
 
-def coords_to_point(c: CircleCoords, tol: float = 1e-8) -> ExtendedComplex:
+def coords_to_point(c: CircleCoords) -> ExtendedComplex:
     if not c.is_point:
         raise GeometryError("coordinates are not a point circle")
-    desc = coords_to_circle(c, tol)
+    desc = coords_to_circle(c)
     if desc.kind == "point_at_infinity":
         return INFINITY
     return ExtendedComplex(desc.center)
@@ -452,10 +452,10 @@ def circle_angle(c1: CircleCoords, c2: CircleCoords) -> complex:
     return angle
 
 
-def lie_apply(m, c: CircleCoords, tol: float = 1e-9) -> CircleCoords:
+def lie_apply(m, c: CircleCoords) -> CircleCoords:
     """Apply a form-preserving 5x5 matrix to circle coordinates.
 
-    The matrix must satisfy M^T M ~ I within ``tol`` (preservation of
+    The matrix must satisfy M^T M ~ I within 1e-9 (preservation of
     the five-variable form up to a factor); tangency of oriented
     circles is then preserved.
     """
@@ -463,7 +463,7 @@ def lie_apply(m, c: CircleCoords, tol: float = 1e-9) -> CircleCoords:
     if m.shape != (5, 5):
         raise GeometryError("lie_apply expects a 5x5 matrix")
     _, resid = proportionality(m.T @ m, np.eye(5, dtype=complex))
-    if resid > tol:
+    if resid > 1e-9:
         raise GeometryError("matrix does not preserve the five-variable form")
     return CircleCoords(m @ c.u)
 

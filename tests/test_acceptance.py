@@ -344,7 +344,7 @@ def test_criterion_11_quartic_table():
     squares_ok = True
     for lam in lambdas:
         member = quartic_pencil_member(f, lam)
-        quad = perfect_square_root(member, 1e-8)
+        quad = perfect_square_root(member)
         squares_ok &= form_product(quad, quad).proportional_to(member, 1e-8)
         acc = np.convolve(acc, quad.coeffs)
     _, t_resid = proportionality(acc, t_cov.coeffs)

@@ -209,7 +209,7 @@ class TestRootsOnSphere:
     def test_residuals_on_random_forms(self, rng):
         for _ in range(100):
             f = random_form(rng, int(rng.choice([3, 4])))
-            pts = roots_on_sphere(f, residual_tol=1e-8)
+            pts = roots_on_sphere(f)
             assert len(pts) == f.degree
 
     def test_count_includes_infinity(self):
@@ -277,7 +277,7 @@ class TestQuarticPencil:
         acc = np.array([1.0 + 0j])
         for lam in LAMBDA_SQUARES:
             member = quartic_pencil_member(CANONICAL_QUARTIC, lam)
-            quad = perfect_square_root(member, 1e-8)
+            quad = perfect_square_root(member)
             acc = np.convolve(acc, quad.coeffs)
             # resultant check: the discriminant vanishes at a square
             d = quartic_discriminant(member.coeffs)

@@ -746,7 +746,7 @@ def test_stacked_steps_round_as_scalar_ones():
     # stacks of 3x3 matrices against one, some of them nearly proportional to it
     a = np.concatenate([z, 0.3 * z + w[0]]).reshape(-1, 3, 2)
     target = w[0].reshape(3, 1) * w[1, :2]
-    residuals = proportionality_stack(a, target)
+    _, residuals = proportionality_stack(a, target)
     assert [r.tobytes() for r in residuals] == \
         [np.float64(proportionality(m, target)[1]).tobytes() for m in a]
 
@@ -961,8 +961,6 @@ def test_stacked_moebius_samples_match_the_scalar_sampler_bitwise():
         t = g.sample(seed)
         assert (t.forward.tobytes(), t.inverse_map.tobytes(), t.antilinear) == \
             (ref.coeff_matrix.tobytes(), ref.inverse().coeff_matrix.tobytes(), ref.conjugating)
-    for flag in (False, True):
-        assert repr(random_moebius(seeds[0], flag)) == repr(old_random_moebius(seeds[0], flag))
 
 
 def reference_form_preserving(m, n, tol):

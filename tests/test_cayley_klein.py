@@ -112,8 +112,6 @@ class TestCKDistance:
     def test_degenerate_absolute_rejected(self):
         with pytest.raises(GeometryError):
             CKMetric(Quadric(np.diag([1.0, 1.0, 0.0]).astype(complex)), 0.5)
-        CKMetric(Quadric(np.diag([1.0, 1.0, 0.0]).astype(complex)), 0.5,
-                 allow_degenerate=True)
 
 
 class TestCKAngle:

@@ -197,6 +197,12 @@ class TestValues:
         assert err == ("error: collinearity needs dimension >= 2: all points of P^1 "
                        "lie on its one line\n")
 
+    def test_ck_distance_in_dimension_three_exits_two(self, capsys):
+        code, out, err = run(capsys, "check-invariance", "--group", "projective",
+                             "--property", "ck-distance", "--metric", "klein-disk",
+                             "--dimension", "3", "--seed", "1", "--trials", "20")
+        assert (code, out, err) == (2, "", "error: ck-distance is a plane property\n")
+
     @pytest.mark.parametrize("source,tol", [("flag", "1e-07"), ("config", "1e-06"),
                                             ("default", "1e-08")])
     def test_axioms_tolerance_comes_from_flag_then_config_then_default(

@@ -4,11 +4,14 @@ The harness wraps module-level functions by name and replaces fields of
 the group and property descriptors, so a rename or a deletion in the
 package would break it only when it runs.  Its source is read and
 executed here, without importing it, so nothing is written under
-perfbench/.
+perfbench/.  Also a scan of the package's source for keyword defaults
+that no call sets.
 """
 
+import ast
 import dataclasses
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
@@ -18,7 +21,8 @@ import erlangen
 from erlangen.groups import GroupDescriptor, builtin_group
 from erlangen.properties import BuiltinProperty, builtin_property
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +55,55 @@ def test_every_exported_name_exists():
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (name, missing)
+
+
+def _defaults(tree):
+    """(callable name, parameter, position or None) of each parameter with
+    a default in a function or method: positions count from after self or
+    cls, and an __init__ is called by its class's name."""
+    for scope in ast.walk(tree):
+        body = getattr(scope, "body", None)
+        for node in body if isinstance(body, list) else ():
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = isinstance(scope, ast.ClassDef)
+            name = scope.name if method and node.name == "__init__" else node.name
+            bound = method and "staticmethod" not in {getattr(d, "id", None)
+                                                       for d in node.decorator_list}
+            args = node.args
+            positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+            first = len(positional) - len(args.defaults)
+            for i, param in enumerate(positional[first:], first):
+                yield name, param.arg, i
+            for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, param.arg, None
+
+
+def _calls(tree):
+    """(called name, positional count, keywords) of each call; a * or **
+    argument may fill every parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                      or any(k.arg is None for k in node.keywords))
+            yield name, math.inf if spread else len(node.args), {k.arg for k in node.keywords}
+
+
+def test_every_keyword_default_is_set_by_a_caller():
+    """A default that no call in the package or the tests overrides is a
+    constant with a name: each must be passed, by keyword or by position,
+    by at least one call of the same name.  Reads the sources only."""
+    package = sorted((ROOT / "src" / "erlangen").glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in package + sorted((ROOT / "tests").glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for name, count, keywords in _calls(tree):
+            calls.setdefault(name, []).append((count, keywords))
+    unset = [f"{path.name}: {name}({param})"
+             for path in package for name, param, i in _defaults(trees[path])
+             if not any(param in keywords or (i is not None and count > i)
+                        for count, keywords in calls.get(name, ()))]
+    assert not unset, unset

@@ -67,10 +67,13 @@ class TestMoebiusMap:
             assert chordal_distance(back, ExtendedComplex(z)) < 1e-9
 
     def test_conjugating_flag_composes(self):
-        m1 = random_moebius(5, conjugating=True)
-        m2 = random_moebius(6, conjugating=True)
+        def flagged(t, conjugating):
+            m = random_moebius(t)
+            return MoebiusMap(m.a, m.b, m.c, m.d, conjugating)
+
+        m1, m2 = flagged(5, True), flagged(6, True)
         assert not m1.compose(m2).conjugating
-        assert m1.compose(random_moebius(7, conjugating=False)).conjugating
+        assert m1.compose(flagged(7, False)).conjugating
 
 
 class TestStereographic:

@@ -1,8 +1,10 @@
 """The form-orthonormal completion behind symmetric_gram_basis and
 sample_form_preserving, against the two Gram-Schmidt loops it replaced;
-expm_stack against scipy.linalg.expm, and rng_stack against numpy's own
-generator construction, bit for bit."""
+expm_stack against scipy.linalg.expm, rng_stack against numpy's own
+generator construction, and proportionality and normalize_leading
+against the bits of their former scalar bodies."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,6 +23,10 @@ from erlangen.numerics import (
     _pade_kernel,
     expm_stack,
     mix_seed,
+    normalize_leading,
+    normalize_leading_stack,
+    proportionality,
+    proportionality_stack,
     rng_from,
     rng_stack,
     sample_form_preserving,
@@ -350,3 +356,43 @@ def test_numerics_loads_no_numpy_random():
         [sys.executable, "-c", "import sys, erlangen.numerics; print('numpy.random' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout.split() == ["False"], proc.stderr
+
+
+def _proportionality_pairs():
+    """Pairs (a, b) of the shapes proportionality's callers use: n x n
+    matrices against I or another matrix, and coefficient vectors; some
+    nearly proportional, some with a real ``a``."""
+    rng = np.random.default_rng(14)
+    for shape in [(2, 2), (3, 3), (4, 4), (5, 5), (3,), (6,), (7,), (16,)]:
+        for k in range(60):
+            z = rng.normal(size=(2,) + shape)
+            b = np.eye(shape[0]) if len(shape) == 2 and k % 2 else z[0] + 1j * z[1]
+            z = rng.normal(size=(2,) + shape)
+            a = complex(*rng.normal(size=2)) * b + 10.0 ** -rng.integers(1, 15) * (z[0] + 1j * z[1])
+            yield (a.real if k % 3 == 0 else a), b
+
+
+def test_proportionality_keeps_the_bits_of_its_scalar_body():
+    """The digest was taken from the scalar body before proportionality
+    became the batch of one of proportionality_stack."""
+    pairs = list(_proportionality_pairs())
+    results = [proportionality(a, b) for a, b in pairs]
+    data = b"".join(np.complex128(mu).tobytes() + np.float64(resid).tobytes()
+                    for mu, resid in results)
+    assert hashlib.sha256(data).hexdigest()[:16] == "32b6ddb76416040e"
+    for (a, b), (mu, resid) in zip(pairs, results):
+        mus, resids = proportionality_stack(np.stack([a, 2 * a]), b)
+        assert (mus[0], resids[0]) == (mu, resid)
+    assert proportionality(np.ones(3), np.zeros(3)) == (0j, np.inf)
+    assert proportionality(np.zeros((2, 2)), np.eye(2)) == (0j, 0.0)
+
+
+def test_normalize_leading_is_the_batch_of_one_of_the_stack():
+    rng = np.random.default_rng(15)
+    rows = rng.normal(size=(60, 4)) + 1j * rng.normal(size=(60, 4))
+    rows[:20, 1] = rows[:20, 2]    # ties for the largest magnitude
+    for row, out in zip(rows, normalize_leading_stack(rows)):
+        k = int(np.argmax(np.abs(row)))
+        assert out.tobytes() == normalize_leading(row).tobytes() == (row / row[k]).tobytes()
+    with pytest.raises(GeometryError):
+        normalize_leading(np.zeros(3))

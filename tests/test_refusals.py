@@ -368,6 +368,8 @@ def test_builtin_group_refusals(name, dim, message):
     ("angle", 2, "elliptic", "property 'angle' takes no metric parameter"),
     ("ck-distance", 2, None, "ck-distance requires a metric parameter"),
     ("tangency", 3, None, "tangency is a plane property"),
+    ("ck-distance", 3, "klein-disk", "ck-distance is a plane property"),
+    ("ck-distance", 1, "elliptic", "ck-distance is a plane property"),
     ("area", 2, None, "unknown property: area")])
 def test_builtin_property_refusals(name, dim, metric, message):
     with pytest.raises(GeometryError) as info:

@@ -248,6 +248,14 @@ class TestCircleCoords:
         assert abs(d.normal - n) < 1e-10
         assert abs(d.offset - (-0.7)) < 1e-10
 
+    def test_reversed_line_decodes_to_the_opposite_normal(self):
+        # a decoded line carries its orientation in the sign of its normal
+        n, offset = 0.6 + 0.8j, -0.7
+        d = coords_to_circle(line_to_coords(n, offset, -1))
+        assert (d.kind, d.orientation) == ("line", +1)
+        assert abs(d.normal - (-n)) < 1e-12
+        assert abs(d.offset - (-offset)) < 1e-12
+
     def test_point_round_trip_including_infinity(self):
         z = coords_to_point(point_circle(2 - 1j))
         assert abs(z.value - (2 - 1j)) < 1e-10
