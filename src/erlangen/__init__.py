@@ -41,7 +41,6 @@ _EXPORTS = {
     "config": ("RunConfig", "ConfigError", "load_config"),
     "reports": ("Invariant", "Violated", "AxiomReport", "ContactVerdict", "serialize_report",
                 "parse_report_trailer", "ValueReport"),
-    "fixtures": ("FixtureSet", "FixtureValue", "builtin_fixtures", "regenerate"),
     "properties": ("builtin_property",),
 }
 

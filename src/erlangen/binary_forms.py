@@ -21,6 +21,9 @@ quartic invariants D^4 and D^6.
 
 from __future__ import annotations
 
+from itertools import combinations
+from typing import Optional
+
 import numpy as np
 
 from .numerics import GeometryError, as_complex_array, proportionality
@@ -38,6 +41,8 @@ __all__ = [
     "projective_roots",
     "cubic_pencil_member",
     "quartic_pencil_member",
+    "cubic_hessian_cube_lambda",
+    "quartic_square_pencil",
     "form_product",
     "perfect_square_root",
     "quartic_discriminant",
@@ -134,7 +139,7 @@ def jacobian_covariant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
            - np.convolve(f.dy().coeffs, g.dx().coeffs))
     if float(np.max(np.abs(val))) == 0.0:
         # the jacobian of proportional forms is identically zero
-        return _zero_form(f.degree + g.degree - 2)
+        return _form_or_zero(val)
     return BinaryForm(val)
 
 
@@ -143,10 +148,6 @@ class _ZeroForm(BinaryForm):
 
     def __init__(self, degree: int):
         self.coeffs = np.zeros(degree + 1, dtype=complex)
-
-
-def _zero_form(degree: int) -> BinaryForm:
-    return _ZeroForm(degree)
 
 
 def _form_or_zero(coeffs) -> BinaryForm:
@@ -274,6 +275,53 @@ def quartic_pencil_member(f: BinaryForm, lam) -> BinaryForm:
     if float(np.max(np.abs(member))) == 0.0:
         raise GeometryError("pencil member vanishes identically")
     return BinaryForm(member)
+
+
+def cubic_hessian_cube_lambda() -> float:
+    """Linear-solve oracle: the pencil parameter at which the sextic
+    Q^2 + lambda*R*f^2 of the canonical cubic x^3 - y^3 becomes
+    proportional to the cube of the Hessian."""
+    f = BinaryForm([1.0, 0.0, 0.0, -1.0])
+    h = hessian(f)
+    q = jacobian_covariant(f, h)
+    r = cubic_invariant_R(f)
+    q2 = np.convolve(q.coeffs, q.coeffs)
+    f2 = np.convolve(f.coeffs, f.coeffs)
+    h3 = np.convolve(np.convolve(h.coeffs, h.coeffs), h.coeffs)
+    design = np.column_stack([r * f2, -h3])
+    sol, *_ = np.linalg.lstsq(design, -q2, rcond=None)
+    resid = np.linalg.norm(design @ sol + q2) / np.linalg.norm(q2)
+    if resid > 1e-10:
+        raise GeometryError("cubic pencil solve did not close")
+    return float(sol[0].real)
+
+
+def quartic_square_pencil(f: Optional[BinaryForm] = None):
+    """Pairing oracle for the quartic pencil i*H + lambda*j*f: the sextic
+    covariant's six roots are paired into quadratics, and a pair is kept
+    when the square of its quadratic lies in the pencil span.  Returns
+    the (lambda, quadratic) list sorted by real part."""
+    if f is None:
+        f = BinaryForm([1.0, 0.0, 1.0, 0.0, 1.0])
+    inv_i, inv_j = quartic_invariants(f)
+    h = hessian(f)
+    t = jacobian_covariant(f, h)
+    finite, ninf = projective_roots(t, 1e-7)
+    roots = [(z, 1.0) for z in finite] + [(1.0, 0.0)] * ninf
+    basis = np.column_stack([inv_i * h.coeffs, inv_j * f.coeffs])
+    found = []
+    for (a1, b1), (a2, b2) in combinations(roots, 2):
+        quad = np.convolve([b1, -a1], [b2, -a2]).astype(complex)
+        square = np.convolve(quad, quad)
+        sol, *_ = np.linalg.lstsq(basis, square, rcond=None)
+        resid = np.linalg.norm(basis @ sol - square) / np.linalg.norm(square)
+        if resid < 1e-8 and abs(sol[0]) > 1e-10 * abs(sol[1]):
+            lam = complex(sol[1] / sol[0])
+            if not any(abs(lam - l) < 1e-7 * (1.0 + abs(lam)) for l, _ in found):
+                found.append((lam, BinaryForm(quad)))
+    found.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    return found
+
 
 
 def quartic_discriminant(coeffs) -> complex:

@@ -12,7 +12,7 @@ import enum
 
 import numpy as np
 
-from .numerics import GeometryError, as_complex_array, equal_up_to_scale
+from .numerics import GeometryError, as_complex_array
 from .projective import (
     Hyperplane,
     ProjPoint,
@@ -102,40 +102,18 @@ def ck_distance(p: ProjPoint, q: ProjPoint, m: CKMetric) -> complex:
 
 
 def ck_angle(h1: Hyperplane, h2: Hyperplane, m: CKMetric) -> complex:
-    """Angle between hyperplanes: c * log of the cross-ratio of h1, h2
-    with the two tangent hyperplanes of their pencil, in dual coordinates.
-
-    Reported up to sign (principal logarithm, deterministic root
-    labels), like ck_distance.
+    """Angle between hyperplanes: ck_distance of their coefficient vectors
+    under the dual absolute (the adjugate), so its rules hold in the dual
+    space: hyperplanes meeting on the absolute (asymptotically parallel
+    lines) give 0, and one tangent to the absolute raises OnAbsolute,
+    worded as for a point.
     """
     if h1.dim != h2.dim or h1.dim != m.absolute.dim:
         raise GeometryError("angle operands do not match the metric")
-    if equal_up_to_scale(h1.coeffs, h2.coeffs):
-        return 0.0 + 0.0j
     mat = m.absolute.matrix
-    dual = np.linalg.inv(mat) * np.linalg.det(mat)   # adjugate
-    a = h1.coeffs / np.max(np.abs(h1.coeffs))
-    b = h2.coeffs / np.max(np.abs(h2.coeffs))
-    qaa = complex(a @ dual @ a)
-    qab = complex(a @ dual @ b)
-    qbb = complex(b @ dual @ b)
-    scale = max(abs(qaa), abs(qab), abs(qbb))
-    if scale == 0.0:
-        raise GeometryError("pencil is degenerate for the dual absolute")
-    disc = qab * qab - qaa * qbb
-    if abs(disc) <= 1e-12 * scale * scale:
-        raise GeometryError("tangent pencil degeneracy")
-    root = np.sqrt(complex(disc))
-    # tangent members a + lambda b as points (s : t) of the pencil line
-    taus = []
-    for sgn in (+1.0, -1.0):
-        reps = [(-qab + sgn * root, qbb), (qaa, -qab - sgn * root)]
-        s, t = max(reps, key=lambda r: abs(r[0]) + abs(r[1]))
-        taus.append(ProjPoint([s, t]))
-    taus.sort(key=lambda p: tuple(np.round(
-        np.concatenate([p.normalized().real, p.normalized().imag]), 9)))
-    cr = cross_ratio(ProjPoint([1.0, 0.0]), ProjPoint([0.0, 1.0]), taus[0], taus[1])
-    return m.c * cmath.log(cr)
+    adj = np.linalg.inv(mat) * np.linalg.det(mat)
+    dual = CKMetric(Quadric((adj + adj.T) / 2), m.c)
+    return ck_distance(ProjPoint(h1.coeffs), ProjPoint(h2.coeffs), dual)
 
 
 class DegeneracyVerdict(enum.Enum):

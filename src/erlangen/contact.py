@@ -132,6 +132,14 @@ def _contact_covector(v: np.ndarray) -> np.ndarray:
     return np.array([-v[2], 1.0, 0.0])    # dy - p dx on (x, y, p)
 
 
+_BLOCK = 64     # generators built at once, so memory does not grow with samples
+
+
+def _sample_rngs(seed: int, samples: int):
+    for start in range(0, samples, _BLOCK):
+        yield from rng_stack([mix_seed(seed, i) for i in range(samples)[start:start + _BLOCK]])
+
+
 def _alignment_check(m: FiveMap, seed: int, samples: int, tol: float) -> ContactVerdict:
     if samples < 10:
         raise ValueError("need at least 10 samples")
@@ -141,7 +149,7 @@ def _alignment_check(m: FiveMap, seed: int, samples: int, tol: float) -> Contact
     factors = []
     witness_pt = witness_res = None
     verdict = True
-    for rng in rng_stack([mix_seed(seed, i) for i in range(samples)]):
+    for rng in _sample_rngs(seed, samples):
         v = rng.uniform(-1.0, 1.0, size=m.dim)
         try:
             image = m(v)

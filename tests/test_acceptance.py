@@ -56,7 +56,6 @@ from erlangen.binary_forms import (
     cubic_pencil_member,
     roots_on_sphere,
 )
-from erlangen.fixtures import builtin_fixtures
 from erlangen.contact import (
     is_contact_transformation,
     legendre_map,
@@ -316,7 +315,7 @@ def test_criterion_10_cubic_table():
                    for p in roots_on_sphere(q))
     longs_ok = bool(np.max(np.abs(np.array(longs) - [60.0, 180.0, 300.0])) < 1e-6)
     poles_ok = all(abs(abs(p.z) - 1.0) < 1e-8 for p in roots_on_sphere(h))
-    lam = builtin_fixtures()["cubic_hessian_cube_lambda"].value
+    lam = 432.0
     member = cubic_pencil_member(f, lam)
     h3 = form_product(form_product(h, h), h)
     mu, resid = proportionality(member.coeffs, h3.coeffs)
@@ -338,7 +337,7 @@ def test_criterion_11_quartic_table():
         for flip in flips:
             for img in pts @ flip.T:
                 closed &= bool(np.min(np.linalg.norm(pts - img, axis=1)) < 1e-8)
-    lambdas = builtin_fixtures()["quartic_square_lambdas"].value
+    lambdas = (-78.0 / 7.0, -156.0 / 35.0, 78.0 / 5.0)
     t_cov = jacobian_covariant(f, hessian(f))
     acc = np.array([1.0 + 0j])
     squares_ok = True

@@ -6,6 +6,7 @@ import pytest
 from erlangen.numerics import GeometryError, proportionality
 from erlangen.binary_forms import (
     BinaryForm,
+    cubic_hessian_cube_lambda,
     cubic_invariant_R,
     cubic_pencil_member,
     form_product,
@@ -15,16 +16,19 @@ from erlangen.binary_forms import (
     quartic_discriminant,
     quartic_invariants,
     quartic_pencil_member,
+    quartic_square_pencil,
     roots_on_sphere,
     substitute,
 )
-from erlangen.fixtures import builtin_fixtures, quartic_square_pencil
 
 EQUATOR_CUBIC = BinaryForm([1.0, 0.0, 0.0, -1.0])        # roots at cube roots of 1
 CANONICAL_QUARTIC = BinaryForm([1.0, 0.0, 1.0, 0.0, 1.0])
 
-LAMBDA_CUBE = builtin_fixtures()["cubic_hessian_cube_lambda"].value
-LAMBDA_SQUARES = builtin_fixtures()["quartic_square_lambdas"].value
+# Klein's pencil parameters for the canonical forms: the member of the
+# cubic's sextic pencil proportional to the Hessian cube, and the three
+# perfect squares of the quartic pencil
+LAMBDA_CUBE = 432.0
+LAMBDA_SQUARES = (-78.0 / 7.0, -156.0 / 35.0, 78.0 / 5.0)
 
 
 def random_form(rng, degree, complex_entries=True):
@@ -233,6 +237,9 @@ class TestCubicPencil:
             h3 = form_product(form_product(h, h), h)
             assert member.proportional_to(h3, 1e-8)
 
+    def test_oracle_solves_for_the_cube_lambda(self):
+        assert abs(cubic_hessian_cube_lambda() - LAMBDA_CUBE) < 1e-8
+
     def test_degenerate_cubic_rejected(self):
         with pytest.raises(GeometryError):
             cubic_pencil_member(BinaryForm([0.0, 1.0, 0.0, 0.0]), 1.0)
@@ -284,6 +291,12 @@ class TestQuarticPencil:
             scale = float(np.max(np.abs(member.coeffs))) ** 6
             assert abs(d) < 1e-10 * scale
         assert BinaryForm(acc).proportional_to(t, 1e-8)
+
+    def test_oracle_finds_the_square_lambdas(self):
+        lambdas = [lam.real for lam, _ in quartic_square_pencil()]
+        assert len(lambdas) == len(LAMBDA_SQUARES)
+        for got, want in zip(lambdas, LAMBDA_SQUARES):
+            assert abs(got - want) < 1e-8
 
     def test_oracle_regenerates_lambdas_for_random_quartic(self, rng):
         f = random_form(rng, 4)

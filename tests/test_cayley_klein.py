@@ -150,6 +150,18 @@ class TestCKAngle:
         with pytest.raises(GeometryError):
             ck_angle(Hyperplane([1.0, 1.0j, 0.0]), Hyperplane([1.0, 1.0j, 1.0]), m)
 
+    def test_lines_meeting_on_the_absolute_make_angle_zero(self):
+        # y = 0 and x + 2y = 1 meet at (1, 0), on the unit circle:
+        # asymptotically parallel hyperbolic lines
+        m = klein_disk_metric()
+        assert ck_angle(Hyperplane([0.0, 1.0, 0.0]), Hyperplane([1.0, 2.0, -1.0]), m) == 0
+
+    def test_line_tangent_to_the_absolute_raises(self):
+        # x = 1 touches the unit circle; the error is worded in the dual space
+        m = klein_disk_metric()
+        with pytest.raises(OnAbsolute, match="point lies on the absolute"):
+            ck_angle(Hyperplane([1.0, 0.0, -1.0]), Hyperplane([0.0, 1.0, 0.0]), m)
+
 
 class TestDegeneracy:
     def test_generic_sphere_points_zero(self):

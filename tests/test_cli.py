@@ -322,7 +322,7 @@ def test_every_public_name_is_its_module_attribute():
     proc = _python("-c", """
 import importlib, erlangen
 names = erlangen.__all__
-assert len(names) == len(set(names)) == 89, len(names)
+assert len(names) == len(set(names)) == 85, len(names)
 assert set(names) <= set(dir(erlangen))
 for name in names:
     module = importlib.import_module("erlangen." + erlangen._MODULE_OF[name])

@@ -3,7 +3,6 @@ import pytest
 
 from erlangen.config import ConfigError, RunConfig, load_config, parse_config_text
 from erlangen.contact import is_contact_transformation, legendre_map, swap_zp_map
-from erlangen.fixtures import builtin_fixtures, regenerate
 from erlangen.groups import builtin_group, check_group_axioms, invariance_test
 from erlangen.properties import builtin_property
 from erlangen.reports import (
@@ -136,17 +135,3 @@ class TestReports:
         for x in (1e-9, 0.1, 3.0, float(np.pi), 1234567890.123456789):
             assert float(format_number(x)) == x
         assert complex(format_number(1 + 2j)) == 1 + 2j
-
-
-class TestFixtures:
-    def test_all_derived_values_regenerate(self):
-        results = regenerate(builtin_fixtures())
-        assert results, "no derived fixtures found"
-        for name, (stored, fresh, ok) in results.items():
-            assert ok, (name, stored, fresh)
-
-    def test_every_value_carries_provenance(self):
-        for fv in builtin_fixtures():
-            assert fv.provenance in ("literature", "trivial", "derived")
-            if fv.provenance == "derived":
-                assert fv.oracle

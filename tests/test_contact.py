@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from erlangen import contact
 from erlangen.numerics import GeometryError
 from erlangen.contact import (
     FiveMap,
@@ -18,6 +21,7 @@ from erlangen.contact import (
     prolong_point_map,
     swap_zp_map,
 )
+from erlangen.reports import serialize_report
 
 
 def random_affine_space_map(rng):
@@ -214,3 +218,51 @@ class TestLineElements:
         with pytest.raises(GeometryError):
             is_contact_transformation(
                 FiveMap(lambda v: v, dim=3), seed=1, samples=20)
+
+
+ROT = lambda w: np.array([0.8 * w[0] - 0.6 * w[1], 0.6 * w[0] + 0.8 * w[1]])
+ROT_J = lambda w: np.array([[0.8, -0.6], [0.6, 0.8]])
+
+CHECKS = {
+    "legendre": lambda seed, n: is_contact_transformation(legendre_map(), seed, n),
+    "swap-zp": lambda seed, n: is_contact_transformation(swap_zp_map(), seed, n),
+    "prolonged-point": lambda seed, n: is_contact_transformation(
+        prolong_point_map(NONLINEAR_F, NONLINEAR_J), seed, n),
+    "prolonged-rotation": lambda seed, n: line_element_check(
+        prolong_plane_map(ROT, ROT_J), seed, n),
+}
+
+# sha256 (first 16 hex digits) of each report's bytes and its factors, over
+# seeds 1-3 and 10, 64, 65 and 200 samples: one block of generators, one
+# full block, one past it, and several
+REPORT_DIGESTS = {
+    "legendre": "80ccc43c3bc65a99",
+    "swap-zp": "6636b4cf3ced49f3",
+    "prolonged-point": "01124cbcb39e74e8",
+    "prolonged-rotation": "2f18ce633ff1a539",
+}
+
+
+class TestSampleBlocks:
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_reports_keep_their_bytes(self, name):
+        data = b""
+        for seed in (1, 2, 3):
+            for n in (10, 64, 65, 200):
+                v = CHECKS[name](seed, n)
+                data += serialize_report(v).encode() + np.array(v.factors).tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == REPORT_DIGESTS[name]
+
+    def test_generators_are_built_a_block_at_a_time(self, monkeypatch):
+        sizes = []
+        original = contact.rng_stack
+
+        def counted(seeds):
+            seeds = list(seeds)
+            sizes.append(len(seeds))
+            return original(seeds)
+
+        monkeypatch.setattr(contact, "rng_stack", counted)
+        v = is_contact_transformation(legendre_map(), seed=1, samples=200)
+        assert v.samples_used == 200
+        assert sum(sizes) == 200 and max(sizes) <= 64

@@ -4,8 +4,8 @@ The harness wraps module-level functions by name and replaces fields of
 the group and property descriptors, so a rename or a deletion in the
 package would break it only when it runs.  Its source is read and
 executed here, without importing it, so nothing is written under
-perfbench/.  Also a scan of the package's source for keyword defaults
-that no call sets.
+perfbench/.  Also scans of the package's source for keyword defaults
+that no call sets and for imports that nothing uses.
 """
 
 import ast
@@ -107,3 +107,22 @@ def test_every_keyword_default_is_set_by_a_caller():
              if not any(param in keywords or (i is not None and count > i)
                         for count, keywords in calls.get(name, ()))]
     assert not unset, unset
+
+
+def test_every_import_is_used():
+    """Each name an import binds in a package module is read there, as a
+    name or as a string (an __all__ entry).  Reads the sources only."""
+    unused = []
+    for path in sorted((ROOT / "src" / "erlangen").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names if a.name != "*"]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.value for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        unused += [f"{path.name}: {name}" for name in bound if name not in used]
+    assert not unused, unused
