@@ -9,6 +9,7 @@ checks the line-element characterization of plane point-transformations.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -146,7 +147,7 @@ def _alignment_check(m: FiveMap, seed: int, samples: int, tol: float) -> Contact
     used = 0
     failures = 0
     max_resid = 0.0
-    factors = []
+    factors = array("d")
     witness_pt = witness_res = None
     verdict = True
     for rng in _sample_rngs(seed, samples):

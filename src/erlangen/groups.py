@@ -25,6 +25,10 @@ stacked forms, which a property with stacked forms also evaluates on
 stacks (see invariance_test).  Each trial still draws from its own
 generators, so verdicts, witness seeds, errors and output bytes are
 those of the per-trial loop, which every other descriptor runs.
+
+Each built-in group (_GROUPS) is the stabiliser of a figure among its
+kind's matrices, such as the imaginary circle at infinity (principal) or
+the hyperplane at infinity (affine); one test, _fixes, checks them all.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .numerics import (
+    DEFAULT_TOL,
     DimensionMismatch,
     GeometryError,
     UniformWindow,
@@ -260,7 +265,8 @@ class GroupDescriptor:
     forward matrices of the elements ``sample`` returns, one per seed;
     for a kind with antilinear elements (moebius) it returns the pair of
     that stack and the (B,) mask of the antilinear ones.  ``contains_matrices(stack,
-    tol)`` returns the (B,) verdicts of ``contains``.  With both set,
+    tol)`` returns the (B,) verdicts of ``contains`` on forward matrices that
+    passed the kind's checks, which it does not repeat.  With both set,
     check_group_axioms, invariance_test and orbit_sample work on blocks of
     trials and call neither ``sample`` nor ``contains`` per trial.
     """
@@ -338,78 +344,77 @@ def _projective_matrices(dim: int):
     return sample_matrices
 
 
-def _normalized_affine(stack: np.ndarray, tol: float):
-    """Affine normal forms m / m[-1,-1] of a stack, and a mask of the
-    matrices that keep the hyperplane at infinity."""
-    d = stack.shape[-1] - 1
-    corner = stack[:, d, d]
-    ok = ~(np.abs(corner) < 1e-12 * np.max(np.abs(stack), axis=(1, 2)))
-    m = stack / np.where(ok, corner, 1.0)[:, None, None]
-    ok &= ~(np.max(np.abs(m[:, d, :d]), axis=1) > tol * np.max(np.abs(m), axis=(1, 2)))
-    return m, ok
+def _absolute(n: int) -> np.ndarray:
+    """diag(1, ..., 1, 0): the imaginary circle (sphere) at infinity of P^(n-1)
+    as a dual quadric, the dual absolute."""
+    return np.diag(np.r_[np.ones(n - 1), 0.0])
 
 
-def _linear_gram(stack: np.ndarray, tol: float):
-    m, ok = _normalized_affine(stack, tol)
-    d = m.shape[-1] - 1
-    lin = m[:, :d, :d]
-    return lin.transpose(0, 2, 1) @ lin, ok
+def _fixes(stack: np.ndarray, tol: float, figure, side: int = 0, unit: bool = False):
+    """Per matrix M of a stack, whether M fixes a figure F to ``tol``:
+    X^T F X ~ F, with X = M for a point quadric F (side 0) and X = M^T for a
+    dual quadric (side 1).  A hyperplane h is the point quadric h h^T.  With
+    ``unit`` M is first scaled so that M[-1, -1] = 1, and the factor must be
+    1 to ``tol`` too.  Every matrix fixes the figure None."""
+    if figure is None:
+        return np.ones(len(stack), dtype=bool)
+    if unit:
+        corner = stack[:, -1, -1]
+        stack = stack / np.where(corner == 0, 1.0, corner)[:, None, None]
+    x = stack.swapaxes(1, 2) if side else stack
+    mu, resid = proportionality_stack(x.swapaxes(1, 2) @ figure @ x, figure)
+    return (resid <= tol) & (np.abs(mu - 1.0) <= tol if unit else True)
 
 
-def _contains_isometries(stack: np.ndarray, tol: float) -> np.ndarray:
-    gram, ok = _linear_gram(stack, tol)
-    d = gram.shape[-1]
-    return ok & (np.max(np.abs(gram - np.eye(d)), axis=(1, 2)) <= tol)
+_METRIC = (lambda d: d in (2, 3), "{} supports dimensions 2 and 3 only")
+_ANY = (lambda d: d >= 1, "{} needs dimension >= 1")
+_PLANAR = (lambda d: d == 2, "{} is planar (dimension 2)")
+
+#: per built-in group: its kind; the dimensions it takes, and the refusal of
+#: any other; for dimension d its matrix size, stacked sampler and the figure
+#: it fixes, as the arguments (figure, side, unit) of _fixes
+_GROUPS = {
+    "euclidean_isometries": ("projective", _METRIC, lambda d: (
+        d + 1, _similarity_matrices(d, False), (_absolute(d + 1), 1, True))),
+    "principal": ("projective", _METRIC, lambda d: (
+        d + 1, _similarity_matrices(d, True), (_absolute(d + 1), 1))),
+    # the hyperplane at infinity x_d = 0, as the point quadric e e^T
+    "affine": ("projective", _ANY, lambda d: (
+        d + 1, _affine_matrices(d), (np.diag(np.eye(d + 1)[-1]),))),
+    "projective": ("projective", _ANY, lambda d: (d + 1, _projective_matrices(d), (None,))),
+    "moebius": ("moebius", _PLANAR, lambda d: (2, random_moebius_stack, (None,))),
+    "inversive_pentaspherical": ("pentaspherical", _PLANAR, lambda d: (
+        4, partial(random_pentaspherical_stack, n=4), (np.eye(4),))),
+    "lie_sphere_extended": ("pentaspherical", _PLANAR, lambda d: (
+        5, partial(random_pentaspherical_stack, n=5), (np.eye(5),))),
+}
 
 
-def _contains_similarities(stack: np.ndarray, tol: float) -> np.ndarray:
-    gram, ok = _linear_gram(stack, tol)
-    d = gram.shape[-1]
-    mu = np.trace(gram, axis1=1, axis2=2) / d
-    ok &= ~(np.abs(mu) <= tol)
-    dev = np.max(np.abs(gram - mu[:, None, None] * np.eye(d)), axis=(1, 2))
-    return ok & (dev <= tol * np.maximum(1.0, np.abs(mu)))
+def builtin_group(name: str, dimension: int = 2) -> GroupDescriptor:
+    """Construct one of the built-in groups (_GROUPS): the matrices of a
+    kind that fix a figure.
 
+    Metric groups (euclidean_isometries, principal) support dimensions
+    2 and 3; affine and projective any dimension >= 1; the circle
+    geometries (moebius, inversive_pentaspherical, lie_sphere_extended)
+    are planar.  Samplers draw rotations from the Haar measure on the
+    orthogonal group (so reflections appear with probability 1/2),
+    translations componentwise uniform in [-1, 1], scales log-uniform in
+    [1/4, 4]; the conjugating family of moebius maps appears with
+    probability 1/2.  ``sample`` and ``contains`` are batches of one.
+    """
+    if name not in _GROUPS:
+        raise GeometryError(f"unknown builtin group: {name}")
+    kind_name, (takes, refusal), build = _GROUPS[name]
+    if not takes(dimension):
+        raise GeometryError(refusal.format(name))
+    n, sample_matrices, figure = build(dimension)
+    kind = _KINDS[kind_name]
 
-def _contains_affine(stack: np.ndarray, tol: float) -> np.ndarray:
-    m, ok = _normalized_affine(stack, tol)
-    d = m.shape[-1] - 1
-    lin = m[:, :d, :d] / np.max(np.abs(m), axis=(1, 2))[:, None, None]
-    return ok & (np.abs(np.linalg.det(lin)) > 1e-10)
-
-
-def _contains_all(stack: np.ndarray, tol: float) -> np.ndarray:
-    return np.ones(len(stack), dtype=bool)
-
-
-def _contains_form_preserving(n: int):
-    """Membership in the group of n x n matrices M with M^T M ~ I."""
     def contains_matrices(stack: np.ndarray, tol: float) -> np.ndarray:
         if stack.shape[1:] != (n, n):
             return np.zeros(len(stack), dtype=bool)
-        return proportionality_stack(stack.transpose(0, 2, 1) @ stack, np.eye(n))[1] <= tol
-    return contains_matrices
-
-
-_MATRIX_GROUPS = {
-    "euclidean_isometries": (partial(_similarity_matrices, scaled=False),
-                             _contains_isometries),
-    "principal": (partial(_similarity_matrices, scaled=True), _contains_similarities),
-    "affine": (_affine_matrices, _contains_affine),
-    "projective": (_projective_matrices, _contains_all),
-}
-
-#: matrix size of the groups acting on circle coordinates
-_PENTASPHERICAL = {"inversive_pentaspherical": 4, "lie_sphere_extended": 5}
-
-
-def _matrix_group(name: str, dimension: int, kind_name: str, n: int, sample_matrices,
-                  contains_matrices):
-    """A group of n x n matrices of a kind, from its stacked sampler and
-    membership test; the scalar ``sample`` and ``contains`` are batches of
-    one."""
-    kind = _KINDS[kind_name]
-    identity = Transformation(kind_name, np.eye(n), check=False)
+        return _fixes(stack, tol, *figure)
 
     def sample(seed: int) -> Transformation:
         faults = []
@@ -419,42 +424,8 @@ def _matrix_group(name: str, dimension: int, kind_name: str, n: int, sample_matr
     def contains(t: Transformation, tol: float = 1e-8) -> bool:
         return t.kind == kind_name and bool(contains_matrices(t.forward[None], tol)[0])
 
-    return GroupDescriptor(name, dimension, identity, sample, contains,
-                           sample_matrices, contains_matrices)
-
-
-def builtin_group(name: str, dimension: int = 2) -> GroupDescriptor:
-    """Construct one of the built-in groups.
-
-    Metric groups (euclidean_isometries, principal) support dimensions
-    2 and 3; affine and projective any dimension >= 1; the circle
-    geometries (moebius, inversive_pentaspherical, lie_sphere_extended)
-    are planar.  Samplers draw rotations from the Haar measure on the
-    orthogonal group (so reflections appear with probability 1/2),
-    translations componentwise uniform in [-1, 1], scales log-uniform in
-    [1/4, 4]; the conjugating family of moebius maps appears with
-    probability 1/2.
-    """
-    if name not in BUILTIN_GROUP_NAMES:
-        raise GeometryError(f"unknown builtin group: {name}")
-    if name in ("euclidean_isometries", "principal") and dimension not in (2, 3):
-        raise GeometryError(f"{name} supports dimensions 2 and 3 only")
-    if name in ("affine", "projective") and dimension < 1:
-        raise GeometryError(f"{name} needs dimension >= 1")
-    if name in ("moebius", "inversive_pentaspherical", "lie_sphere_extended") \
-            and dimension != 2:
-        raise GeometryError(f"{name} is planar (dimension 2)")
-
-    if name == "moebius":
-        return _matrix_group(name, dimension, "moebius", 2, random_moebius_stack, _contains_all)
-    if name in _PENTASPHERICAL:
-        n = _PENTASPHERICAL[name]
-        return _matrix_group(name, dimension, "pentaspherical", n,
-                             partial(random_pentaspherical_stack, n=n),
-                             _contains_form_preserving(n))
-    sample_matrices, contains_matrices = _MATRIX_GROUPS[name]
-    return _matrix_group(name, dimension, "projective", dimension + 1,
-                         sample_matrices(dimension), contains_matrices)
+    return GroupDescriptor(name, dimension, Transformation(kind_name, np.eye(n), check=False),
+                           sample, contains, sample_matrices, contains_matrices)
 
 
 #: the most trials one block of the block path holds
@@ -998,15 +969,14 @@ def _sanitized(stacks, irregular: np.ndarray):
     return [np.where(irregular.reshape((-1,) + (1,) * (x.ndim - 1)), 1.0, x) for x in stacks]
 
 
-_CIRCULAR_PLUS = np.array([1.0, 1.0j, 0.0])
-_CIRCULAR_MINUS = np.array([1.0, -1.0j, 0.0])
-
-
 def is_similarity_via_circular_points(m) -> bool:
     """Similarity test by the fixed-pair characterization: a real plane
     projectivity is a similarity (possibly orientation-reversing) exactly
-    when it maps the pair of circular points at infinity to itself as a
-    set.  Reflections swap the two points but keep the pair."""
+    when it maps the pair of circular points at infinity I = (1, i, 0) and
+    J = (1, -i, 0) to itself as a set.  Reflections swap the two points but
+    keep the pair.  The pair is the dual conic I J^T + J I^T = 2 diag(1, 1, 0),
+    the principal group's figure, so this is the principal membership test
+    of one matrix at DEFAULT_TOL."""
     mat = np.asarray(m.matrix if isinstance(m, ProjMap) else m, dtype=complex)
     if mat.shape != (3, 3):
         raise GeometryError("expected a 3x3 real matrix")
@@ -1015,13 +985,7 @@ def is_similarity_via_circular_points(m) -> bool:
     scale = float(np.max(np.abs(mat)))
     if scale == 0 or abs(np.linalg.det(mat / scale)) < 1e-12:
         raise GeometryError("matrix is singular")
-    plus = mat @ _CIRCULAR_PLUS
-    minus = mat @ _CIRCULAR_MINUS
-    keeps = (equal_up_to_scale(plus, _CIRCULAR_PLUS)
-             and equal_up_to_scale(minus, _CIRCULAR_MINUS))
-    swaps = (equal_up_to_scale(plus, _CIRCULAR_MINUS)
-             and equal_up_to_scale(minus, _CIRCULAR_PLUS))
-    return keeps or swaps
+    return bool(_fixes(mat[None], DEFAULT_TOL, _absolute(3), 1)[0])
 
 
 def orbit_sample(c: Configuration, g: GroupDescriptor, seed: int,

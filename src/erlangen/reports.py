@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 if TYPE_CHECKING:
+    from array import array
+
     from .groups import Configuration, Transformation
 
 __all__ = ["Invariant", "Violated", "AxiomReport", "ContactVerdict", "ValueReport",
@@ -107,7 +109,8 @@ class ContactVerdict:
     """Outcome of the united-position preservation check.
 
     ``factors`` holds the per-sample proportionality factor rho of the
-    pulled-back form against the original one (rho may vary by point);
+    pulled-back form against the original one (rho may vary by point), as
+    doubles, 8 bytes a sample;
     a failed sample is recorded with its point and residual.
     """
 
@@ -116,7 +119,7 @@ class ContactVerdict:
     max_residual: float
     tol: float
     seed: int
-    factors: list
+    factors: array
     witness_point: Optional[np.ndarray] = None
     witness_residual: Optional[float] = None
 

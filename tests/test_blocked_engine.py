@@ -16,14 +16,16 @@ reference here.  Every verdict, witness seed, error and output byte must be the
 same on both paths.
 """
 
+import ast
 import dataclasses
 import inspect
+import textwrap
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from erlangen import groups
+from erlangen import groups, names
 from erlangen.moebius import (
     MoebiusMap,
     circle_quadric,
@@ -67,6 +69,7 @@ from erlangen.groups import (
     builtin_group,
     check_group_axioms,
     invariance_test,
+    is_similarity_via_circular_points,
     orbit_sample,
     transform_configuration,
 )
@@ -152,7 +155,8 @@ def _normalized_affine(m, tol):
     return m
 
 
-def reference_contains(name, matrix, tol):
+def old_contains(name, matrix, tol):
+    """The per-group membership tests that the figure check replaced."""
     if name == "projective":
         return True
     m = _normalized_affine(matrix, tol)
@@ -170,31 +174,62 @@ def reference_contains(name, matrix, tol):
     return bool(np.max(np.abs(gram - mu * np.eye(d))) <= tol * max(1.0, abs(mu)))
 
 
+def reference_contains(name, matrix, tol):
+    """Whether the matrix fixes its group's figure F: M F M^T ~ F for the
+    dual absolute diag(1, ..., 1, 0), M^T F M ~ F for the hyperplane at
+    infinity as the point quadric e e^T; an isometry, scaled to a unit
+    corner, with factor 1.  A projectivity fixes nothing."""
+    n = len(matrix)
+    absolute, at_infinity = np.diag([1.0] * (n - 1) + [0.0]), np.diag([0.0] * (n - 1) + [1.0])
+    if name == "projective":
+        return True
+    if name == "affine":
+        return proportionality(matrix.T @ at_infinity @ matrix, at_infinity)[1] <= tol
+    if name == "euclidean_isometries" and matrix[-1, -1] != 0:
+        matrix = matrix / matrix[-1, -1]
+    mu, resid = proportionality(matrix @ absolute @ matrix.T, absolute)
+    return resid <= tol and (name == "principal" or abs(mu - 1.0) <= tol)
+
+
 @pytest.mark.parametrize("name,dim", GROUP_DIMS)
 def test_stacked_membership_matches_the_scalar_tests(name, dim):
     g = builtin_group(name, dim)
     stack = g.sample_matrices(range(8))
     tilted = stack.copy()  # moves the hyperplane at infinity
     tilted[:, dim, 0] = 0.5
-    flat = stack.copy()  # a vanishing or rank-deficient linear part
-    flat[:4, :dim, :dim] = 0.0
-    flat[4:, :dim, 0] = 0.0
     sheared = stack.copy()
     sheared[:, 0, dim - 1] += 1e-3
     swapped = stack.copy()  # the corner entry vanishes
     swapped[:, dim, dim] = 0.0
     swapped[:, dim, 0] = 1.0
-    for candidates in (stack, stack @ stack[::-1], 2.5j * stack, tilted, flat, sheared,
-                       swapped):
+    for candidates in (stack, stack @ stack[::-1], 2.5j * stack, tilted, sheared, swapped):
         for tol in (1e-8, 4e-16):
             verdicts = g.contains_matrices(candidates, tol)
             assert list(verdicts) == [reference_contains(name, m, tol) for m in candidates]
-            # contains reads only the forward matrix, which may be singular
-            # here: the records are made without the constructor's checks
+            # contains reads only the forward matrix
             wrapped = [groups._element("projective", m, m, False) for m in candidates]
             assert list(verdicts) == [g.contains(t, tol) for t in wrapped]
+        # the figure check keeps the verdicts of the tests it replaced
+        assert list(g.contains_matrices(candidates, 1e-8)) == [
+            old_contains(name, m, 1e-8) for m in candidates]
     assert all(g.contains_matrices(stack, 1e-8))
     assert not any(g.contains_matrices(tilted, 1e-8)) or name == "projective"
+
+
+def test_the_circular_points_are_the_principal_figure():
+    i, j = np.array([1.0, 1j, 0.0]), np.array([1.0, -1j, 0.0])
+    assert proportionality(groups._absolute(3), np.outer(i, j) + np.outer(j, i))[1] < 1e-15
+    # sampled similarities, and the 1000 random matrices of TestSimilarityCriterion
+    principal = builtin_group("principal", 2)
+    rng = rng_from(2)
+    matrices = list(principal.sample_matrices(range(200)))
+    while len(matrices) < 1200:
+        m = rng.uniform(-1, 1, (3, 3))
+        if abs(np.linalg.det(m)) >= 1e-3:
+            matrices.append(m.astype(complex))
+    for m in matrices:
+        assert is_similarity_via_circular_points(m.real) == bool(
+            principal.contains_matrices(m[None], 1e-10)[0])
 
 
 def test_every_builtin_group_takes_the_block_path():
@@ -1800,6 +1835,19 @@ def test_the_record_has_no_branch_on_its_kind():
         assert not hasattr(groups, name)
     source = inspect.getsource(groups._Kind.act)
     assert not any(word in source for word in ("projective", "moebius", "pentaspherical"))
+
+
+def test_the_groups_are_one_table_with_no_branch_on_their_names():
+    assert names.BUILTIN_GROUP_NAMES == tuple(groups._GROUPS)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(groups.builtin_group)))
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not constants & set(names.BUILTIN_GROUP_NAMES)
+    # one figure test, _fixes, instead of a membership test per group
+    for name in ("_normalized_affine", "_linear_gram", "_contains_isometries",
+                 "_contains_similarities", "_contains_affine", "_contains_all",
+                 "_contains_form_preserving", "_MATRIX_GROUPS", "_PENTASPHERICAL",
+                 "_matrix_group", "_CIRCULAR_PLUS", "_CIRCULAR_MINUS"):
+        assert not hasattr(groups, name)
 
 
 # -- properties called per trial on the rows of the block path ------------------
