@@ -7,20 +7,13 @@ attached to a fixed linear complex.
 
 from __future__ import annotations
 
-import cmath
 import enum
 
 import numpy as np
 
-from .numerics import GeometryError, as_complex_array
-from .projective import (
-    Hyperplane,
-    ProjPoint,
-    Quadric,
-    cross_ratio,
-    line_quadric_intersections,
-    on_quadric,
-)
+from .numerics import (DEFAULT_TOL, DimensionMismatch, GeometryError, as_complex_array,
+                       equal_up_to_scale_stack, row_dot, row_norm)
+from .projective import GeneratorChord, Hyperplane, ProjPoint, Quadric, on_quadric
 from .transfers import klein_quadric
 
 __all__ = [
@@ -28,6 +21,8 @@ __all__ = [
     "klein_disk_metric",
     "elliptic_metric",
     "OnAbsolute",
+    "CK_FAULTS",
+    "ck_distance_stack",
     "ck_distance",
     "ck_angle",
     "DegeneracyVerdict",
@@ -74,31 +69,64 @@ def elliptic_metric() -> CKMetric:
     return CKMetric(Quadric(np.eye(3, dtype=complex)), 1.0 / 2.0j)
 
 
-def ck_distance(p: ProjPoint, q: ProjPoint, m: CKMetric) -> complex:
-    """Distance c * log CR(p, q; x1, x2) with x1, x2 the chord's
-    intersections with the absolute.
+#: (exception type, message) of ck_distance's errors, by ck_distance_stack's codes
+CK_FAULTS = ((None, ""), (GeneratorChord, "line lies in the quadric (generator)"),
+             (OnAbsolute, "first point lies on the absolute"),
+             (OnAbsolute, "second point lies on the absolute"))
 
-    The branch of the logarithm is the principal one and the
-    intersection labels follow the deterministic lexicographic rule of
-    line_quadric_intersections, so the value is defined up to sign;
-    comparisons should use absolute values.  Coinciding points give 0,
-    as does a chord tangent to the absolute (isotropic direction).
-    Points on the absolute raise OnAbsolute; a chord inside the quadric
-    raises GeneratorChord.
+
+def ck_distance_stack(p: np.ndarray, q: np.ndarray, absolute: np.ndarray, c):
+    """ck_distance of each pair of rows of two (B, n+1) point stacks, under
+    the (n+1, n+1) matrix of an absolute and the constant c: (B,) values,
+    and (B,) codes, 0 or the index in CK_FAULTS of the first check failed.
+
+    With a = B(p, p), e = B(q, q), b = B(p, q) for the bilinear form B of
+    the absolute and s = sqrt(b^2 - ae), the cross-ratio with the chord's
+    points on the absolute is (b + s)/(b - s).  c (log(b + s) - log(b - s))
+    is defined up to sign and the period P = 2 pi i c: the value has its
+    component along P in (-|P|/2, |P|/2], is negated where its real part
+    is negative (or 0 and its imaginary part negative), and is reduced
+    again.  Coinciding points, and a chord tangent to the absolute, give 0.
     """
-    if p.equals(q):
-        return 0.0 + 0.0j
-    # a generator chord is the more specific signal: both its points lie
-    # on the absolute, yet the measurement is indeterminate, not infinite
-    hit = line_quadric_intersections(p, q, m.absolute)
-    if on_quadric(p, m.absolute):
-        raise OnAbsolute("first point lies on the absolute")
-    if on_quadric(q, m.absolute):
-        raise OnAbsolute("second point lies on the absolute")
-    if hit.tangent:
-        return 0.0 + 0.0j
-    cr = cross_ratio(p, q, hit.first, hit.second)
-    return m.c * cmath.log(cr)
+    pv, qv = (x / np.max(np.abs(x), axis=1, keepdims=True) for x in (p, q))
+    form = absolute / np.max(np.abs(absolute))
+    # one row at a time, so a row's bits do not depend on the stack's size
+    a, e, b = (row_dot((x[:, None] @ form)[:, 0], y) for x, y in ((pv, pv), (qv, qv), (pv, qv)))
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(e)), np.abs(b))
+    same = equal_up_to_scale_stack(p, q)
+    on = [np.abs(x) / (np.linalg.norm(form) * row_norm(v) ** 2) < DEFAULT_TOL
+          for x, v in ((a, pv), (e, qv))]
+    codes = np.select([same, scale <= 1e-10, *on], [0, 1, 2, 3]).astype(np.int8)
+    disc = b * b - a * e
+    s, c = np.sqrt(disc), complex(c)
+    # a point on the absolute makes a logarithm infinite; its value is masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = _principal(np.log(b + s) - np.log(b - s))
+        values = c * logs
+        negative = (values.real < 0) | ((values.real == 0) & (values.imag < 0))
+        values = c * _principal(np.where(negative, -logs, logs))
+    zero = same | (codes != 0) | (np.abs(disc) <= 1e-12 * scale * scale)
+    return np.where(zero, 0j, values), codes
+
+
+def _principal(logs: np.ndarray) -> np.ndarray:
+    """Logarithms moved by multiples of 2 pi i to imaginary parts in (-pi, pi]."""
+    return logs - 2j * np.pi * np.ceil(logs.imag / (2 * np.pi) - 0.5)
+
+
+def ck_distance(p: ProjPoint, q: ProjPoint, m: CKMetric) -> complex:
+    """Distance c * log CR(p, q; x1, x2) with x1, x2 the chord's points on
+    the absolute: the batch of one of ck_distance_stack.  On the klein
+    disk its real part is >= 0 and its imaginary part in (-pi/2, pi/2];
+    for real elliptic points it is real, in [0, pi/2].  A point on the
+    absolute raises OnAbsolute; a chord in it raises GeneratorChord."""
+    if p.dim != q.dim or p.dim != m.absolute.dim:
+        raise DimensionMismatch("line/quadric dimension mismatch")
+    values, codes = ck_distance_stack(p.coords[None], q.coords[None], m.absolute.matrix, m.c)
+    if codes[0]:
+        etype, message = CK_FAULTS[codes[0]]
+        raise etype(message)
+    return values.tolist()[0]
 
 
 def ck_angle(h1: Hyperplane, h2: Hyperplane, m: CKMetric) -> complex:
@@ -144,12 +172,6 @@ def on_quadric_degeneracy(p: ProjPoint, q: ProjPoint, quad: Quadric) -> Degenera
     return DegeneracyVerdict.ZERO
 
 
-def _sign_normalized(d: complex) -> complex:
-    if d.real < 0 or (d.real == 0 and d.imag < 0):
-        return -d
-    return d
-
-
 def induced_surface_distance(p: ProjPoint, q: ProjPoint, quad: Quadric,
                              center: ProjPoint, c) -> complex:
     """Measurement on a quadric surface induced by fixing a point.
@@ -161,7 +183,8 @@ def induced_surface_distance(p: ProjPoint, q: ProjPoint, quad: Quadric,
     quadric: stereographic projection to a coordinate chart plane and
     the complex Euclidean chart distance scaled by c (zero curvature).
     Either way the generators of the surface come out as lines of zero
-    length.  The result is sign-normalized; it is defined up to sign.
+    length.  The value is defined up to sign; off the quadric it is
+    ck_distance's representative, on it the one with real part >= 0.
     """
     cval = complex(c)
     if p.dim != quad.dim or q.dim != quad.dim or center.dim != quad.dim:
@@ -175,16 +198,12 @@ def induced_surface_distance(p: ProjPoint, q: ProjPoint, quad: Quadric,
     v = center.coords / np.linalg.norm(center.coords)
     qm = quad.matrix / np.max(np.abs(quad.matrix))
     qvv = complex(v @ qm @ v)
+    xs = [x.coords / np.linalg.norm(x.coords) for x in (p, q)]
 
     if on_quadric(center, quad, 1e-8):
         # zero-curvature case: project from the center to a chart plane
         k = int(np.argmax(np.abs(v)))
-        imgs = []
-        for x in (p, q):
-            xv = x.coords / np.linalg.norm(x.coords)
-            y = xv - (xv[k] / v[k]) * v
-            y = np.delete(y, k)
-            imgs.append(y)
+        imgs = [np.delete(xv - (xv[k] / v[k]) * v, k) for xv in xs]
         norms = [float(np.max(np.abs(y))) for y in imgs]
         if min(norms) < 1e-12:
             raise GeometryError("projection degenerate for this center")
@@ -201,17 +220,12 @@ def induced_surface_distance(p: ProjPoint, q: ProjPoint, quad: Quadric,
         # of the quadratic form; snap below the cancellation floor
         if spread > 0 and abs(ssq) / spread < 1e-13:
             return 0.0 + 0.0j
-        return _sign_normalized(cval * np.sqrt(ssq))
+        d = cval * np.sqrt(ssq)
+        return -d if d.real < 0 or (d.real == 0 and d.imag < 0) else d
 
     # constant-curvature case: project onto the polar plane of the center
-    imgs = []
-    for x in (p, q):
-        xv = x.coords / np.linalg.norm(x.coords)
-        imgs.append(ProjPoint(xv - (complex(v @ qm @ xv) / qvv) * v))
-    if imgs[0].equals(imgs[1]):
-        return 0.0 + 0.0j
-    metric = CKMetric(quad, cval)
-    return _sign_normalized(ck_distance(imgs[0], imgs[1], metric))
+    return ck_distance(*(ProjPoint(xv - (complex(v @ qm @ xv) / qvv) * v) for xv in xs),
+                       CKMetric(quad, cval))
 
 
 class LinearComplex:

@@ -20,11 +20,11 @@ the batch of one of that code.  For descriptors with the block fields
 ``sample_matrices``/``contains_matrices`` (all seven built-in groups)
 the trial loops sample, validate, invert, compose and check a block of
 trials at once on stacked matrices, and map configurations a block at a
-time: the orbit's, and the invariance trials' wherever the sampler has
-stacked forms, which a property with stacked forms also evaluates on
-stacks (see invariance_test).  Each trial still draws from its own
-generators, so verdicts, witness seeds, errors and output bytes are
-those of the per-trial loop, which every other descriptor runs.
+time: the orbit's, and the invariance trials' where the sampler and the
+property have stacked forms, as every built-in one does (see
+invariance_test).  Each trial still draws from its own generators, so
+verdicts, witness seeds, errors and output bytes are those of the
+per-trial loop, which every other descriptor runs.
 
 Each built-in group (_GROUPS) is the stabiliser of a figure among its
 kind's matrices, such as the imaginary circle at infinity (principal) or
@@ -828,12 +828,12 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     probe trial, then blocks of 64 (_block_outcomes): most witnesses are
     at trial 0, and each block has a fixed cost, so one at trials 1-63
     pays for a full second block.  Its transformations are sampled on
-    stacks, and so are the configurations of a sampler with
-    ``sample_stacks`` (every built-in one), which the group's action maps
-    at once.  A functional with ``evaluate_stacks`` (every built-in
-    property but ck-distance) is evaluated on the stacks, any other
-    property per trial.  The verdict, and any error, are those of the
-    per-trial loop, which every other group runs.
+    stacks.  Where the sampler has ``sample_stacks`` and the property
+    ``evaluate_stacks`` (every built-in pair), the configurations are
+    sampled on stacks too, mapped by the group's action at once and
+    evaluated on the stacks; any other property or sampler runs each
+    trial alone.  The verdict, and any error, are those of the per-trial
+    loop, which every other group runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -868,15 +868,15 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     return Invariant(trials_executed=executed, trials_skipped=skipped, tol=tol)
 
 
-def _trial(prop, config: Configuration, make, image=None):
+def _trial(prop, config: Configuration, make):
     """One trial of invariance_test on a configuration: None if the property
     is undefined on it or its image, else (before, after, witness), where
     witness() returns the configuration and the transformation make()
-    returns.  The image is transform_configuration's, or image()."""
+    returns."""
     t = make()
     try:
         before = prop(config)
-        after = prop(transform_configuration(t, config) if image is None else image())
+        after = prop(transform_configuration(t, config))
     except PropertyUndefined:
         return None
     return before, after, lambda: (config, t)
@@ -902,15 +902,14 @@ def _stacked_trials(prop, kind: _Kind, config_sampler, cseeds, elements, faults)
     """(alone, outcome): the mask of a block's trials that run alone as
     _trial, which raises the per-trial loop's error at its trial, and
     outcome(k, make) of each other trial k.  The configurations are sampled
-    and mapped on stacks; a functional with ``evaluate_stacks`` is
-    evaluated on them, any other property called per trial on their rows.
-    A trial runs alone where the scalar objects would refuse its
-    configuration, element or image (for a functional, an image only where
-    it is defined before).  Every trial does where the sampler has no
-    ``sample_stacks``, or where ``sample_stacks`` or ``evaluate_stacks``
-    raises: both may be user code, whose error belongs to its trial."""
+    and mapped on stacks, and the functional is evaluated on them.  A trial
+    runs alone where the scalar objects would refuse its configuration,
+    element or image (an image only where the property is defined before).
+    Every trial does where the sampler has no ``sample_stacks`` or the
+    property no ``evaluate_stacks``, or where either raises: both may be
+    user code, whose error belongs to its trial."""
     everyone = np.ones(len(cseeds), dtype=bool), None
-    if not hasattr(config_sampler, "sample_stacks"):
+    if not (hasattr(config_sampler, "sample_stacks") and hasattr(prop, "evaluate_stacks")):
         return everyone
     try:
         config = config_sampler.sample_stacks(cseeds)
@@ -921,10 +920,6 @@ def _stacked_trials(prop, kind: _Kind, config_sampler, cseeds, elements, faults)
     *images, codes = kind.act(*elements, *config)
     refused = (codes != 0) | _faulty(images)
     images = _sanitized(images, refused)
-    if not hasattr(prop, "evaluate_stacks"):
-        return alone | refused, lambda k, make: _trial(
-            prop, _rows(config_sampler, config, k), make,
-            partial(_rows, config_sampler, images, k))
     # the configurations and their images in one stack: rows are independent
     stacks = [np.concatenate([x, y]) for x, y in zip(config, images)]
     try:
@@ -937,12 +932,8 @@ def _stacked_trials(prop, kind: _Kind, config_sampler, cseeds, elements, faults)
     undefined = undefined[:b] | undefined[b:]
     before, after = values[:b].tolist(), values[b:].tolist()
     return alone, lambda k, make: None if undefined[k] else (
-        before[k], after[k], lambda: (_rows(config_sampler, config, k), make()))
-
-
-def _rows(config_sampler, stacks, k: int) -> Configuration:
-    """The Configuration of trial k's rows of a block's stacks."""
-    return config_sampler.configuration(*(x[k] for x in stacks))
+        before[k], after[k], lambda: (config_sampler.configuration(*(x[k] for x in config)),
+                                      make()))
 
 
 def _faulty(stacks) -> np.ndarray:

@@ -9,15 +9,12 @@ magnitudes.  A property raises PropertyUndefined on configurations
 outside its domain (for example circle-specific functionals on conics
 that are no longer circles); such trials are skipped.
 
-Euclidean distance, angle, cross-ratio, incidence, tangency and
-collinearity are written once, for stacks: each functional is a
-Functional and each sampler a Sampler, whose scalar calls are batches of
-one, and invariance_test runs them a block of trials at a time.  The
+Every built-in property is written once, for stacks: each functional is
+a Functional and each sampler a Sampler, whose scalar calls are batches
+of one, and invariance_test runs them a block of trials at a time.  The
 stacked steps round as the scalar ones did (numerics.complex_product and
-friends), so values and verdicts are bit for bit those of the former
-scalar bodies.  ck-distance is sampled by a Sampler too, so
-invariance_test samples and maps its configurations on stacks, but it is
-evaluated per configuration.
+friends), so values and verdicts, but ck-distance's, are bit for bit
+those of the former scalar bodies; it is cayley_klein.ck_distance_stack.
 
 Every built-in sampler draws only uniform numbers, so it is written on a
 numerics.UniformWindow: each trial's draws are read ahead as one window of
@@ -40,8 +37,7 @@ from .numerics import (GeometryError, UniformWindow, complex_abs, normalize_lead
 from .projective import Hyperplane, ProjPoint, Quadric, cross_ratio_stack, incident_stack
 from .groups import Configuration, PropertyUndefined
 from .moebius import circle_matrices, circle_parameters
-from .cayley_klein import (CKMetric, _sign_normalized, ck_distance, klein_disk_metric,
-                           elliptic_metric)
+from .cayley_klein import CKMetric, ck_distance_stack, klein_disk_metric, elliptic_metric
 from .names import PROPERTY_NAMES
 
 __all__ = ["BuiltinProperty", "Functional", "Sampler", "builtin_property", "PROPERTY_NAMES"]
@@ -188,6 +184,7 @@ _INCIDENCE_REASONS = ("", "needs a point and a hyperplane")
 _COLLINEARITY_REASONS = ("", "needs three points", "all points of P^1 are collinear")
 _TANGENCY_REASONS = ("", "needs two circles", "conic is not a circle", "line encountered",
                      "imaginary circle")
+_CK_DISTANCE_REASONS = ("", "needs two points", "outside the metric domain")
 
 
 def _undefined(points: np.ndarray, code: int, dtype=complex):
@@ -403,23 +400,21 @@ def _collinearity_prop(points, hyperplanes, quadrics):
     return s[:, 2] < 1e-8 * s[:, 0], np.zeros(len(points), np.int8)
 
 
-def _ck_distance_prop(metric: CKMetric, disk: bool):
-    """The distance of the first two points; with ``disk``, the metric's
-    domain is the inside of its absolute x^2 + y^2 = w^2."""
-    def evaluate(c: Configuration):
-        if len(c) < 2:
-            raise PropertyUndefined("needs two points")
-        # the test reads the same at every complex scale of the coordinates
-        if disk and any(np.sum(np.abs(p.coords[:-1]) ** 2) >= abs(p.coords[-1]) ** 2
-                        for p in (c[0], c[1])):
-            raise PropertyUndefined("outside the metric domain")
-        try:
-            # the value is defined up to sign: the labels of the two points
-            # on the absolute follow a lexicographic rule, which a map can swap
-            return _sign_normalized(ck_distance(c[0], c[1], metric))
-        except GeometryError:
-            raise PropertyUndefined("outside the metric domain") from None
-    return evaluate
+def _ck_distance(metric: CKMetric, disk: bool) -> Functional:
+    """The distance of the first two plane points, undefined where ck_distance
+    refuses them or, with ``disk``, where one is not inside x^2 + y^2 = w^2."""
+    def evaluate(points, hyperplanes, quadrics):
+        if points.shape[1] < 2:
+            return _undefined(points, 1)
+        if points.shape[2] != 3:
+            return _undefined(points, 2)
+        pair = points[:, :2]
+        values, faults = ck_distance_stack(pair[:, 0], pair[:, 1], metric.absolute.matrix, metric.c)
+        # the disk test reads the same at every complex scale of the coordinates
+        outside = disk & (np.sum(np.abs(pair[..., :-1]) ** 2, axis=-1)
+                          >= complex_abs(pair[..., -1]) ** 2).any(axis=1)
+        return values, np.where(outside | (faults != 0), 2, 0)
+    return Functional(evaluate, _CK_DISTANCE_REASONS)
 
 
 def _disk_pair(window):
@@ -477,8 +472,8 @@ def builtin_property(name: str, dimension: int = 2,
         if dimension != 2:
             raise GeometryError("ck-distance is a plane property")
         if metric == "klein-disk":
-            return BuiltinProperty(name, _ck_distance_prop(klein_disk_metric(), True),
+            return BuiltinProperty(name, _ck_distance(klein_disk_metric(), True),
                                    WindowSampler(2, _disk_pair, 4, 4), False)
-        return BuiltinProperty(name, _ck_distance_prop(elliptic_metric(), False),
+        return BuiltinProperty(name, _ck_distance(elliptic_metric(), False),
                                _points_sampler(2, 2), False)
     raise GeometryError(f"unknown property: {name}")

@@ -6,9 +6,9 @@ invert and compose its elements a block of trials at a time, and each
 kind of element has one stacked action, so orbit_sample maps its
 configuration a block of elements at a time; the built-in samplers are
 stacked, so invariance_test also samples and maps configurations a block
-at a time, and evaluates them on stacks with every built-in functional
-but ck-distance, which it calls per trial on the rows, as it does any
-other callable.  Rebuilding the same group without the block fields gives the per-trial
+at a time, and evaluates them on stacks with every built-in functional;
+any other callable runs each trial alone, as in the per-trial loop.
+Rebuilding the same group without the block fields gives the per-trial
 loop, and the scalar samplers, property bodies, actions and constructors
 the stacked ones replaced, and the tagged-union group element that the
 record Transformation replaced, are kept below: together they are the
@@ -820,7 +820,7 @@ def _counting_sampler(prop):
     return Counting(prop.sample_config.dimension, prop.sample_config.draw), requested
 
 
-def test_a_wrapped_functional_samples_configurations_on_stacks():
+def test_a_plain_callable_samples_one_configuration_per_trial():
     g = builtin_group("projective", 2)
     prop = builtin_property("cross-ratio", 2)
     sampler, requested = _counting_sampler(prop)
@@ -828,9 +828,26 @@ def test_a_wrapped_functional_samples_configurations_on_stacks():
     assert [len(seeds) for seeds in requested] == [1, 19]
     del requested[:]
     wrapped = invariance_test(lambda c: prop.evaluate(c), g, sampler, 3, 20)
-    # the same blocks, with the wrapped functional called per trial on their rows
-    assert [len(seeds) for seeds in requested] == [1, 19]
+    # without evaluate_stacks every trial runs alone, on its own configuration
+    assert requested == [[mix_seed(3, 3 * i)] for i in range(20)]
     assert serialize_report(wrapped) == serialize_report(blocked)
+
+
+def test_every_builtin_property_is_on_stacks():
+    """The block path has one evaluation path for the built-in properties:
+    each is a Functional with a stacked sampler."""
+    accepted = set()
+    for name in PROPERTY_NAMES:
+        for dim in (1, 2, 3):
+            for metric in (None, "klein-disk", "elliptic"):
+                try:
+                    prop = builtin_property(name, dim, metric)
+                except GeometryError:
+                    continue
+                assert hasattr(prop.evaluate, "evaluate_stacks"), (name, dim, metric)
+                assert hasattr(prop.sample_config, "sample_stacks"), (name, dim, metric)
+                accepted.add(name)
+    assert accepted == set(PROPERTY_NAMES)
 
 
 def test_witness_at_trial_zero_samples_one_configuration():
@@ -1850,12 +1867,11 @@ def test_the_groups_are_one_table_with_no_branch_on_their_names():
         assert not hasattr(groups, name)
 
 
-# -- properties called per trial on the rows of the block path ------------------
+# -- plain callables, and ck-distance, on the block path -------------------------
 
 
-def _same_on_rows(fn, g, sampler, seeds, trials=12):
-    """The block path, which calls ``fn`` per trial on the Configurations of
-    the stacked rows, against the per-trial loop."""
+def _same_as_per_trial(fn, g, sampler, seeds, trials=12):
+    """The block path with ``fn`` against the per-trial loop."""
     for seed in seeds:
         blocked = _outcome_of(lambda: invariance_test(fn, g, sampler, seed, trials))
         assert blocked == _outcome_of(lambda: invariance_test(fn, per_trial(g), sampler, seed,
@@ -1863,26 +1879,26 @@ def _same_on_rows(fn, g, sampler, seeds, trials=12):
 
 
 @pytest.mark.parametrize("name,dim,prop_name", CELLS)
-def test_plain_callables_on_rows_match_the_per_trial_loop(name, dim, prop_name):
+def test_plain_callables_match_the_per_trial_loop(name, dim, prop_name):
     prop = builtin_property(prop_name, dim)
     old_eval, _ = OLD_PROPERTIES[prop_name]
     for fn in (old_eval, lambda c: prop.evaluate(c)):
-        _same_on_rows(fn, builtin_group(name, dim), prop.sample_config, SEEDS)
+        _same_as_per_trial(fn, builtin_group(name, dim), prop.sample_config, SEEDS)
 
 
 @pytest.mark.parametrize("name,prop_name", CIRCLE_CELLS)
-def test_plain_circle_callables_on_rows_match_the_per_trial_loop(name, prop_name):
+def test_plain_circle_callables_match_the_per_trial_loop(name, prop_name):
     prop = builtin_property(prop_name, 2)
     old_eval, _ = OLD_CIRCLE_PROPERTIES[prop_name]
     for fn in (old_eval, lambda c: prop.evaluate(c)):
-        _same_on_rows(fn, builtin_group(name), prop.sample_config, SEEDS)
+        _same_as_per_trial(fn, builtin_group(name), prop.sample_config, SEEDS)
 
 
 @pytest.mark.parametrize("metric", ["klein-disk", "elliptic"])
 @pytest.mark.parametrize("name", BUILTIN_GROUP_NAMES)
-def test_ck_distance_on_rows_matches_the_per_trial_loop(name, metric):
+def test_ck_distance_on_stacks_matches_the_per_trial_loop(name, metric):
     prop = builtin_property("ck-distance", 2, metric)
-    _same_on_rows(prop.evaluate, builtin_group(name), prop.sample_config, SEEDS)
+    _same_as_per_trial(prop.evaluate, builtin_group(name), prop.sample_config, SEEDS)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1894,5 +1910,5 @@ def test_wrapped_functional_errors_in_trial_order(bad_row):
     for name, prop_name in [("euclidean_isometries", "angle"), ("projective", "angle"),
                             ("projective", "collinearity")]:
         prop = builtin_property(prop_name, 2)
-        _same_on_rows(lambda c: prop.evaluate(c), builtin_group(name, 2), _triangle_or(bad_row),
-                      range(12), 30)
+        _same_as_per_trial(lambda c: prop.evaluate(c), builtin_group(name, 2),
+                           _triangle_or(bad_row), range(12), 30)

@@ -109,6 +109,17 @@ class TestCKDistance:
             d1 = ck_distance(g.apply(p), g.apply(q), m)
             assert min(abs(d1 - d0), abs(d1 + d0)) < 1e-9 * max(1.0, abs(d0))
 
+    def test_elliptic_closed_form(self, rng):
+        # the elliptic distance of real points is the angle of their lines
+        # through the origin, in [0, pi/2]
+        m = elliptic_metric()
+        for _ in range(500):
+            p, q = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            d = ck_distance(ProjPoint(p), ProjPoint(q), m)
+            assert d.imag == 0 and 0 <= d.real <= math.pi / 2
+            closed = math.acos(min(abs(p @ q) / (np.linalg.norm(p) * np.linalg.norm(q)), 1.0))
+            assert abs(d.real - closed) < 1e-12
+
     def test_degenerate_absolute_rejected(self):
         with pytest.raises(GeometryError):
             CKMetric(Quadric(np.diag([1.0, 1.0, 0.0]).astype(complex)), 0.5)
@@ -155,6 +166,32 @@ class TestCKAngle:
         # asymptotically parallel hyperbolic lines
         m = klein_disk_metric()
         assert ck_angle(Hyperplane([0.0, 1.0, 0.0]), Hyperplane([1.0, 2.0, -1.0]), m) == 0
+
+    def test_a_negative_cross_ratio_gives_one_value(self):
+        # the cross-ratio is a negative real, and the value is the
+        # representative with real part > 0 and imaginary part pi/2, however
+        # the inputs are ordered and scaled
+        m = klein_disk_metric()
+        h1, h2 = np.array([0.1, -0.1, -0.6]), np.array([0.5, -0.8, -0.5])
+        forward = ck_angle(Hyperplane(h1), Hyperplane(h2), m)
+        assert forward == ck_angle(Hyperplane(h2), Hyperplane(h1), m)
+        scaled = ck_angle(Hyperplane(-2.5 * h1), Hyperplane(0.3 * h2), m)
+        assert abs(scaled - forward) <= 1e-12 * abs(forward)
+        for value in (forward, scaled):
+            assert value.real > 0 and value.imag == math.pi / 2
+
+    def test_swapped_and_rescaled_lines_agree(self, rng):
+        m = klein_disk_metric()
+        for _ in range(3000):
+            h1, h2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            s1, s2 = rng.choice([-1, 1], 2) * rng.uniform(0.1, 10, 2)
+            try:
+                angle = ck_angle(Hyperplane(h1), Hyperplane(h2), m)
+            except OnAbsolute:
+                continue
+            for other in (ck_angle(Hyperplane(h2), Hyperplane(h1), m),
+                          ck_angle(Hyperplane(s1 * h1), Hyperplane(s2 * h2), m)):
+                assert abs(other - angle) <= 1e-9 * max(1.0, abs(angle))
 
     def test_line_tangent_to_the_absolute_raises(self):
         # x = 1 touches the unit circle; the error is worded in the dual space

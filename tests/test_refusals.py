@@ -304,7 +304,10 @@ def test_the_axiom_failure_lists_are_pinned(name, dim):
     ([[0.1, 0.2, 1.0]], "needs two points"),
     # a point on the absolute
     ([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]], "outside the metric domain"),
-    ([[1.5, 0.0, 1.0], [0.0, 0.0, 1.0]], "outside the metric domain")])
+    ([[1.5, 0.0, 1.0], [0.0, 0.0, 1.0]], "outside the metric domain"),
+    # points of another space than the plane
+    ([[0.1, 0.2, 0.3, 1.0], [0.2, 0.1, 0.0, 1.0]], "outside the metric domain"),
+    ([[0.1, 1.0], [0.2, 1.0]], "outside the metric domain")])
 def test_ck_distance_is_undefined_off_its_domain(points, reason):
     prop = builtin_property("ck-distance", 2, "klein-disk")
     with pytest.raises(PropertyUndefined, match=f"^{reason}$"):
