@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import GeometryError, mix_seed, rng_stack
+from .numerics import GeometryError, mix_seeds, rng_stack
 from .reports import ContactVerdict
 
 __all__ = [
@@ -138,7 +138,7 @@ _BLOCK = 64     # generators built at once, so memory does not grow with samples
 
 def _sample_rngs(seed: int, samples: int):
     for start in range(0, samples, _BLOCK):
-        yield from rng_stack([mix_seed(seed, i) for i in range(samples)[start:start + _BLOCK]])
+        yield from rng_stack(mix_seeds(seed, range(samples)[start:start + _BLOCK]))
 
 
 def _alignment_check(m: FiveMap, seed: int, samples: int, tol: float) -> ContactVerdict:

@@ -50,6 +50,7 @@ from .numerics import (
     equal_up_to_scale,
     equal_up_to_scale_stack,
     mix_seed,
+    mix_seeds,
     normalize_leading_stack,
     orthogonal_from_normals,
     proportionality,
@@ -164,9 +165,10 @@ class Transformation:
             raise GeometryError("cannot compose transformations of different kinds")
         spec = _KINDS[self.kind]
         faults = []
-        product = _composed(spec, self._stacks(), other._stacks(), faults)
+        forward, inverse = [_checked(spec, x, faults)
+                            for x in spec.compose(self._stacks(), other._stacks())]
         _raise_first(spec, np.stack(faults, axis=1))
-        return _element(self.kind, *(x[0] for x in product))
+        return _element(self.kind, forward[0], inverse[0], self.antilinear != other.antilinear)
 
     def invert(self) -> "Transformation":
         return _element(self.kind, self.inverse_map, self.forward, self.antilinear)
@@ -299,31 +301,27 @@ def _affine_stack(linear: np.ndarray, translation: np.ndarray) -> np.ndarray:
 def _similarity_matrices(dim: int, scaled: bool):
     """Sampler of isometries (``scaled`` False) or similarities."""
     def sample_matrices(seeds) -> np.ndarray:
-        normals = np.empty((len(seeds), dim, dim))
-        scale = np.ones(len(seeds))
-        tr = np.empty((len(seeds), dim))
-        for b, rng in enumerate(rng_stack(seeds)):
-            normals[b] = rng.normal(size=(dim, dim))
-            if scaled:
-                scale[b] = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
-            tr[b] = rng.uniform(-1.0, 1.0, size=dim)
-        return _affine_stack(scale[:, None, None] * orthogonal_from_normals(normals), tr)
+        rngs = rng_stack(seeds)
+        normals = np.array([rng.normal(size=(dim, dim)) for rng in rngs]).reshape(-1, dim, dim)
+        window = UniformWindow(rngs, scaled + dim)
+        linear = orthogonal_from_normals(normals)
+        if scaled:
+            scale = np.exp(uniform(np.log(0.25), np.log(4.0), window.take(None, 1)))
+            linear = scale[:, :, None] * linear
+        return _affine_stack(linear, uniform(-1.0, 1.0, window.take(None, dim)))
     return sample_matrices
 
 
 def _affine_matrices(dim: int):
     def sample_matrices(seeds) -> np.ndarray:
-        normals = np.empty((2, len(seeds), dim, dim))
-        stretch = np.zeros((len(seeds), dim, dim))
-        tr = np.empty((len(seeds), dim))
-        diag = np.arange(dim)
-        for b, rng in enumerate(rng_stack(seeds)):
-            normals[0, b] = rng.normal(size=(dim, dim))
-            normals[1, b] = rng.normal(size=(dim, dim))
-            stretch[b, diag, diag] = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=dim))
-            tr[b] = rng.uniform(-1.0, 1.0, size=dim)
-        q1, q2 = orthogonal_from_normals(normals)
-        return _affine_stack(q1 @ stretch @ q2, tr)
+        rngs = rng_stack(seeds)
+        normals = np.array([rng.normal(size=(2, dim, dim)) for rng in rngs]).reshape(
+            -1, 2, dim, dim)
+        window = UniformWindow(rngs, 2 * dim)
+        stretch = np.exp(uniform(np.log(0.25), np.log(4.0), window.take(None, dim)))
+        tr = uniform(-1.0, 1.0, window.take(None, dim))
+        q1, q2 = orthogonal_from_normals(normals.swapaxes(0, 1))
+        return _affine_stack(q1 * stretch[:, None, :] @ q2, tr)
     return sample_matrices
 
 
@@ -534,11 +532,8 @@ def _inverses(stack: np.ndarray, antilinear: np.ndarray):
 
 def _linear_compose(t1, t2):
     """Forward and inverse of a product, as the factors' matrices and
-    their inverses multiply: one product for an element and its inverse."""
-    forward = t1[0] @ t2[0]
-    if t2[1] is t1[0] and t2[0] is t1[1]:
-        return forward, forward
-    return forward, t2[1] @ t1[1]
+    their inverses multiply."""
+    return t1[0] @ t2[0], t2[1] @ t1[1]
 
 
 def _moebius_compose(t1, t2):
@@ -680,18 +675,6 @@ def _sampled(kind: _Kind, sample_matrices, seeds, faults: list):
     return forward, _checked(kind, inverse, faults, raised), antilinear
 
 
-def _composed(kind: _Kind, t1, t2, faults: list):
-    """The elements t1.compose(t2), their forward and then their inverse
-    checked; a matrix that is both is checked once, with the same codes."""
-    forward, inverse = kind.compose(t1, t2)
-    if inverse is forward:
-        forward = inverse = _checked(kind, forward, faults)
-        faults.append(faults[-1])
-    else:
-        forward, inverse = _checked(kind, forward, faults), _checked(kind, inverse, faults)
-    return forward, inverse, t1[2] != t2[2]
-
-
 def _first_faults(faults: list) -> np.ndarray:
     """Per trial, the first nonzero code of the stages' code arrays."""
     first = faults[-1]
@@ -731,7 +714,7 @@ def _element_blocks(g: GroupDescriptor, seed: int, trials: int, stride: int, off
     sampled only when the caller asks for it."""
     kind = _KINDS[g.identity.kind]
     for start, stop in _block_bounds(trials, first_block):
-        seeds = [mix_seed(seed, stride * i + offset) for i in range(start, stop)]
+        seeds = mix_seeds(seed, range(stride * start + offset, stride * stop + offset, stride))
         faults = []
         elements = _sampled(kind, g.sample_matrices, seeds, faults)
         yield start, elements, _first_faults(faults)
@@ -747,6 +730,10 @@ def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
     which for infinite groups is an extra requirement and not a
     consequence of closure), and composing with the group identity must
     not change the element.
+
+    Trial i draws from mix_seed(seed, 2i) and mix_seed(seed, 2i + 1).  A
+    blocked group checks blocks of _BLOCK trials on stacks (_axioms_block)
+    and gives the report and errors of the per-trial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -776,29 +763,41 @@ def _axioms_block(g: GroupDescriptor, report: AxiomReport, seed: int, start: int
                   stop: int, tol: float) -> None:
     """Trials start..stop-1 of check_group_axioms on stacks.  Every element
     the per-trial loop builds is checked as its kind's constructor would,
-    in the same order: both samples and their inverses, then the forward
-    and inverse of t1*t2, t1*t1^-1 and identity*t1."""
+    and the first failure raises in the same order: both samples and their
+    inverses, then the forward and inverse of t1*t2, t1*t1^-1 and
+    identity*t1.  Each stage runs once for the block, as the kinds' checks
+    and compositions, the figure tests and the comparison act row by row:
+    the 2B operands are sampled as one stack, the three products composed
+    as one stack of 3B and checked with their inverses as one of 6B, and
+    membership and the comparisons each take one call."""
     kind = _KINDS[g.identity.kind]
-    s1 = [mix_seed(seed, 2 * i) for i in range(start, stop)]
-    s2 = [mix_seed(seed, 2 * i + 1) for i in range(start, stop)]
-    faults = []
-    t1 = _sampled(kind, g.sample_matrices, s1, faults)
-    t2 = _sampled(kind, g.sample_matrices, s2, faults)
-    closure = g.contains_matrices(_composed(kind, t1, t2, faults)[0], tol)
-    inverse = g.contains_matrices(t1[1], tol)
+    b = stop - start
+    seeds = mix_seeds(seed, range(2 * start, 2 * stop))
+    s1, s2 = seeds[0::2], seeds[1::2]
+    checks = []
+    sampled = _sampled(kind, g.sample_matrices, s1 + s2, checks)
+    t1, t2 = tuple(x[:b] for x in sampled), tuple(x[b:] for x in sampled)
+    identity = [np.broadcast_to(x, y.shape) for x, y in zip(g.identity._stacks(), t1)]
+    # t1*t2, t1*t1^-1 and identity*t1 as one stack
+    left = [np.concatenate(x) for x in zip(t1, t1, identity)]
+    right = [np.concatenate(x) for x in zip(t2, (t1[1], t1[0], t1[2]), t1)]
+    products = _checked(kind, np.concatenate(kind.compose(left, right)), checks)
+    antilinear = left[2] != right[2]
+    member = g.contains_matrices(np.concatenate([products[:b], t1[1]]), tol)
+    closure, inverse = member[:b], member[b:]
+    forwards, inverses = checks[2].reshape(2, 3, b)
     # t1*t1^-1 is only formed when t1^-1 passes contains
-    unit, _, unit_antilinear = _composed(kind, t1, (t1[1], t1[0], t1[2]), faults)
-    faults[-2:] = [np.where(inverse, f, 0) for f in faults[-2:]]
-    identity = tuple(np.broadcast_to(x, y.shape) for x, y in zip(g.identity._stacks(), t1))
-    left, _, left_antilinear = _composed(kind, identity, t1, faults)
-    _raise_first(kind, np.stack(faults, axis=1))
-    m1 = t1[0]
-    eye = np.broadcast_to(np.eye(m1.shape[-1]), m1.shape)
-    inverse = inverse & ~unit_antilinear & equal_up_to_scale_stack(unit, eye, 1e-8)
-    same = (left_antilinear == t1[2]) & equal_up_to_scale_stack(left, m1, 1e-8)
+    unit = [np.where(inverse, f, 0) for f in (forwards[1], inverses[1])]
+    _raise_first(kind, np.stack([checks[0][:b], checks[1][:b], checks[0][b:], checks[1][b:],
+                                 forwards[0], inverses[0], *unit, forwards[2], inverses[2]],
+                                axis=1))
+    eye = np.broadcast_to(np.eye(t1[0].shape[-1]), t1[0].shape)
+    same = equal_up_to_scale_stack(products[b:3 * b], np.concatenate([eye, t1[0]]), 1e-8)
+    inverse = inverse & ~antilinear[b:2 * b] & same[:b]
+    identical = (antilinear[2 * b:] == t1[2]) & same[b:]
     for failures, ok in ((report.closure_failures, closure),
                          (report.inverse_failures, inverse),
-                         (report.identity_failures, same)):
+                         (report.identity_failures, identical)):
         failures.extend((start + k, s1[k], s2[k]) for k in np.flatnonzero(~ok).tolist())
 
 
@@ -890,7 +889,7 @@ def _block_outcomes(prop, g, config_sampler, seed: int, trials: int):
     second block."""
     kind = _KINDS[g.identity.kind]
     for start, elements, faults in _element_blocks(g, seed, trials, 3, 1, 1):
-        cseeds = [mix_seed(seed, 3 * i) for i in range(start, start + len(faults))]
+        cseeds = mix_seeds(seed, range(3 * start, 3 * (start + len(faults)), 3))
         alone, outcome = _stacked_trials(prop, kind, config_sampler, cseeds, elements, faults)
         for k, cseed in enumerate(cseeds):
             make = partial(_block_element, kind, elements, faults, k)

@@ -213,8 +213,8 @@ def random_moebius_stack(seeds):
     # rejection sampling, each redraw on the trial's own generator, until
     # |ad - bc| > 0.2 max(|a|, |b|, |c|, |d|)^2
     while redo.size:
-        for k in redo:
-            re[k], im[k] = rngs[k].normal(size=4), rngs[k].normal(size=4)
+        for k in redo.tolist():
+            re[k], im[k] = rngs[k].normal(size=(2, 4))
         draws = (re[redo] + 1j * im[redo]) / np.sqrt(2)
         a, b, c, d = draws.T
         scale = np.max(complex_abs(draws), axis=1)

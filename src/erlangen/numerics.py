@@ -32,12 +32,20 @@ def mix_seed(seed: int, index: int) -> int:
     """Derive a child seed from (seed, index) with the splitmix64 finalizer.
 
     This is the documented splitting rule used by every randomized routine
-    in the package: trial k of a run seeded with s uses mix_seed(s, k).
+    in the package: trial k of a run seeded with s uses mix_seed(s, k).  It
+    is the batch of one of mix_seeds.
     """
-    z = (int(seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return (z ^ (z >> 31)) & MASK64
+    return mix_seeds(seed, [int(index) & MASK64])[0]
+
+
+def mix_seeds(seed: int, indices) -> list:
+    """[mix_seed(seed, i) for i in indices], as Python ints: the splitmix64
+    rule on a uint64 array, whose arithmetic wraps mod 2^64 as the rule's
+    masks do.  The indices lie in [0, 2^64)."""
+    z = (np.asarray(indices, dtype=np.uint64) + 1) * 0x9E3779B97F4A7C15 + (int(seed) & MASK64)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return (z ^ (z >> 31)).tolist()
 
 
 def rng_from(seed: int) -> np.random.Generator:

@@ -27,12 +27,14 @@ import numpy as np
 
 from .numerics import (
     GeometryError,
+    UniformWindow,
     as_complex_array,
     equal_up_to_scale,
     indefinite_orthogonal_stack,
     lex_key,
     proportionality,
     rng_stack,
+    uniform,
 )
 from .moebius import (
     INFINITY,
@@ -507,15 +509,13 @@ def random_pentaspherical_stack(seeds, n: int) -> np.ndarray:
     antisymmetric part is exponentiated in O(3, n - 3), two reflection
     coins and a log-uniform factor in [1/4, 4].
     """
-    normals = np.empty((len(seeds), n, n))
-    flips = np.empty((len(seeds), 2), dtype=bool)
-    factor = np.empty(len(seeds))
-    for k, rng in enumerate(rng_stack(seeds)):
-        normals[k] = rng.normal(size=(n, n))
-        flips[k] = rng.random() < 0.5, rng.random() < 0.5
-        factor[k] = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
+    rngs = rng_stack(seeds)
+    normals = np.array([rng.normal(size=(n, n)) for rng in rngs]).reshape(-1, n, n)
+    window = UniformWindow(rngs, 3)
+    flips = window.take(None, 2) < 0.5
+    factor = np.exp(uniform(np.log(0.25), np.log(4.0), window.take(None, 1)))
     m = _D[n] @ indefinite_orthogonal_stack(normals, flips, 3) @ _D_INV[n]
-    return m * factor[:, None, None]
+    return m * factor[:, :, None]
 
 
 def random_inversive_map(seed: int) -> np.ndarray:

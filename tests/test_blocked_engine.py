@@ -345,7 +345,7 @@ def test_block_sizes():
     assert requested == [1, 64, 64, 64, 7]
     del requested[:]
     check_group_axioms(g, seed=1, trials=130)
-    assert requested == [64, 64, 64, 64, 2, 2]
+    assert requested == [128, 128, 4]
     del requested[:]
     orbit_sample(Configuration([ProjPoint([0.1, 0.2, 1.0])]), g, seed=1, count=65)
     assert requested == [64, 1]
@@ -1650,7 +1650,7 @@ def test_circle_block_sizes(name):
     assert requested == [1, 64, 5]
     del requested[:]
     check_group_axioms(g, seed=1, trials=66)
-    assert requested == [64, 64, 2, 2]
+    assert requested == [128, 4]
     del requested[:]
     orbit_sample(Configuration([circle_quadric(0.1, 0.5)]), g, seed=1, count=65)
     assert requested == [64, 1]
@@ -1692,6 +1692,29 @@ def test_circle_errors_in_trial_order(name, kind):
     # each bad matrix is refused by its constructor or its inversion, so it
     # raises in every loop
     assert all(isinstance(outcome, tuple) for outcome in (axioms[0], orbits[0], invariance[0]))
+
+
+# 1e100 I and its adjugate pass MoebiusMap's checks; the determinant of their
+# product 1e200 I overflows, and the singularity check refuses it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_unit_raises_only_where_the_inverse_is_a_member():
+    """t1 t1^-1 is formed only when t1^-1 passes contains: trial 5's t1,
+    whose product with its inverse fails the kind's checks, raises in both
+    loops where every map is a member, and is a closure and inverse failure
+    in both where the group refuses it."""
+    g = faulty_group({mix_seed(4, 10): 1e100 * np.eye(2)}, "moebius")
+    raised = _both(lambda h: check_group_axioms(h, 4, 12), g)
+    assert raised[0] == raised[1] == (GeometryError, "MoebiusMap is singular (ad - bc ~ 0)")
+
+    def small(stack, tol):
+        return np.abs(stack).max(axis=(1, 2)) < 1e50
+
+    g = dataclasses.replace(g, contains=lambda t, tol=1e-8: bool(small(t.forward[None], tol)[0]),
+                            contains_matrices=small)
+    reports = _both(lambda h: check_group_axioms(h, 4, 12), g)
+    lists = [(r.closure_failures, r.inverse_failures, r.identity_failures) for r in reports]
+    assert lists[0] == lists[1]
+    assert [[i for i, _, _ in failures] for failures in lists[0]] == [[5], [5], []]
 
 
 # -- the record against the tagged union it replaced ----------------------------

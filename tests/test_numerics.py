@@ -1,8 +1,9 @@
 """The form-orthonormal completion behind symmetric_gram_basis and
 sample_form_preserving, against the two Gram-Schmidt loops it replaced;
 expm_stack against scipy.linalg.expm, rng_stack against numpy's own
-generator construction, and proportionality and normalize_leading
-against the bits of their former scalar bodies."""
+generator construction, mix_seeds against the Python-integer splitmix64
+rule, and proportionality and normalize_leading against the bits of their
+former scalar bodies."""
 
 import hashlib
 import os
@@ -23,6 +24,7 @@ from erlangen.numerics import (
     _pade_kernel,
     expm_stack,
     mix_seed,
+    mix_seeds,
     normalize_leading,
     normalize_leading_stack,
     proportionality,
@@ -269,6 +271,32 @@ def test_complex_orthogonal_keeps_its_draws(n):
         assert _complex_orthogonal(new, n).tobytes() == _old_complex_orthogonal(old, n).tobytes()
         # and leaves the generator where the old draw did
         assert new.bit_generator.state == old.bit_generator.state
+
+
+# -- mix_seeds against the Python-integer rule it replaced ---------------------
+
+def _old_mix_seed(seed, index):
+    z = (int(seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & numerics.MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & numerics.MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & numerics.MASK64
+    return (z ^ (z >> 31)) & numerics.MASK64
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -1])
+def test_mix_seeds_is_the_python_integer_rule(seed):
+    # the ranges the block loops pass: all indices, the axiom pairs, the
+    # invariance configurations and transformations, a contact block
+    for indices in (range(301), range(128, 256), range(0, 300, 3), range(1, 301, 3),
+                    range(300)[64:128]):
+        mixed = mix_seeds(seed, indices)
+        assert mixed == [_old_mix_seed(seed, i) for i in indices]
+        assert all(type(z) is int for z in mixed)
+        assert [mix_seed(seed, i) for i in indices] == mixed
+    assert mix_seeds(seed, []) == []
+    # mix_seed masks any index to 64 bits, as the old rule's first mask did
+    for index in (-1, 2**64 - 1, 2**64 + 3):
+        z = mix_seed(seed, index)
+        assert type(z) is int and z == _old_mix_seed(seed, index)
 
 
 # -- rng_stack against Generator(PCG64(seed)) ----------------------------------

@@ -2,12 +2,13 @@
 they replaced, bit for bit: every property sampler and the projective
 group's matrices, on blocks of 0 to 64 seeds, with windows wide enough, run
 out, or empty (draw(rng)); the one generator call per trial that a window
-takes; and the empty blocks of every built-in sampler and group."""
+takes; the empty blocks of every built-in sampler and group; and the group
+samplers that draw normals, against their per-trial draw loops."""
 
 import numpy as np
 import pytest
 
-from erlangen import groups, numerics, properties
+from erlangen import groups, numerics, properties, transfers
 from erlangen.groups import BUILTIN_GROUP_NAMES, builtin_group
 from erlangen.numerics import mix_seed, rng_from
 from erlangen.properties import Sampler, WindowSampler, builtin_property
@@ -286,3 +287,101 @@ def test_empty_blocks_give_empty_stacks():
             matrices = sampled[0] if name == "moebius" else sampled
             n = g.identity.forward.shape[0]
             assert matrices.shape == (0, n, n), name
+
+
+# -- the group samplers, against the per-trial draw loops they replaced --------
+
+def _old_similarity(dim, scaled):
+    def sample_matrices(seeds):
+        normals = np.empty((len(seeds), dim, dim))
+        scale = np.ones(len(seeds))
+        tr = np.empty((len(seeds), dim))
+        for b, seed in enumerate(seeds):
+            rng = rng_from(seed)
+            normals[b] = rng.normal(size=(dim, dim))
+            if scaled:
+                scale[b] = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
+            tr[b] = rng.uniform(-1.0, 1.0, size=dim)
+        linear = scale[:, None, None] * numerics.orthogonal_from_normals(normals)
+        return groups._affine_stack(linear, tr)
+    return sample_matrices
+
+
+def _old_affine(dim):
+    def sample_matrices(seeds):
+        normals = np.empty((2, len(seeds), dim, dim))
+        stretch = np.zeros((len(seeds), dim, dim))
+        tr = np.empty((len(seeds), dim))
+        diag = np.arange(dim)
+        for b, seed in enumerate(seeds):
+            rng = rng_from(seed)
+            normals[0, b] = rng.normal(size=(dim, dim))
+            normals[1, b] = rng.normal(size=(dim, dim))
+            stretch[b, diag, diag] = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=dim))
+            tr[b] = rng.uniform(-1.0, 1.0, size=dim)
+        q1, q2 = numerics.orthogonal_from_normals(normals)
+        return groups._affine_stack(q1 @ stretch @ q2, tr)
+    return sample_matrices
+
+
+def _old_pentaspherical(n):
+    def sample_matrices(seeds):
+        normals = np.empty((len(seeds), n, n))
+        flips = np.empty((len(seeds), 2), dtype=bool)
+        factor = np.empty(len(seeds))
+        for k, seed in enumerate(seeds):
+            rng = rng_from(seed)
+            normals[k] = rng.normal(size=(n, n))
+            flips[k] = rng.random() < 0.5, rng.random() < 0.5
+            factor[k] = np.exp(rng.uniform(np.log(0.25), np.log(4.0)))
+        m = transfers._D[n] @ numerics.indefinite_orthogonal_stack(normals, flips, 3)
+        return m @ transfers._D_INV[n] * factor[:, None, None]
+    return sample_matrices
+
+
+def _old_moebius(seeds):
+    rngs = [rng_from(seed) for seed in seeds]
+    re, im = np.empty((2, len(seeds), 4))
+    redo = np.arange(len(seeds))
+    while redo.size:
+        for k in redo:
+            re[k], im[k] = rngs[k].normal(size=4), rngs[k].normal(size=4)
+        draws = (re[redo] + 1j * im[redo]) / np.sqrt(2)
+        a, b, c, d = draws.T
+        scale = np.max(numerics.complex_abs(draws), axis=1)
+        det = numerics.complex_product(a, d) - numerics.complex_product(b, c)
+        redo = redo[~(numerics.complex_abs(det) > 0.2 * scale * scale)]
+    flags = np.array([rng.random() < 0.5 for rng in rngs], dtype=bool)
+    return ((re + 1j * im) / np.sqrt(2)).reshape(-1, 2, 2), flags
+
+
+#: (group, dimension) of each built-in sampler that draws normals, with its
+#: per-trial draw loop
+GROUP_SAMPLERS = (
+    [(("euclidean_isometries", d), _old_similarity(d, False)) for d in (2, 3)]
+    + [(("principal", d), _old_similarity(d, True)) for d in (2, 3)]
+    + [(("affine", d), _old_affine(d)) for d in (1, 2, 3, 4)]
+    + [(("inversive_pentaspherical", 2), _old_pentaspherical(4)),
+       (("lie_sphere_extended", 2), _old_pentaspherical(5)),
+       (("moebius", 2), _old_moebius)])
+
+
+def _listed(sampled):
+    """A sampler's stacks as a list: the matrices, and the Moebius flags."""
+    return list(sampled) if isinstance(sampled, tuple) else [sampled]
+
+
+@pytest.mark.parametrize("key, old", GROUP_SAMPLERS,
+                         ids=[f"{name}-{d}" for (name, d), _ in GROUP_SAMPLERS])
+def test_group_samplers_keep_their_draws(key, old):
+    """One normal call and one window per generator read each trial's
+    stream as the per-trial loop did: the same matrices (and Moebius
+    flags) bit for bit, in blocks of the axiom checks' size, and the batch
+    of one of each seed is its row of the stack."""
+    sample_matrices = builtin_group(*key).sample_matrices
+    seeds = SEEDS[:500]
+    blocks = [_listed(sample_matrices(seeds[start:start + 128])) for start in range(0, 500, 128)]
+    stacks = [np.concatenate(x) for x in zip(*blocks)]
+    assert _bytes(stacks) == _bytes(_listed(old(seeds)))
+    for k, seed in enumerate(seeds):
+        assert _bytes(_listed(sample_matrices([seed]))) == _bytes([x[k:k + 1] for x in stacks])
