@@ -69,6 +69,10 @@ def elliptic_metric() -> CKMetric:
     return CKMetric(Quadric(np.eye(3, dtype=complex)), 1.0 / 2.0j)
 
 
+#: the built-in metrics by name (names.METRIC_NAMES): the distance verb's and ck-distance's
+METRICS = {"klein-disk": klein_disk_metric, "elliptic": elliptic_metric}
+
+
 #: (exception type, message) of ck_distance's errors, by ck_distance_stack's codes
 CK_FAULTS = ((None, ""), (GeneratorChord, "line lies in the quadric (generator)"),
              (OnAbsolute, "first point lies on the absolute"),

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .names import BUILTIN_GROUP_NAMES, PROPERTY_NAMES
+from .names import BUILTIN_GROUP_NAMES, METRIC_NAMES, PROPERTY_NAMES
 from .numerics import GeometryError
 from .reports import ValueReport, format_number, serialize_report
 
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-invariance", help="randomized invariance check")
     p.add_argument("--group", choices=BUILTIN_GROUP_NAMES)
     p.add_argument("--property", required=True, dest="prop", choices=PROPERTY_NAMES)
-    p.add_argument("--metric", choices=("klein-disk", "elliptic"))
+    p.add_argument("--metric", choices=METRIC_NAMES)
     add_common(p)
 
     p = sub.add_parser("axioms", help="randomized group-axiom check")
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("distance", help="projective measurement of a point pair")
-    p.add_argument("--metric", required=True, choices=("klein-disk", "elliptic"))
+    p.add_argument("--metric", required=True, choices=METRIC_NAMES)
     p.add_argument("--p", required=True, help="x,y")
     p.add_argument("--q", required=True, help="x,y")
 
@@ -208,13 +208,10 @@ def _run_distance(args) -> int:
             if not x * x + y * y < 1.0:
                 raise GeometryError(f"{flag}: klein-disk points must lie inside the "
                                     f"unit disk x^2 + y^2 < 1, got {x},{y}")
-    metric = (cayley_klein.klein_disk_metric() if args.metric == "klein-disk"
-              else cayley_klein.elliptic_metric())
+    metric = cayley_klein.METRICS[args.metric]()
     value = cayley_klein.ck_distance(projective.ProjPoint([px, py, 1.0]),
                                      projective.ProjPoint([qx, qy, 1.0]), metric)
-    shown = abs(value)
-    report = ValueReport("distance", [("metric", args.metric),
-                                      ("value", shown)])
+    report = ValueReport("distance", [("metric", args.metric), ("value", abs(value))])
     sys.stdout.write(serialize_report(report))
     return 0
 

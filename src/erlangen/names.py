@@ -1,8 +1,8 @@
-"""The names of the built-in groups and properties.
+"""The names of the built-in groups, properties and metrics.
 
-They live apart from ``groups`` and ``properties``, which re-export them,
-so that the command-line parser can offer them as choices without
-building either.
+They live apart from ``groups``, ``properties`` and ``cayley_klein``, so
+that the command-line parser can offer them as choices without building
+any of them; ``groups`` and ``properties`` re-export their names.
 """
 
 BUILTIN_GROUP_NAMES = (
@@ -24,3 +24,5 @@ PROPERTY_NAMES = (
     "collinearity",
     "ck-distance",
 )
+
+METRIC_NAMES = ("klein-disk", "elliptic")

@@ -28,6 +28,7 @@ bit the one the trial's generator gave when it was drawn number by number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,9 +36,9 @@ import numpy as np
 from .numerics import (GeometryError, UniformWindow, complex_abs, normalize_leading_stack,
                        rng_stack, row_dot, row_norm, times_i, uniform)
 from .projective import Hyperplane, ProjPoint, Quadric, cross_ratio_stack, incident_stack
-from .groups import Configuration, PropertyUndefined
+from .groups import _ANY, Configuration, PropertyUndefined
 from .moebius import circle_matrices, circle_parameters
-from .cayley_klein import CKMetric, ck_distance_stack, klein_disk_metric, elliptic_metric
+from .cayley_klein import METRICS, CKMetric, ck_distance_stack
 from .names import PROPERTY_NAMES
 
 __all__ = ["BuiltinProperty", "Functional", "Sampler", "builtin_property", "PROPERTY_NAMES"]
@@ -174,17 +175,6 @@ def _stacks(c: Configuration):
     return (np.array(points, dtype=complex).reshape(1, len(points), n),
             np.array(hyperplanes, dtype=complex).reshape(1, len(hyperplanes), n),
             np.array(quadrics, dtype=complex).reshape(1, len(quadrics), k, k))
-
-
-# why a property is undefined, indexed by the codes of its evaluate_stacks
-_DISTANCE_REASONS = ("", "needs two points", "point at infinity")
-_ANGLE_REASONS = ("", "needs three points", "point at infinity", "degenerate ray")
-_CROSS_RATIO_REASONS = ("", "needs four points", "points not collinear")
-_INCIDENCE_REASONS = ("", "needs a point and a hyperplane")
-_COLLINEARITY_REASONS = ("", "needs three points", "all points of P^1 are collinear")
-_TANGENCY_REASONS = ("", "needs two circles", "conic is not a circle", "line encountered",
-                     "imaginary circle")
-_CK_DISTANCE_REASONS = ("", "needs two points", "outside the metric domain")
 
 
 def _undefined(points: np.ndarray, code: int, dtype=complex):
@@ -400,21 +390,19 @@ def _collinearity_prop(points, hyperplanes, quadrics):
     return s[:, 2] < 1e-8 * s[:, 0], np.zeros(len(points), np.int8)
 
 
-def _ck_distance(metric: CKMetric, disk: bool) -> Functional:
+def _ck_distance(metric: CKMetric, disk: bool, points, hyperplanes, quadrics):
     """The distance of the first two plane points, undefined where ck_distance
     refuses them or, with ``disk``, where one is not inside x^2 + y^2 = w^2."""
-    def evaluate(points, hyperplanes, quadrics):
-        if points.shape[1] < 2:
-            return _undefined(points, 1)
-        if points.shape[2] != 3:
-            return _undefined(points, 2)
-        pair = points[:, :2]
-        values, faults = ck_distance_stack(pair[:, 0], pair[:, 1], metric.absolute.matrix, metric.c)
-        # the disk test reads the same at every complex scale of the coordinates
-        outside = disk & (np.sum(np.abs(pair[..., :-1]) ** 2, axis=-1)
-                          >= complex_abs(pair[..., -1]) ** 2).any(axis=1)
-        return values, np.where(outside | (faults != 0), 2, 0)
-    return Functional(evaluate, _CK_DISTANCE_REASONS)
+    if points.shape[1] < 2:
+        return _undefined(points, 1)
+    if points.shape[2] != 3:
+        return _undefined(points, 2)
+    pair = points[:, :2]
+    values, faults = ck_distance_stack(pair[:, 0], pair[:, 1], metric.absolute.matrix, metric.c)
+    # the disk test reads the same at every complex scale of the coordinates
+    outside = disk & (np.sum(np.abs(pair[..., :-1]) ** 2, axis=-1)
+                      >= complex_abs(pair[..., -1]) ** 2).any(axis=1)
+    return values, np.where(outside | (faults != 0), 2, 0)
 
 
 def _disk_pair(window):
@@ -432,48 +420,53 @@ def _disk_pair(window):
     return _configurations(3, _homogeneous(points))
 
 
+_PLANE = (lambda d: d == 2, "{} is a plane property")
+_CK_DISTANCE_REASONS = ("", "needs two points", "outside the metric domain")
+
+#: per built-in property and metric (None for a property that takes none):
+#: the dimensions it takes, and the refusal of any other; whether it is a
+#: relation; why it is undefined, by the codes of its evaluate_stacks; and
+#: for dimension d its evaluate_stacks and its sampler
+_PROPERTIES = {
+    ("euclidean-distance", None): (_ANY, False, ("", "needs two points", "point at infinity"),
+                                   lambda d: (_euclidean_distance, _points_sampler(2, d))),
+    ("angle", None): (_ANY, False, ("", "needs three points", "point at infinity",
+                                    "degenerate ray"),
+                      lambda d: (_angle_at_vertex, _points_sampler(3, d))),
+    ("cross-ratio", None): (_ANY, False, ("", "needs four points", "points not collinear"),
+                            lambda d: (_cross_ratio_prop, _collinear_quadruple_sampler(d))),
+    ("incidence", None): (_ANY, True, ("", "needs a point and a hyperplane"),
+                          lambda d: (_incidence_prop, _incidence_sampler(d))),
+    ("tangency", None): (_PLANE, True, ("", "needs two circles", "conic is not a circle",
+                                        "line encountered", "imaginary circle"),
+                         lambda d: (_tangency, WindowSampler(2, _circle_pair, 7, 3))),
+    ("collinearity", None): (
+        (lambda d: d >= 2, "{} needs dimension >= 2: all points of P^1 lie on its one line"),
+        True, ("", "needs three points", "all points of P^1 are collinear"),
+        lambda d: (_collinearity_prop, _triple_maybe_collinear_sampler(d))),
+    ("ck-distance", "klein-disk"): (_PLANE, False, _CK_DISTANCE_REASONS, lambda d: (
+        partial(_ck_distance, METRICS["klein-disk"](), True), WindowSampler(2, _disk_pair, 4, 4))),
+    ("ck-distance", "elliptic"): (_PLANE, False, _CK_DISTANCE_REASONS, lambda d: (
+        partial(_ck_distance, METRICS["elliptic"](), False), _points_sampler(2, 2))),
+}
+
+
 def builtin_property(name: str, dimension: int = 2,
                      metric: Optional[str] = None) -> BuiltinProperty:
-    """Look up a named property functional with its configuration sampler.
-
-    ``ck-distance`` is a plane property and requires a metric parameter
-    ('klein-disk' or 'elliptic'); every other property rejects one.
-    """
-    if name != "ck-distance" and metric is not None:
+    """Look up a named property functional with its configuration sampler
+    (_PROPERTIES).  The checks run in order: a metric where the property
+    takes none, the name, the metric (ck-distance requires one), and the
+    dimension."""
+    metrics = [m for n, m in _PROPERTIES if n == name]
+    if metric is not None and not any(metrics):
         raise GeometryError(f"property {name!r} takes no metric parameter")
-    if name == "euclidean-distance":
-        return BuiltinProperty(name, Functional(_euclidean_distance, _DISTANCE_REASONS),
-                               _points_sampler(2, dimension), False)
-    if name == "angle":
-        return BuiltinProperty(name, Functional(_angle_at_vertex, _ANGLE_REASONS),
-                               _points_sampler(3, dimension), False)
-    if name == "cross-ratio":
-        return BuiltinProperty(name, Functional(_cross_ratio_prop, _CROSS_RATIO_REASONS),
-                               _collinear_quadruple_sampler(dimension), False)
-    if name == "incidence":
-        return BuiltinProperty(name, Functional(_incidence_prop, _INCIDENCE_REASONS),
-                               _incidence_sampler(dimension), True)
-    if name == "tangency":
-        if dimension != 2:
-            raise GeometryError("tangency is a plane property")
-        return BuiltinProperty(name, Functional(_tangency, _TANGENCY_REASONS),
-                               WindowSampler(2, _circle_pair, 7, 3), True)
-    if name == "collinearity":
-        if dimension < 2:
-            raise GeometryError("collinearity needs dimension >= 2: all points of "
-                                "P^1 lie on its one line")
-        return BuiltinProperty(name, Functional(_collinearity_prop, _COLLINEARITY_REASONS),
-                               _triple_maybe_collinear_sampler(dimension), True)
-    if name == "ck-distance":
-        if metric is None:
-            raise GeometryError("ck-distance requires a metric parameter")
-        if metric not in ("klein-disk", "elliptic"):
-            raise GeometryError(f"unknown metric {metric!r}")
-        if dimension != 2:
-            raise GeometryError("ck-distance is a plane property")
-        if metric == "klein-disk":
-            return BuiltinProperty(name, _ck_distance(klein_disk_metric(), True),
-                                   WindowSampler(2, _disk_pair, 4, 4), False)
-        return BuiltinProperty(name, _ck_distance(elliptic_metric(), False),
-                               _points_sampler(2, 2), False)
-    raise GeometryError(f"unknown property: {name}")
+    if not metrics:
+        raise GeometryError(f"unknown property: {name}")
+    if metric not in metrics:
+        raise GeometryError(f"unknown metric {metric!r}" if metric is not None
+                            else f"{name} requires a metric parameter")
+    (takes, refusal), boolean, reasons, build = _PROPERTIES[name, metric]
+    if not takes(dimension):
+        raise GeometryError(refusal.format(name))
+    evaluate, sampler = build(dimension)
+    return BuiltinProperty(name, Functional(evaluate, reasons), sampler, boolean)

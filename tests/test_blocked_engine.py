@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from erlangen import groups, names
+from erlangen import cayley_klein, groups, names, properties
 from erlangen.moebius import (
     MoebiusMap,
     circle_quadric,
@@ -833,21 +833,34 @@ def test_a_plain_callable_samples_one_configuration_per_trial():
     assert serialize_report(wrapped) == serialize_report(blocked)
 
 
+def _property_rows():
+    """(name, dimension, metric) of every row of the property table at each
+    dimension 1 to 3 it takes."""
+    return [(name, dim, metric)
+            for (name, metric), ((takes, _), *_) in properties._PROPERTIES.items()
+            for dim in (1, 2, 3) if takes(dim)]
+
+
 def test_every_builtin_property_is_on_stacks():
     """The block path has one evaluation path for the built-in properties:
     each is a Functional with a stacked sampler."""
-    accepted = set()
-    for name in PROPERTY_NAMES:
-        for dim in (1, 2, 3):
-            for metric in (None, "klein-disk", "elliptic"):
-                try:
-                    prop = builtin_property(name, dim, metric)
-                except GeometryError:
-                    continue
-                assert hasattr(prop.evaluate, "evaluate_stacks"), (name, dim, metric)
-                assert hasattr(prop.sample_config, "sample_stacks"), (name, dim, metric)
-                accepted.add(name)
-    assert accepted == set(PROPERTY_NAMES)
+    rows = _property_rows()
+    assert {(name, metric) for name, _, metric in rows} == set(properties._PROPERTIES)
+    for name, dim, metric in rows:
+        prop = builtin_property(name, dim, metric)
+        assert isinstance(prop.evaluate, Functional), (name, dim, metric)
+        assert hasattr(prop.sample_config, "sample_stacks"), (name, dim, metric)
+        assert prop.sample_config.dimension == dim, (name, dim, metric)
+
+
+def test_an_empty_block_has_the_shapes_of_a_full_one():
+    """What a sampler fills, slot by slot, is read off sample_stacks([]),
+    which draws nothing: the same slot counts and row sizes as a block of
+    one."""
+    for name, dim, metric in _property_rows():
+        sampler = builtin_property(name, dim, metric).sample_config
+        empty, one = sampler.sample_stacks([]), sampler.sample_stacks([1])
+        assert [s.shape for s in empty] == [(0,) + s.shape[1:] for s in one], (name, dim, metric)
 
 
 def test_witness_at_trial_zero_samples_one_configuration():
@@ -1875,6 +1888,20 @@ def test_the_record_has_no_branch_on_its_kind():
         assert not hasattr(groups, name)
     source = inspect.getsource(groups._Kind.act)
     assert not any(word in source for word in ("projective", "moebius", "pentaspherical"))
+
+
+def test_the_properties_are_one_table_with_no_branch_on_their_names():
+    assert names.PROPERTY_NAMES == tuple(dict.fromkeys(name for name, _ in properties._PROPERTIES))
+    # one map of the metric names, for the CLI's choices, its distance verb
+    # and the table's keys
+    assert names.METRIC_NAMES == tuple(cayley_klein.METRICS)
+    assert names.METRIC_NAMES == tuple(metric for _, metric in properties._PROPERTIES if metric)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(properties.builtin_property)))
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not constants & set(names.PROPERTY_NAMES + names.METRIC_NAMES)
+    for name in ("_DISTANCE_REASONS", "_ANGLE_REASONS", "_CROSS_RATIO_REASONS",
+                 "_INCIDENCE_REASONS", "_COLLINEARITY_REASONS", "_TANGENCY_REASONS"):
+        assert not hasattr(properties, name)
 
 
 def test_the_groups_are_one_table_with_no_branch_on_their_names():

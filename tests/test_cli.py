@@ -197,6 +197,12 @@ class TestValues:
         assert err == ("error: collinearity needs dimension >= 2: all points of P^1 "
                        "lie on its one line\n")
 
+    def test_angle_in_dimension_zero_exits_two(self, capsys):
+        code, out, err = run(capsys, "check-invariance", "--group", "projective",
+                             "--property", "angle", "--dimension", "0",
+                             "--seed", "1", "--trials", "5")
+        assert (code, out, err) == (2, "", "error: angle needs dimension >= 1\n")
+
     def test_ck_distance_in_dimension_three_exits_two(self, capsys):
         code, out, err = run(capsys, "check-invariance", "--group", "projective",
                              "--property", "ck-distance", "--metric", "klein-disk",

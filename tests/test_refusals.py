@@ -32,7 +32,7 @@ from erlangen.groups import (
 from erlangen.moebius import MoebiusMap, circle_quadric
 from erlangen.numerics import DimensionMismatch, GeometryError, equal_up_to_scale, mix_seed
 from erlangen.projective import Hyperplane, ProjMap, ProjPoint, Quadric
-from erlangen.properties import Sampler, builtin_property
+from erlangen.properties import PROPERTY_NAMES, Sampler, builtin_property
 from erlangen.reports import parse_report_trailer, serialize_report
 from erlangen.transfers import moebius_circle_matrix
 
@@ -393,14 +393,58 @@ def test_builtin_group_refusals(name, dim, message):
     assert (type(info.value), str(info.value)) == (GeometryError, message)
 
 
-@pytest.mark.parametrize("name,dim,metric,message", [
+PROPERTY_REFUSALS = [
     ("angle", 2, "elliptic", "property 'angle' takes no metric parameter"),
     ("ck-distance", 2, None, "ck-distance requires a metric parameter"),
     ("tangency", 3, None, "tangency is a plane property"),
     ("ck-distance", 3, "klein-disk", "ck-distance is a plane property"),
     ("ck-distance", 1, "elliptic", "ck-distance is a plane property"),
-    ("area", 2, None, "unknown property: area")])
+    ("area", 2, None, "unknown property: area")]
+
+
+def _by_dimension(*messages):
+    """The refusals at dimensions -1 to 4, from (message, count) runs; a
+    None message: the lookup succeeds."""
+    return [message for message, count in messages for _ in range(count)]
+
+
+_NEEDS_ONE = "{} needs dimension >= 1"
+_PLANE = "{} is a plane property"
+_COLLINEARITY = "collinearity needs dimension >= 2: all points of P^1 lie on its one line"
+#: per (name, metric), builtin_property's refusal at dimensions -1 to 4
+#: (None: accepted); the metric-free properties refuse every metric alike
+PROPERTY_GRID = {
+    ("euclidean-distance", None): _by_dimension((_NEEDS_ONE, 2), (None, 4)),
+    ("angle", None): _by_dimension((_NEEDS_ONE, 2), (None, 4)),
+    ("cross-ratio", None): _by_dimension((_NEEDS_ONE, 2), (None, 4)),
+    ("incidence", None): _by_dimension((_NEEDS_ONE, 2), (None, 4)),
+    ("tangency", None): _by_dimension((_PLANE, 3), (None, 1), (_PLANE, 2)),
+    ("collinearity", None): _by_dimension((_COLLINEARITY, 3), (None, 3)),
+    ("ck-distance", None): _by_dimension(("ck-distance requires a metric parameter", 6)),
+    ("ck-distance", "klein-disk"): _by_dimension((_PLANE, 3), (None, 1), (_PLANE, 2)),
+    ("ck-distance", "elliptic"): _by_dimension((_PLANE, 3), (None, 1), (_PLANE, 2)),
+    # the checks run in order (a metric where none is taken, the name, the
+    # metric, the dimension), so these refuse at every dimension
+    ("ck-distance", "hyperbolic"): _by_dimension(("unknown metric 'hyperbolic'", 6)),
+    ("area", None): _by_dimension(("unknown property: area", 6)),
+    **{(name, metric): _by_dimension((f"property {name!r} takes no metric parameter", 6))
+       for name in PROPERTY_NAMES + ("area",) if name != "ck-distance"
+       for metric in ("klein-disk", "elliptic", "hyperbolic")},
+}
+PROPERTY_GRID_CELLS = [(name, dim, metric, message and message.format(name))
+                       for (name, metric), messages in PROPERTY_GRID.items()
+                       for dim, message in zip(range(-1, 5), messages)]
+
+
+@pytest.mark.parametrize("name,dim,metric,message", PROPERTY_REFUSALS + [
+    cell for cell in PROPERTY_GRID_CELLS if cell not in PROPERTY_REFUSALS])
 def test_builtin_property_refusals(name, dim, metric, message):
+    if message is None:
+        # an accepted property samples a configuration of its dimension
+        prop = builtin_property(name, dim, metric)
+        assert prop.name == name
+        assert prop.sample_config(1)[0].dim == dim
+        return
     with pytest.raises(GeometryError) as info:
         builtin_property(name, dim, metric)
     assert (type(info.value), str(info.value)) == (GeometryError, message)
