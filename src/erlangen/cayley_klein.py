@@ -87,10 +87,13 @@ def ck_distance_stack(p: np.ndarray, q: np.ndarray, absolute: np.ndarray, c):
     With a = B(p, p), e = B(q, q), b = B(p, q) for the bilinear form B of
     the absolute and s = sqrt(b^2 - ae), the cross-ratio with the chord's
     points on the absolute is (b + s)/(b - s).  c (log(b + s) - log(b - s))
-    is defined up to sign and the period P = 2 pi i c: the value has its
-    component along P in (-|P|/2, |P|/2], is negated where its real part
-    is negative (or 0 and its imaginary part negative), and is reduced
-    again.  Coinciding points, and a chord tangent to the absolute, give 0.
+    is defined up to sign and the period P = 2 pi i c.  The value is the
+    one with real part >= 0 and the least component along P.  Of the
+    principal value v and w, the principal value of -v, it is the one with
+    the larger real (then imaginary) part if that real part is >= 0, else
+    the other one negated: off the strip's edges w = -v, and on an edge
+    (component +-|P|/2) it prefers the + edge.
+    Coinciding points, and a chord tangent to the absolute, give 0.
     """
     pv, qv = (x / np.max(np.abs(x), axis=1, keepdims=True) for x in (p, q))
     form = absolute / np.max(np.abs(absolute))
@@ -105,10 +108,13 @@ def ck_distance_stack(p: np.ndarray, q: np.ndarray, absolute: np.ndarray, c):
     s, c = np.sqrt(disc), complex(c)
     # a point on the absolute makes a logarithm infinite; its value is masked
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = _principal(np.log(b + s) - np.log(b - s))
-        values = c * logs
-        negative = (values.real < 0) | ((values.real == 0) & (values.imag < 0))
-        values = c * _principal(np.where(negative, -logs, logs))
+        logs = np.log(b + s) - np.log(b - s)
+        # off the strip's edge w = -v; on it, v and P - v lie on the
+        # +|P|/2 edge, -v and v - P on the other
+        v, w = c * _principal(logs), c * _principal(-logs)
+        swap = (w.real > v.real) | ((w.real == v.real) & (w.imag > v.imag))
+        hi, lo = np.where(swap, w, v), np.where(swap, v, w)
+        values = np.where(hi.real >= 0, hi, -lo)
     zero = same | (codes != 0) | (np.abs(disc) <= 1e-12 * scale * scale)
     return np.where(zero, 0j, values), codes
 

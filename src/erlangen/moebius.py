@@ -281,34 +281,20 @@ def unit_sphere_quadric() -> Quadric:
     return Quadric(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex))
 
 
-_PROBE_VALUES = (0j, 1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, -2 + 0.5j,
-                 0.3 - 1.7j, INFINITY, 2j)
-
-
 def moebius_to_sphere(m: MoebiusMap) -> ProjMap:
     """The 4x4 projectivity of the sphere conjugate to a Moebius map.
 
-    Constructed numerically from the images of fixed probe points: the
-    unique (up to scale) map M with M . lift(z) ~ lift(m(z)); one
-    mechanism covers the plain and conjugating families alike.
+    A Moebius map fixes the sphere quadric and acts linearly on circle
+    coordinates u (transfers.moebius_circle_matrix, N).  The pole of the
+    plane that cuts a circle out of the sphere, with the third axis
+    reversed (R), is the circle's real coordinates D^-1 u (transfers._D
+    multiplies the first three by i), and a projectivity fixing the sphere
+    moves poles as points.  So the map is R D^-1 N D R, plain or
+    conjugating.
     """
-    rows = []
-    for z in _PROBE_VALUES:
-        pv = sphere_point_homogeneous(z).coords
-        qv = sphere_point_homogeneous(m.apply(z)).coords
-        for i in range(4):
-            for j in range(i + 1, 4):
-                # (M p)_i q_j - (M p)_j q_i = 0, linear in the entries of M
-                row = np.zeros(16, dtype=complex)
-                row[4 * i:4 * i + 4] = qv[j] * pv
-                row[4 * j:4 * j + 4] -= qv[i] * pv
-                rows.append(row)
-    a = np.array(rows)
-    _, s, vh = np.linalg.svd(a)
-    if s[-2] < 1e-8 * s[0]:
-        raise GeometryError("sphere-map construction system is singular")
-    mat = vh[-1].reshape(4, 4)
-    return ProjMap(mat)
+    from .transfers import _D, _D_INV, moebius_circle_matrix
+    r = np.diag([1.0, 1.0, -1.0, 1.0])
+    return ProjMap(r @ _D_INV[4] @ moebius_circle_matrix(m) @ _D[4] @ r)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 Scalars throughout the package are complex floats.  Constructors reject
 non-finite values; all geometric comparisons are scale-free (projective)
 and use explicit tolerances -- there is no ambient global state.
+The groups of symmetric forms are sampled by the Cayley transform; only
+the pentaspherical samplers exponentiate, with scipy's Pade kernel.
 """
 
 from __future__ import annotations
@@ -248,15 +250,11 @@ def uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
     return low + (high - low) * u
 
 
-def ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr.view(np.float64) if arr.dtype == complex else arr)):
-        raise GeometryError(f"{what}: non-finite entries")
-    return arr
-
-
 def as_complex_array(data, what: str = "array") -> np.ndarray:
     arr = np.array(data, dtype=complex)
-    return ensure_finite(arr, what)
+    if not np.all(np.isfinite(arr.view(np.float64))):
+        raise GeometryError(f"{what}: non-finite entries")
+    return arr
 
 
 def equal_up_to_scale(v, w, tol: float = DEFAULT_TOL) -> bool:
@@ -488,77 +486,36 @@ def indefinite_orthogonal_stack(normals: np.ndarray, flips: np.ndarray, p: int) 
     return m
 
 
-def _form_orthonormal_completion(qmat: np.ndarray, basis: list, message: str) -> np.ndarray:
-    """The form-orthonormal vectors ``basis`` completed to a basis B with
-    B^T Q B = I, for a nondegenerate complex symmetric Q.
-
-    Gram-Schmidt with respect to the bilinear (not Hermitian) form, with
-    pivoting on the largest self-pairing to dodge isotropic directions;
-    raises GeometryError(message) when no candidate is left that pairs
-    with itself.
-    """
-    n = qmat.shape[0]
-    cands = [np.eye(n, dtype=complex)[:, k] for k in range(n)]
-    # mixing combinations rescues bases whose vectors are all isotropic
-    for k in range(n):
-        for j in range(k + 1, n):
-            cands.append((cands[k] + cands[j]) / np.sqrt(2))
-    while len(basis) < n:
-        best, best_val = None, -1.0
-        for v in cands:
-            for b in basis:
-                v = v - (b @ qmat @ v) * b
-            nv = np.linalg.norm(v)
-            val = abs(v @ qmat @ v) / nv**2 if nv > 1e-12 else -1.0
-            if val > best_val:
-                best, best_val = v, val
-        if best is None or best_val < 1e-10:
-            raise GeometryError(message)
-        basis.append(best / np.sqrt(complex(best @ qmat @ best)))
-    return np.column_stack(basis)
-
-
-def symmetric_gram_basis(qmat: np.ndarray) -> np.ndarray:
-    """Basis B with B^T Q B = I for a nondegenerate complex symmetric Q."""
-    return _form_orthonormal_completion(np.asarray(qmat, dtype=complex), [],
-                                        "form is (numerically) degenerate")
-
-
 def sample_form_preserving(qmat: np.ndarray, seed: int,
                            fixing: np.ndarray | None = None) -> np.ndarray:
     """Random M with M^T Q M = Q for a complex symmetric nondegenerate Q.
 
-    With ``fixing`` given (a non-isotropic vector a), M additionally fixes
-    a up to sign, i.e. it samples the stabilizer of [a] inside the
-    orthogonal group of Q.
+    M is the Cayley transform (I - X/2)^-1 (I + X/2) of X = Q^-1 A, which
+    lies in the Lie algebra of the group of Q for any antisymmetric A, here
+    a complex one of Frobenius norm 0.8 and Q scaled to largest entry 1 (so
+    M depends on Q only up to scale); it is (Q - A/2)^-1 (Q + A/2).  With
+    ``fixing`` given (a non-isotropic vector a), A is first replaced by
+    P^T A P for the orthogonal projector P = I - a a^H / (a^H a), bounded
+    however close a is to the isotropic cone, so that X a = 0 and M fixes
+    a: M samples the stabilizer of a inside the orthogonal group of Q.
     """
     qmat = np.asarray(qmat, dtype=complex)
     n = qmat.shape[0]
     rng = rng_from(seed)
-    if fixing is None:
-        b = symmetric_gram_basis(qmat)
-        o = _complex_orthogonal(rng, n)
-        return b @ o @ np.linalg.inv(b)
-    a = np.asarray(fixing, dtype=complex)
-    qa = complex(a @ qmat @ a)
-    if abs(qa) < 1e-12 * np.linalg.norm(a) ** 2 * np.linalg.norm(qmat):
-        raise GeometryError("fixed vector is isotropic for the form")
-    # a form-orthonormal basis whose first vector is a
-    b = _form_orthonormal_completion(qmat, [a / np.sqrt(qa)],
-                                     "could not complete a form-orthonormal basis")
-    block = np.zeros((n, n), dtype=complex)
-    block[0, 0] = 1.0
-    block[1:, 1:] = _complex_orthogonal(rng, n - 1)
-    return b @ block @ np.linalg.inv(b)
-
-
-def _complex_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """exp(A) in O(n, C), for a complex antisymmetric A of Frobenius norm 0.8."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = (g - g.T) / 2.0
     nrm = np.linalg.norm(a)
     if nrm > 0:
         a *= 0.8 / nrm
-    return expm_stack(a[None])[0]
+    if fixing is not None:
+        v = np.asarray(fixing, dtype=complex)
+        isotropic = abs(v @ qmat @ v) < 1e-12 * np.linalg.norm(v) ** 2 * np.linalg.norm(qmat)
+        if isotropic or not v.any():
+            raise GeometryError("fixed vector is isotropic for the form")
+    if not np.linalg.cond(qmat) < 1e10:
+        raise GeometryError("form is (numerically) degenerate")
+    qmat = qmat / np.max(np.abs(qmat))
+    if fixing is not None:
+        p = np.eye(n) - np.outer(v, v.conj()) / np.vdot(v, v)
+        a = p.T @ a @ p
+    return np.linalg.solve(qmat - a / 2, qmat + a / 2)

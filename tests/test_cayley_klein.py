@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from erlangen.cayley_klein import (
     OnAbsolute,
     ck_angle,
     ck_distance,
+    ck_distance_stack,
     elliptic_metric,
     induced_surface_distance,
     klein_disk_metric,
@@ -123,6 +125,53 @@ class TestCKDistance:
     def test_degenerate_absolute_rejected(self):
         with pytest.raises(GeometryError):
             CKMetric(Quadric(np.diag([1.0, 1.0, 0.0]).astype(complex)), 0.5)
+
+
+def _cube_pairs():
+    """3000 pairs of real points uniform in [-1, 1]^3."""
+    return rng_from(2008).uniform(-1, 1, (2, 3000, 3))
+
+
+class TestRepresentative:
+    """ck_distance_stack returns one representative of the values
+    +-c L + k P (P = 2 pi i c) for every constant c."""
+
+    CONSTANTS = [1 + 1j, 1 - 1j, -1 + 0.5j, 2j, -0.5j, -2 - 1j, 0.5]
+
+    def test_the_builtin_metrics_keep_their_bits(self):
+        # the one rule leaves the values and codes of both metrics as they were
+        p, q = _cube_pairs()
+        digest = hashlib.sha256()
+        for m in (klein_disk_metric(), elliptic_metric()):
+            values, codes = ck_distance_stack(p, q, m.absolute.matrix, m.c)
+            digest.update(values.tobytes() + codes.tobytes())
+        assert digest.hexdigest()[:16] == "27db232686e39a0e"
+
+    @pytest.mark.parametrize("c", CONSTANTS)
+    def test_every_constant_gets_the_canonical_representative(self, c):
+        p, q = _cube_pairs()
+        disk = klein_disk_metric().absolute.matrix
+        values, codes = ck_distance_stack(p, q, disk, c)
+        ok = codes == 0
+        values, half = values[ok], ck_distance_stack(p, q, disk, 0.5)[0][ok]
+        period = 2j * np.pi * c
+        assert ok.sum() > 2000 and (values.real >= 0).all()
+        # a value of the class: exp(value / c) is the cross-ratio or its inverse
+        cr = np.exp(2 * half)
+        assert np.minimum(np.abs(np.exp(values / c) - cr),
+                          np.abs(np.exp(values / c) - 1 / cr)).max() <= 1e-9 * np.abs(cr).max()
+        # the least component along P, on the +|P|/2 edge when that edge
+        # has a representative with Re >= 0
+        along = (values * np.conj(period)).real / abs(period)
+        assert (np.abs(along) <= abs(period) / 2 * (1 + 1e-12)).all()
+        lower = along < -abs(period) / 2 * (1 - 1e-12)
+        assert ((-values[lower]).real < 0).all() and ((values[lower] + period).real < 0).all()
+        if c == 1 + 1j:
+            assert lower.sum() > 100
+        # swapped, negated and rescaled points give the same value
+        for pp, qq in ((q, p), (-p, q), (p, -2.5 * q)):
+            other = ck_distance_stack(pp, qq, disk, c)[0][ok]
+            assert np.abs(other - values).max() <= 1e-12 * max(1.0, np.abs(values).max())
 
 
 class TestCKAngle:

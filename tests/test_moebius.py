@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from erlangen.numerics import proportionality, rng_from
+from erlangen.numerics import equal_up_to_scale, proportionality, rng_from
 from erlangen.moebius import (
     INFINITY,
     ExtendedComplex,
@@ -116,6 +116,28 @@ class TestStereographic:
             assert resid < 1e-9
 
 
+#: the probe points of the fit that moebius_to_sphere once made
+PROBES = (0j, 1 + 0j, -1 + 0j, 1j, -1j, 1 + 1j, -2 + 0.5j, 0.3 - 1.7j, INFINITY, 2j)
+
+
+def probe_fit(m):
+    """The unique (up to scale) M with M . lift(z) ~ lift(m(z)) over the
+    probe points, as the null vector of the 45 x 16 linear system."""
+    rows = []
+    for z in PROBES:
+        pv = sphere_point_homogeneous(z).coords
+        qv = sphere_point_homogeneous(m.apply(z)).coords
+        for i in range(4):
+            for j in range(i + 1, 4):
+                row = np.zeros(16, dtype=complex)
+                row[4 * i:4 * i + 4] = qv[j] * pv
+                row[4 * j:4 * j + 4] -= qv[i] * pv
+                rows.append(row)
+    _, s, vh = np.linalg.svd(np.array(rows))
+    assert s[-2] >= 1e-8 * s[0]
+    return vh[-1].reshape(4, 4)
+
+
 class TestMoebiusToSphere:
     def test_identity(self):
         m = moebius_to_sphere(MoebiusMap(1, 0, 0, 1))
@@ -129,6 +151,14 @@ class TestMoebiusToSphere:
         expect = np.diag([1.0, 1.0, -1.0, 1.0])
         _, resid = proportionality(m.matrix, expect.astype(complex))
         assert resid < 1e-9
+
+    def test_closed_form_is_the_probe_fit(self):
+        maps = [random_moebius(t) for t in range(300)]
+        maps += [MoebiusMap(0, 1, 1, 0, conjugating=flag) for flag in (False, True)]
+        for m in maps:
+            sphere_map = moebius_to_sphere(m).matrix
+            assert not sphere_map.imag.any()
+            assert equal_up_to_scale(sphere_map, probe_fit(m), 1e-12)
 
     def test_quadric_preserved(self):
         q = unit_sphere_quadric()

@@ -1,9 +1,9 @@
-"""The form-orthonormal completion behind symmetric_gram_basis and
-sample_form_preserving, against the two Gram-Schmidt loops it replaced;
-expm_stack against scipy.linalg.expm, rng_stack against numpy's own
-generator construction, mix_seeds against the Python-integer splitmix64
-rule, and proportionality and normalize_leading against the bits of their
-former scalar bodies."""
+"""sample_form_preserving, the Cayley transform of an element of the form's
+Lie algebra, against the form and the refusals of the Gram-Schmidt sampler
+it replaced; expm_stack against scipy.linalg.expm, rng_stack against
+numpy's own generator construction, mix_seeds against the Python-integer
+splitmix64 rule, and proportionality and normalize_leading against the
+bits of their former scalar bodies."""
 
 import hashlib
 import os
@@ -19,8 +19,6 @@ from scipy.linalg import expm
 from erlangen import numerics
 from erlangen.numerics import (
     GeometryError,
-    _complex_orthogonal,
-    _form_orthonormal_completion,
     _pade_kernel,
     expm_stack,
     mix_seed,
@@ -32,83 +30,15 @@ from erlangen.numerics import (
     rng_from,
     rng_stack,
     sample_form_preserving,
-    symmetric_gram_basis,
 )
 from erlangen.transfers import klein_quadric, random_pentaspherical_stack
 
 
-# -- the two loops the completion replaced, as they were -----------------------
-
-def _gram_candidates(n):
-    cands = [np.eye(n, dtype=complex)[:, k] for k in range(n)]
-    for k in range(n):
-        for j in range(k + 1, n):
-            cands.append((cands[k] + cands[j]) / np.sqrt(2))
-    return cands
-
-
-def old_symmetric_gram_basis(qmat):
-    qmat = np.asarray(qmat, dtype=complex)
-    n = qmat.shape[0]
-    cands = _gram_candidates(n)
-    basis = []
-    for _ in range(n):
-        best, best_val = None, -1.0
-        for c in cands:
-            v = c.copy()
-            for b in basis:
-                v = v - (b @ qmat @ v) * b
-            val = abs(v @ qmat @ v)
-            nv = np.linalg.norm(v)
-            if nv > 1e-12 and val / nv**2 > best_val:
-                best, best_val = v, val / nv**2
-        if best is None or best_val < 1e-10:
-            raise GeometryError("form is (numerically) degenerate")
-        v = best
-        basis.append(v / np.sqrt(complex(v @ qmat @ v)))
-    return np.column_stack(basis)
-
-
-def old_sample_form_preserving(qmat, seed, fixing=None):
-    qmat = np.asarray(qmat, dtype=complex)
-    n = qmat.shape[0]
-    rng = rng_from(seed)
-    if fixing is None:
-        b = old_symmetric_gram_basis(qmat)
-        o = _complex_orthogonal(rng, n)
-        return b @ o @ np.linalg.inv(b)
-    a = np.asarray(fixing, dtype=complex)
-    qa = complex(a @ qmat @ a)
-    if abs(qa) < 1e-12 * np.linalg.norm(a) ** 2 * np.linalg.norm(qmat):
-        raise GeometryError("fixed vector is isotropic for the form")
-    a0 = a / np.sqrt(qa)
-    basis = [a0]
-    cands = _gram_candidates(n)
-    while len(basis) < n:
-        best, best_val = None, -1.0
-        for c in cands:
-            v = c.copy()
-            for b in basis:
-                v = v - (b @ qmat @ v) * b
-            nv = np.linalg.norm(v)
-            if nv <= 1e-12:
-                continue
-            val = abs(v @ qmat @ v) / nv**2
-            if val > best_val:
-                best, best_val = v, val
-        if best is None or best_val < 1e-10:
-            raise GeometryError("could not complete a form-orthonormal basis")
-        basis.append(best / np.sqrt(complex(best @ qmat @ best)))
-    b = np.column_stack(basis)
-    block = np.zeros((n, n), dtype=complex)
-    block[0, 0] = 1.0
-    block[1:, 1:] = _complex_orthogonal(rng, n - 1)
-    return b @ block @ np.linalg.inv(b)
-
+# -- sample_form_preserving --------------------------------------------------
 
 def _forms():
     """23 symmetric forms: definite, indefinite, with isotropic coordinate
-    axes, complex, and degenerate ones that both loops refuse."""
+    axes, complex, and three degenerate ones (10-12) that are refused."""
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     forms = [np.eye(n) for n in (2, 3, 4)] + [
         np.diag([1.0, 1.0, -1.0]), np.diag([1.0, -1.0, 1.0, -1.0]),
@@ -123,47 +53,82 @@ def _forms():
     return forms
 
 
-def _bytes_or_error(fn):
-    try:
-        return fn().tobytes()
-    except GeometryError as exc:
-        return str(exc)
+#: the refusals of the Gram-Schmidt sampler that the Cayley transform
+#: replaced, over seeds 0-99, by form (index in _forms()) and fixed vector;
+#: where it could not complete a form-orthonormal basis for a fixed
+#: vector, the form was degenerate, and it now says so
+ISOTROPIC, DEGENERATE = "fixed vector is isotropic for the form", "form is (numerically) degenerate"
+REFUSALS = {(6, "axis"): ISOTROPIC, (7, "axis"): ISOTROPIC, (8, "axis"): ISOTROPIC,
+            (9, "axis"): ISOTROPIC, (12, "axis"): ISOTROPIC,
+            **{(form, fixing): DEGENERATE for form in (10, 11, 12) for fixing in (None, "random")},
+            (10, "axis"): DEGENERATE, (11, "axis"): DEGENERATE}
 
 
-# the zero form divides by zero in both loops alike
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_completion_matches_the_old_loops_bitwise():
+def _fixings(q, seed):
+    """No fixed vector, a random one, and the first axis, which is
+    isotropic for the forms with isotropic axes."""
+    return {None: None, "random": rng_from(seed).normal(size=len(q)), "axis": np.eye(len(q))[0]}
+
+
+def test_sample_form_preserving_refuses_as_before_and_preserves_the_form():
     forms = _forms()
     assert len(forms) == 23
-    outcomes = set()
-    for q in forms:
+    refused = {}
+    for k, q in enumerate(forms):
         q = q.astype(complex)
-        old = _bytes_or_error(lambda: old_symmetric_gram_basis(q))
-        assert _bytes_or_error(lambda: symmetric_gram_basis(q)) == old
-        assert _bytes_or_error(lambda: _form_orthonormal_completion(
-            q, [], "form is (numerically) degenerate")) == old
-        outcomes.add(old if isinstance(old, str) else bytes)
-        for seed in range(30):
-            a = rng_from(seed).normal(size=len(q))
-            # the first axis is isotropic for the forms with isotropic axes
-            for fixing in (None, a, np.eye(len(q))[0]):
-                new = _bytes_or_error(lambda: sample_form_preserving(q, seed, fixing))
-                old = _bytes_or_error(lambda: old_sample_form_preserving(q, seed, fixing))
-                assert new == old
-                outcomes.add(old if isinstance(old, str) else bytes)
-    assert outcomes == {bytes, "form is (numerically) degenerate",
-                        "fixed vector is isotropic for the form",
-                        "could not complete a form-orthonormal basis"}
+        for seed in range(100):
+            for name, a in _fixings(q, seed).items():
+                try:
+                    m = sample_form_preserving(q, seed, a)
+                except GeometryError as exc:
+                    assert refused.setdefault((k, name), str(exc)) == str(exc)
+                    continue
+                assert np.linalg.norm(m.T @ q @ m - q) <= 1e-13 * np.linalg.norm(q)
+                if a is not None:
+                    assert np.linalg.norm(m @ a - a) <= 1e-12
+                    # the stabiliser of a vector in dimension 2 is finite
+                    if len(q) == 2:
+                        assert np.abs(m - np.eye(2)).max() <= 1e-13
+    assert refused == REFUSALS
+    # the draw depends on the form only up to scale
+    for q in forms[:10] + forms[13:]:
+        for k in (1e-3, 1e3):
+            for seed in range(5):
+                a = _fixings(q, seed)["random"]
+                for fixing in (None, a):
+                    m, mk = (sample_form_preserving(f * q, seed, fixing) for f in (1.0, k))
+                    assert np.abs(mk - m).max() <= 1e-13 * np.abs(m).max()
+    # the zero vector is isotropic for every form
+    with pytest.raises(GeometryError, match=f"^{ISOTROPIC}$"):
+        sample_form_preserving(np.eye(3), 0, np.zeros(3))
 
 
-def test_completion_keeps_the_given_vectors():
-    q = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    a0 = np.array([0.0, 0.0, 1j])
-    b = _form_orthonormal_completion(q, [a0], "unused")
-    assert np.array_equal(b[:, 0], a0)
-    assert np.allclose(b.T @ q @ b, np.eye(3))
-    with pytest.raises(GeometryError, match="^no basis$"):
-        _form_orthonormal_completion(np.diag([1.0, 0.0]).astype(complex), [], "no basis")
+def test_sample_form_preserving_keeps_its_draws():
+    circle = np.diag([1.0, 1.0, -1.0])
+    draws = [sample_form_preserving(circle, seed) for seed in range(50)]
+    draws += [sample_form_preserving(klein_quadric().matrix, seed, fixing=np.arange(1.0, 7.0))
+              for seed in range(50)]
+    digest = hashlib.sha256(b"".join(m.tobytes() for m in draws)).hexdigest()[:16]
+    assert digest == "6709ad3fdb80f8d4"
+
+
+def test_the_closed_form_maps_load_no_scipy():
+    """moebius_to_sphere and the form samplers are built without the
+    matrix exponential: only the pentaspherical samplers reach expm_stack."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from erlangen import numerics\n"
+            "from erlangen.groups import sample_quadric_preserving_map\n"
+            "from erlangen.moebius import moebius_to_sphere, random_moebius\n"
+            "from erlangen.transfers import klein_quadric\n"
+            "moebius_to_sphere(random_moebius(3))\n"
+            "sample_quadric_preserving_map(klein_quadric(), 3)\n"
+            "print('scipy' in sys.modules, numerics._pade_kernel.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.stdout.split() == ["False", "0"], proc.stderr
 
 
 # -- expm_stack ------------------------------------------------------------------
@@ -233,11 +198,7 @@ def test_expm_stack_on_the_stacks_the_samplers_build(monkeypatch):
         random_pentaspherical_stack(seeds, n)
         for seed in seeds:
             random_pentaspherical_stack([seed], n)
-    circle = np.diag([1.0, 1.0, -1.0]).astype(complex)
-    for seed in seeds:
-        sample_form_preserving(circle, seed)
-        sample_form_preserving(klein_quadric().matrix, seed, fixing=np.arange(1.0, 7.0))
-    assert calls == [500] + [1] * 500 + [500] + [1] * 500 + [1] * 1000
+    assert calls == [500] + [1] * 500 + [500] + [1] * 500
 
 
 def test_the_pade_kernel_loads_without_scipy_linalg():
@@ -249,28 +210,6 @@ def test_the_pade_kernel_loads_without_scipy_linalg():
          "print(_pade_kernel() is not None, 'scipy.linalg' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.stdout.split() == ["True", "False"], proc.stderr
-
-
-def _old_complex_orthogonal(rng, n):
-    """The draw _complex_orthogonal made through random_antisymmetric
-    (complex entries, scale 0.8), then its exponential."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a = (g - g.T) / 2.0
-    nrm = np.linalg.norm(a)
-    if nrm > 0:
-        a *= 0.8 / nrm
-    return expm_stack(a[None])[0]
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_complex_orthogonal_keeps_its_draws(n):
-    for seed in range(200):
-        new, old = rng_from(seed), rng_from(seed)
-        assert _complex_orthogonal(new, n).tobytes() == _old_complex_orthogonal(old, n).tobytes()
-        # and leaves the generator where the old draw did
-        assert new.bit_generator.state == old.bit_generator.state
 
 
 # -- mix_seeds against the Python-integer rule it replaced ---------------------
