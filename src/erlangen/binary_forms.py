@@ -137,10 +137,8 @@ def jacobian_covariant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
         raise GeometryError("jacobian needs degrees >= 1")
     val = (np.convolve(f.dx().coeffs, g.dy().coeffs)
            - np.convolve(f.dy().coeffs, g.dx().coeffs))
-    if float(np.max(np.abs(val))) == 0.0:
-        # the jacobian of proportional forms is identically zero
-        return _form_or_zero(val)
-    return BinaryForm(val)
+    # the jacobian of proportional forms is identically zero
+    return _form_or_zero(val)
 
 
 class _ZeroForm(BinaryForm):
@@ -340,65 +338,35 @@ def quartic_discriminant(coeffs) -> complex:
 def perfect_square_root(f: BinaryForm) -> BinaryForm:
     """Quadratic q with f ~ q^2, for a quartic that is a perfect square.
 
-    The four projective roots must fall into two coincident pairs;
-    raises when q^2 is not proportional to f within 1e-8.
+    With c = f / max|f| and q = (q0, q1, q2), q^2 = c reads c0 = q0^2,
+    c1 = 2 q0 q1, c2 = q1^2 + 2 q0 q2, c3 = 2 q1 q2 and c4 = q2^2.  These
+    give q in closed form from the front (q0 = sqrt(c0), q1 = c1 / (2 q0),
+    q2 = (c2 - q1^2) / (2 q0)), from the back (the same on reversed c)
+    and from the middle (q1^2 = t, the larger root of
+    t^2 - c2 t + c1 c3 / 2 = 0, then q0 = c1 / (2 q1), q2 = c3 / (2 q1)).
+    Of the candidates whose divisor is nonzero, the one whose square is
+    nearest c is returned, scaled to largest coefficient 1; raises when
+    there is none or when its square is not proportional to f within 1e-8.
     """
     if f.degree != 4:
         raise GeometryError("perfect_square_root expects a quartic")
-    finite, at_inf = projective_roots(f, 1e-6)
-    if at_inf % 2 != 0:
-        raise GeometryError("odd multiplicity at infinity; not a square")
-    pts = sorted(finite, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-    pairs = []
-    used = [False] * len(pts)
-    for i, z in enumerate(pts):
-        if used[i]:
-            continue
-        best_j, best_d = None, np.inf
-        for j in range(i + 1, len(pts)):
-            if not used[j]:
-                dd = abs(pts[j] - z)
-                if dd < best_d:
-                    best_j, best_d = j, dd
-        if best_j is None:
-            raise GeometryError("roots do not pair up")
-        used[i] = used[best_j] = True
-        pairs.append((z + pts[best_j]) / 2.0)
-    # build the quadratic with the paired roots; each root at infinity
-    # contributes a factor y, prepending a zero coefficient
-    quad = np.array([1.0 + 0j])
-    for z in pairs:
-        quad = np.convolve(quad, np.array([1.0, -z]))
-    quad = np.concatenate([np.zeros(at_inf // 2, dtype=complex), quad])
-    if quad.size < 3:
-        quad = np.concatenate([quad, np.zeros(3 - quad.size, dtype=complex)])
-    quad = _refine_square_root(quad, f.coeffs)
-    q = BinaryForm(quad)
-    if not form_product(q, q).proportional_to(f):
-        raise GeometryError("form is not a perfect square within tolerance")
-    return q
+    c = f.coeffs / np.max(np.abs(f.coeffs))
 
+    def front(s):
+        q0 = np.sqrt(s[0])
+        q1 = s[1] / (2 * q0)
+        return np.array([q0, q1, (s[2] - q1 * q1) / (2 * q0)])
 
-def _refine_square_root(quad: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gauss-Newton polish of q against s*q^2 = target; double roots make
-    the eigenvalue-based start accurate only to sqrt(eps)."""
-    k = int(np.argmax(np.abs(quad)))
-    free = [i for i in range(3) if i != k]
-    sq = np.convolve(quad, quad)
-    s = np.vdot(sq, target) / np.vdot(sq, sq)
-    for _ in range(4):
-        sq = np.convolve(quad, quad)
-        resid = s * sq - target
-        cols = []
-        for i in free:
-            shift = np.zeros(3, dtype=complex)
-            shift[i] = 1.0
-            cols.append(2.0 * s * np.convolve(quad, shift))
-        cols.append(sq)
-        jac = np.column_stack(cols)
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        for n, i in enumerate(free):
-            quad = quad.copy()
-            quad[i] += step[n]
-        s = s + step[-1]
-    return quad
+    root = np.sqrt(c[2] * c[2] - 2 * c[1] * c[3])
+    q1 = np.sqrt(max((c[2] + root) / 2, (c[2] - root) / 2, key=abs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        candidates = ([front(c)] if c[0] else []) + ([front(c[::-1])[::-1]] if c[4] else [])
+        candidates += [np.array([c[1] / (2 * q1), q1, c[3] / (2 * q1)])] if q1 else []
+        misfits = [np.max(np.abs(np.convolve(q, q) - c)) for q in candidates]
+    fits = [(m, k) for k, m in enumerate(misfits) if np.isfinite(m)]
+    if fits:
+        quad = candidates[min(fits)[1]]
+        q = BinaryForm(quad / np.max(np.abs(quad)))
+        if form_product(q, q).proportional_to(f):
+            return q
+    raise GeometryError("form is not a perfect square within tolerance")

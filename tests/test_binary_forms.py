@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from erlangen.numerics import GeometryError, proportionality
 from erlangen.binary_forms import (
     BinaryForm,
+    SphericalRootSet,
     cubic_hessian_cube_lambda,
     cubic_invariant_R,
     cubic_pencil_member,
@@ -350,3 +352,68 @@ class TestPencilDegeneration:
         big = cubic_pencil_member(f, 1e9)
         _, resid = proportionality(big.coeffs / 1e9, r * f2.coeffs)
         assert resid < 1e-6
+
+
+def _square_roots(rng):
+    """Quadratics q, by family, whose squares (times the listed factors)
+    perfect_square_root must take apart: near xy, where the roots cluster
+    at 0 and infinity; coefficients of sizes 1e-6 to 1e6; a root at
+    infinity or at 0; a double root; and the monomials."""
+    near_xy = [(np.array([eps, 1.0, eps]), s)
+               for eps in 10.0 ** -np.arange(1, 13) for s in (1, 1j, -2)]
+    wide = [((rng.normal(size=3) + 1j * rng.normal(size=3)) * 10 ** rng.uniform(-6, 6, 3),
+             0.3 + 1.1j) for _ in range(500)]
+    ab = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
+    at_infinity = [(np.array(q), 0.3 + 1.1j) for a, b in ab for q in ([0, a, b], [a, b, 0])]
+    double = [(np.convolve([a, b], [a, b]), 0.3 + 1.1j) for a, b in ab]
+    monomials = [(np.array(q, dtype=float), s)
+                 for q in ([1, 0, 0], [0, 1, 0], [0, 0, 1]) for s in (1, 1j, -2)]
+    return {"near-xy": near_xy, "wide-scale": wide, "root-at-infinity": at_infinity,
+            "double-root": double, "monomial": monomials}
+
+
+@pytest.mark.parametrize("family", ["near-xy", "wide-scale", "root-at-infinity",
+                                    "double-root", "monomial"])
+def test_perfect_square_root_takes_every_square_apart(family):
+    for q, s in _square_roots(np.random.default_rng(22))[family]:
+        f = BinaryForm(s * np.convolve(q, q))
+        root = perfect_square_root(f)
+        _, resid = proportionality(form_product(root, root).coeffs, f.coeffs)
+        assert resid <= 1e-12, (q, s, resid)
+
+
+def test_perfect_square_root_refuses_every_other_quartic():
+    rng = np.random.default_rng(23)
+    quartics = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(500)]
+    quartics += [[0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0, 0.0]]   # x^3 y, x^3 y + x y^3
+    # near x^3 y: the root from the front overflows, the one from the back
+    # has a square of subnormal size
+    quartics += [[1e-320, 1.0, 0.0, 0.0, 1e-320]]
+    for coeffs in quartics:
+        with pytest.raises(GeometryError,
+                           match="^form is not a perfect square within tolerance$"):
+            perfect_square_root(BinaryForm(coeffs))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: BinaryForm([1.0]), "BinaryForm needs at least two coefficients"),
+    (lambda: BinaryForm([[1.0, 2.0], [3.0, 4.0]]), "BinaryForm needs at least two coefficients"),
+    (lambda: hessian(BinaryForm([1.0, 2.0])), "hessian needs degree >= 2"),
+    # the derivative of y by x is the zero constant, of degree 0
+    (lambda: jacobian_covariant(BinaryForm([0.0, 1.0]).dx(), BinaryForm([1.0, 2.0])),
+     "jacobian needs degrees >= 1"),
+    (lambda: cubic_invariant_R(CANONICAL_QUARTIC), "cubic invariant needs degree 3"),
+    (lambda: quartic_invariants(EQUATOR_CUBIC), "quartic invariants need degree 4"),
+    (lambda: cubic_pencil_member(CANONICAL_QUARTIC, 1.0), "cubic pencil needs a degree-3 form"),
+    (lambda: quartic_pencil_member(EQUATOR_CUBIC, 1.0), "quartic pencil needs a degree-4 form"),
+    (lambda: perfect_square_root(EQUATOR_CUBIC), "perfect_square_root expects a quartic"),
+    (lambda: BinaryForm([0.0, 0.0]), "BinaryForm must be nonzero"),
+    (lambda: substitute(EQUATOR_CUBIC, np.eye(3)), "substitution needs a 2x2 matrix"),
+    (lambda: SphericalRootSet([1j]), "SphericalRootSet holds SpherePoints"),
+], ids=["BinaryForm-size", "BinaryForm-ndim", "hessian", "jacobian_covariant",
+        "cubic_invariant_R", "quartic_invariants", "cubic_pencil_member",
+        "quartic_pencil_member", "perfect_square_root", "BinaryForm-zero", "substitute",
+        "SphericalRootSet"])
+def test_degree_and_shape_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()

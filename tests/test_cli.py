@@ -1,11 +1,13 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from erlangen import cli
 from erlangen.cli import main
 from erlangen.properties import builtin_property
 from erlangen.numerics import GeometryError
@@ -267,6 +269,25 @@ def test_coordinate_flags_take_a_leading_minus(capsys, flag, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert (code, out, err) == run(capsys, *joined)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["transfer", "--kind", "stereographic"], "stereographic requires --point x,y,z"),
+    (["transfer", "--kind", "inverse-stereographic"], "inverse-stereographic requires --z re,im"),
+    (["transfer", "--kind", "pluecker"], "pluecker requires --a and --b (4 numbers each)"),
+    (["transfer", "--kind", "circle-coords"],
+     "circle-coords requires --center re,im and --radius r"),
+    (["covariants", "--coeffs", "1,x,0,1"], "--coeffs: cannot parse '1,x,0,1'"),
+    (["orbit", "--group", "projective", "--seed", "1"], "orbit requires --point or --circle"),
+], ids=["stereographic", "inverse-stereographic", "pluecker", "circle-coords",
+        "covariants-coeffs", "orbit-start"])
+def test_verb_refusals(capsys, argv, message):
+    """Each verb's own input refusal is a GeometryError, which main()
+    reports on stderr with exit code 2 and no output."""
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        cli._RUNNERS[args.verb](args)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def _python(*args):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,19 @@ class TestConfig:
         text = VALID.replace("tolerance = 1e-9", f"tolerance = {tol}")
         with pytest.raises(ConfigError, match="tolerance must be positive and finite"):
             parse_config_text(text)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("dimension = 2", "dimension = 0", "<config>: dimension must be >= 1"),
+    ("group = principal", "group = pro jective", "<config>: group is not an identifier: 'pro jective'"),
+    ("group = principal", "group =", "<config>:4: empty value for 'group'"),
+    ("tolerance = 1e-9", "tolerance = small", "<config>:3: tolerance must be a number, got 'small'"),
+], ids=["dimension-zero", "group-not-identifier", "empty-value", "tolerance-not-a-number"])
+def test_config_refusals(old, new, message):
+    """Each refusal ends with its reason, prefixed by the source and, for
+    a fault of one line, its line number."""
+    with pytest.raises(ConfigError, match=f"{re.escape(message)}$"):
+        parse_config_text(VALID.replace(old, new))
 
 
 class TestReports:

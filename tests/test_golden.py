@@ -10,6 +10,7 @@ fails here.  Re-record (only for an intended change of output) with
     PYTHONPATH=src python tests/test_golden.py --record
 """
 
+import argparse
 import contextlib
 import io
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from erlangen.cli import main
+from erlangen.cli import _build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = GOLDEN / "cases.txt"
@@ -49,6 +50,25 @@ def test_golden_invocation(name, code, argv):
     got_code, got_out = invoke(argv)
     assert got_code == code
     assert got_out == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def test_every_verb_map_and_kind_is_recorded():
+    """Each verb of the CLI, and each choice of its --map and --kind flags,
+    is run by at least one golden case."""
+    parser = _build_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    wanted = {(verb,) for verb in verbs}
+    wanted |= {(verb, action.dest, choice) for verb, sub in verbs.items()
+               for action in sub._actions if {"--map", "--kind"} & set(action.option_strings)
+               for choice in action.choices}
+    recorded = set()
+    for _, _, argv in read_cases()[1]:
+        args = vars(parser.parse_args(argv))
+        recorded.add((args["verb"],))
+        recorded |= {(args["verb"], dest, args[dest]) for dest in ("map_name", "kind")
+                     if dest in args}
+    assert sorted(wanted - recorded) == []
 
 
 def record():

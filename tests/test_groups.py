@@ -404,6 +404,15 @@ class TestSimilarityCriterion:
             is_similarity_via_circular_points(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("matrix,message", [
+    (np.eye(4), "expected a 3x3 real matrix"),
+    (np.eye(3) * (1 + 1j), "expected a real matrix"),
+], ids=["4x4", "complex"])
+def test_is_similarity_via_circular_points_refusals(matrix, message):
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        is_similarity_via_circular_points(matrix)
+
+
 class TestOrbit:
     def test_fixed_point_orbit(self):
         cfg = Configuration([ProjPoint([0.0, 0.0, 1.0])])
