@@ -141,18 +141,19 @@ def jacobian_covariant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return _form_or_zero(val)
 
 
-class _ZeroForm(BinaryForm):
-    """Identically zero covariant (a legitimate derivative/jacobian value)."""
+class _Covariant(BinaryForm):
+    """A covariant value the constructor refuses: the identically zero form
+    of a degree, or a nonzero constant (degree 0)."""
 
-    def __init__(self, degree: int):
-        self.coeffs = np.zeros(degree + 1, dtype=complex)
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
 
 
 def _form_or_zero(coeffs) -> BinaryForm:
-    arr = np.array(coeffs, dtype=complex)
+    arr = as_complex_array(coeffs, "BinaryForm")
     if float(np.max(np.abs(arr))) == 0.0:
-        return _ZeroForm(arr.size - 1)
-    return BinaryForm(arr)
+        return _Covariant(np.zeros(arr.size, dtype=complex))
+    return _Covariant(arr) if arr.size == 1 else BinaryForm(arr)
 
 
 def cubic_invariant_R(f: BinaryForm) -> complex:

@@ -93,10 +93,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: {key} must be a number, "
                               f"got {text_value!r}") from None
 
+    # the parsers' errors carry the source already; RunConfig's get it here
+    fields = dict(seed=parse_int("seed"), trials=parse_int("trials"),
+                  tolerance=parse_float("tolerance"), group=values["group"][0],
+                  dimension=parse_int("dimension"))
     try:
-        return RunConfig(seed=parse_int("seed"), trials=parse_int("trials"),
-                         tolerance=parse_float("tolerance"),
-                         group=values["group"][0], dimension=parse_int("dimension"))
+        return RunConfig(**fields)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 

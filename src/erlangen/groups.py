@@ -65,6 +65,7 @@ from .projective import (
     ProjMap,
     ProjPoint,
     Quadric,
+    _trusted,
     coords_faulty,
     map_hyperplanes,
     map_points,
@@ -939,16 +940,21 @@ def _faulty(stacks) -> np.ndarray:
     """Mask of the configurations whose stacked point, hyperplane and
     quadric rows hold one that ProjPoint, Hyperplane or Quadric would
     refuse."""
-    points, hyperplanes, quadrics = stacks
-    faulty = np.zeros(len(points), dtype=bool)
-    for rows in (points, hyperplanes):
+    faulty = np.zeros(len(stacks[0]), dtype=bool)
+    for slot, rows in enumerate(stacks):
         if rows.size:
-            faulty |= coords_faulty(rows).any(axis=1)
-    if quadrics.size:
-        asymmetric = (quadrics != quadrics.swapaxes(-1, -2)).any(axis=(2, 3))
-        flat = quadrics.reshape(quadrics.shape[:2] + (-1,))
-        faulty |= (coords_faulty(flat) | asymmetric).any(axis=1)
+            faulty |= _rows_faulty(slot, rows).any(axis=1)
     return faulty
+
+
+def _rows_faulty(slot: int, rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a stack of one slot of _ELEMENT_TYPES that its
+    type would refuse: non-finite or all zero, or for a quadric matrix not
+    exactly symmetric."""
+    if _ELEMENT_TYPES[slot][0] is not Quadric:
+        return coords_faulty(rows)
+    asymmetric = (rows != rows.swapaxes(-1, -2)).any(axis=(-2, -1))
+    return coords_faulty(rows.reshape(rows.shape[:-2] + (-1,))) | asymmetric
 
 
 def _sanitized(stacks, irregular: np.ndarray):
@@ -985,6 +991,11 @@ def orbit_sample(c: Configuration, g: GroupDescriptor, seed: int,
     Configurations fixed by a normal subgroup of g yield degenerate
     orbits that cannot separate the group elements; no automated
     detection of that situation is attempted here.
+
+    A blocked group maps each element of c under a block of elements at
+    once, and checks the image rows once per block, on the stacks; only a
+    row that fails those checks goes through its constructor, which
+    raises the per-trial loop's error at its trial.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -994,20 +1005,25 @@ def orbit_sample(c: Configuration, g: GroupDescriptor, seed: int,
     slots = [_slot(e) for e in c]
     orbit = []
     for _, elements, faults in _element_blocks(g, seed, count, 1, 0, _BLOCK):
-        # each element of the configuration under the whole block at once
+        # each element of the configuration under the whole block at once,
+        # its image rows copied into one stack and checked there
         images, refused = [], faults != 0
         for e, slot in zip(c, slots):
             rows, codes = _act_on(kind, elements, e, slot)
+            rows = np.array(rows, dtype=complex)
             refused |= codes != 0
-            images.append((_ELEMENT_TYPES[slot][0], rows))
+            images.append((_ELEMENT_TYPES[slot][0], rows, _rows_faulty(slot, rows).tolist()))
         for k in range(len(faults)):
             if refused[k]:
                 # raises the element's or the action's error at its trial
                 orbit.append(transform_configuration(_block_element(kind, elements, faults, k),
                                                      c))
             else:
-                # a row its constructor refuses raises here, as in the scalar apply
-                orbit.append(Configuration([etype(rows[k]) for etype, rows in images]))
+                # a flagged row goes through its constructor, which raises
+                # its error here, as the scalar apply does
+                orbit.append(_trusted(Configuration, tuple(
+                    etype(rows[k]) if flagged[k] else _trusted(etype, rows[k])
+                    for etype, rows, flagged in images)))
     return orbit
 
 

@@ -353,16 +353,25 @@ def proportionality_stack(a: np.ndarray, b):
     """proportionality(a[k], b) for each array of a stack ``a`` against one
     array ``b``: the (B,) factors and the (B,) residuals.  A zero ``b``
     gives factor 0 and residual inf, a zero a[k] residual 0."""
-    a = np.asarray(a, dtype=complex).reshape(len(a), -1)
+    a = np.ascontiguousarray(a, dtype=complex).reshape(len(a), -1)
     b = np.asarray(b, dtype=complex).ravel()
     denom = np.vdot(b, b)
     if abs(denom) == 0.0:
         return np.zeros(len(a), dtype=complex), np.full(len(a), np.inf)
+    # each row over the power of two of its largest magnitude, so the norms
+    # of tiny rows do not underflow to 0; the scaling is exact
+    _, exponent = np.frexp(np.max(np.abs(a), axis=1, initial=0.0))
+    a = _ldexp_rows(a, -exponent)
     mu = row_dot(np.conj(b), a) / denom
     scale = row_norm(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         resid = row_norm(a - mu[:, None] * b) / scale
-    return mu, np.where(scale == 0.0, 0.0, resid)
+    return _ldexp_rows(mu[:, None], exponent)[:, 0], np.where(scale == 0.0, 0.0, resid)
+
+
+def _ldexp_rows(x: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """Each row k of a contiguous (B, m) complex stack times 2**exponent[k]."""
+    return np.ldexp(x.view(np.float64), exponent[:, None]).view(complex)
 
 
 def normalize_leading(v) -> np.ndarray:

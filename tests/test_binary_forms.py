@@ -71,6 +71,15 @@ class TestHessian:
     def test_degree(self):
         assert hessian(BinaryForm([1.0, 2.0, 3.0, 4.0, 5.0])).degree == 4
 
+    def test_covariants_of_low_degree_are_constants(self):
+        # the Hessian of a x^2 + b xy + c y^2 is the constant 4ac - b^2
+        a, b, c = 2.0, 3.0 - 1.0j, 5.0
+        assert hessian(BinaryForm([a, b, c])).coeffs.tolist() == [4 * a * c - b * b]
+        assert hessian(BinaryForm([1.0, 0.0, 0.0])).coeffs.tolist() == [0.0]
+        assert BinaryForm([1.0, 2.0]).dx().coeffs.tolist() == [1.0]
+        linear = BinaryForm([1.0, 2.0]), BinaryForm([3.0, 5.0])
+        assert jacobian_covariant(*linear).coeffs.tolist() == [-1.0]
+
     def test_covariance(self, rng):
         for _ in range(100):
             g = random_unimodular(rng)
@@ -393,6 +402,12 @@ def test_perfect_square_root_refuses_every_other_quartic():
         with pytest.raises(GeometryError,
                            match="^form is not a perfect square within tolerance$"):
             perfect_square_root(BinaryForm(coeffs))
+
+
+def test_a_subnormal_form_is_proportional_only_to_its_multiples():
+    tiny = BinaryForm([0.0, 0.0, 0.0, 0.0, 1e-320])
+    assert not tiny.proportional_to(BinaryForm([1.0, 2.0, 3.0, 4.0, 5.0]))
+    assert tiny.proportional_to(BinaryForm([0.0, 0.0, 0.0, 0.0, 5.0]))
 
 
 @pytest.mark.parametrize("call,message", [

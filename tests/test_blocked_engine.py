@@ -57,8 +57,10 @@ from erlangen.projective import (
     map_quadrics,
 )
 from erlangen.groups import (
+    _ELEMENT_TYPES,
     _KINDS,
     _sampled,
+    _slot,
     BUILTIN_GROUP_NAMES,
     Configuration,
     GroupDescriptor,
@@ -301,8 +303,9 @@ def test_invariance_over_full_blocks_matches():
 # -- orbits ------------------------------------------------------------------
 
 def _image_bytes(images):
-    return b"".join(np.ascontiguousarray(e.coords if isinstance(e, ProjPoint) else e.matrix)
-                    .tobytes() for img in images for e in img)
+    """The coordinate bytes of the elements of a list of configurations."""
+    return b"".join(np.ascontiguousarray(getattr(e, _ELEMENT_TYPES[_slot(e)][1])).tobytes()
+                    for img in images for e in img)
 
 
 @pytest.mark.parametrize("name,dim", GROUP_DIMS)
@@ -316,6 +319,80 @@ def test_orbit_images_match_bytewise(name, dim):
         assert _image_bytes(blocked) == _image_bytes(orbit_sample(config, per_trial(g), seed, 3))
     assert _image_bytes(orbit_sample(config, g, 1, 70)) == \
         _image_bytes(orbit_sample(config, per_trial(g), 1, 70))
+
+
+PROJECTIVE_KIND_GROUPS = sorted(INVARIANT_PROPERTY)
+
+
+def _point_line_conic(point=(0.3, -0.2, 1.0), conic=(1.0, 2.0, -1.0)):
+    return Configuration([ProjPoint(point), Hyperplane([1.0, 2.0, -0.5]),
+                          Quadric(np.diag(conic))])
+
+
+@pytest.mark.parametrize("name", PROJECTIVE_KIND_GROUPS)
+def test_orbits_of_a_point_a_line_and_a_conic_match_bytewise(name):
+    g, config = builtin_group(name, 2), _point_line_conic()
+    for seed in SEEDS:
+        assert _image_bytes(orbit_sample(config, g, seed, 3)) == \
+            _image_bytes(orbit_sample(config, per_trial(g), seed, 3))
+    assert _image_bytes(orbit_sample(config, g, 1, 70)) == \
+        _image_bytes(orbit_sample(config, per_trial(g), 1, 70))
+
+
+# images of these coordinates overflow under some elements and not others
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", PROJECTIVE_KIND_GROUPS)
+@pytest.mark.parametrize("config", [_point_line_conic(point=(1e308, -1e308, 1.0)),
+                                    _point_line_conic(conic=(1e308, 1e307, -1.0))],
+                         ids=["point", "conic"])
+def test_a_refused_image_row_raises_at_its_trial(name, config):
+    """A row the stacked checks flag goes through its constructor, so each
+    prefix of the orbit raises as the per-trial loop does, or gives the
+    same images."""
+    g = builtin_group(name, 2)
+    for count in range(1, 9):
+        blocked, serial = _both(lambda h: _image_bytes(orbit_sample(config, h, 3, count)), g)
+        assert blocked == serial
+
+
+def test_refused_image_rows_are_seen():
+    """The cases above cover trials that raise and trials that do not."""
+    config = _point_line_conic(point=(1e308, -1e308, 1.0))
+    with np.errstate(all="ignore"):
+        assert len(orbit_sample(config, builtin_group("affine", 2), 3, 2)) == 2
+        with pytest.raises(GeometryError, match="^ProjPoint: non-finite entries$"):
+            orbit_sample(config, builtin_group("affine", 2), 3, 3)
+
+
+@pytest.mark.parametrize("name,config", [("projective", _point_line_conic()),
+                                         ("moebius", Configuration([circle_quadric(0.2, 0.7)]))])
+def test_orbit_images_share_no_coordinates(name, config):
+    orbit = orbit_sample(config, builtin_group(name, 2), 1, 3)
+    before = _image_bytes([config] + orbit[1:])
+    for e in orbit[0]:
+        getattr(e, _ELEMENT_TYPES[_slot(e)][1])[...] = 7.0
+    assert _image_bytes([config] + orbit[1:]) == before
+
+
+def test_a_clean_orbit_runs_no_constructor(monkeypatch):
+    """The block path checks image rows on stacks, so a clean orbit builds
+    its images without the constructors' per-row checks."""
+    calls = []
+    for cls in (ProjPoint, Hyperplane, Quadric, Configuration):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            calls.append(_name)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    triangle = Configuration([ProjPoint([0.3, 0.1, 1.0]), ProjPoint([1.2, -0.5, 1.0]),
+                              ProjPoint([-0.7, 0.9, 1.0])])
+    circle = Configuration([circle_quadric(0.2 - 0.1j, 0.7)])
+    del calls[:]
+    for name, config in (("projective", triangle), ("moebius", circle)):
+        assert len(orbit_sample(config, builtin_group(name, 2), 1, 40)) == 40
+    assert calls == []
+    # the counters see the per-trial loop's constructors
+    orbit_sample(triangle, per_trial(builtin_group("projective", 2)), 1, 2)
+    assert calls.count("ProjPoint") == 6 and calls.count("Configuration") == 2
 
 
 # -- block schedule ----------------------------------------------------------

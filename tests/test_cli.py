@@ -84,6 +84,18 @@ class TestExitCodes:
         assert code == 2
         assert "grup" in err
 
+    @pytest.mark.parametrize("line,message", [
+        ("seed = x", "bad.cfg:1: seed must be an integer, got 'x'"),
+        ("tolerance = small", "bad.cfg:1: tolerance must be a number, got 'small'")])
+    def test_config_number_errors_name_their_source_once(self, capsys, tmp_path, line,
+                                                         message):
+        bad = tmp_path / "bad.cfg"
+        rest = [f"{key} = 1" for key in ("seed", "trials", "tolerance") if key not in line]
+        bad.write_text("\n".join([line, *rest, "group = principal", "dimension = 2"]),
+                       encoding="utf-8")
+        code, out, err = run(capsys, "axioms", "--config", str(bad))
+        assert (code, out, err) == (2, "", f"error: {tmp_path / message}\n")
+
     @pytest.mark.parametrize("seed,code", [(-(1 << 63), 0), ((1 << 64) - 1, 0),
                                            (-(1 << 63) - 1, 2), (1 << 64, 2),
                                            (18446744073709551621, 2)])

@@ -79,11 +79,13 @@ class TestConfig:
     ("group = principal", "group = pro jective", "<config>: group is not an identifier: 'pro jective'"),
     ("group = principal", "group =", "<config>:4: empty value for 'group'"),
     ("tolerance = 1e-9", "tolerance = small", "<config>:3: tolerance must be a number, got 'small'"),
-], ids=["dimension-zero", "group-not-identifier", "empty-value", "tolerance-not-a-number"])
+    ("seed = 42", "seed = x", "<config>:1: seed must be an integer, got 'x'"),
+], ids=["dimension-zero", "group-not-identifier", "empty-value", "tolerance-not-a-number",
+        "seed-not-an-integer"])
 def test_config_refusals(old, new, message):
-    """Each refusal ends with its reason, prefixed by the source and, for
-    a fault of one line, its line number."""
-    with pytest.raises(ConfigError, match=f"{re.escape(message)}$"):
+    """Each refusal is its reason, prefixed once by the source and, for a
+    fault of one line, its line number."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config_text(VALID.replace(old, new))
 
 

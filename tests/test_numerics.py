@@ -354,6 +354,14 @@ def test_proportionality_keeps_the_bits_of_its_scalar_body():
     assert proportionality(np.zeros((2, 2)), np.eye(2)) == (0j, 0.0)
 
 
+def test_proportionality_of_subnormal_rows():
+    """Rows whose norms underflow are scaled first, by a power of two."""
+    b = np.array([1.0, 2.0, 4.0])
+    mus, resids = proportionality_stack(np.array([[0.0, 0.0, 1e-320], 2.0 ** -1070 * b]), b)
+    assert resids[0] > 0.4
+    assert (mus[1], resids[1]) == (2.0 ** -1070, 0.0)
+
+
 def test_normalize_leading_is_the_batch_of_one_of_the_stack():
     rng = np.random.default_rng(15)
     rows = rng.normal(size=(60, 4)) + 1j * rng.normal(size=(60, 4))
