@@ -21,7 +21,6 @@ quartic invariants D^4 and D^6.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -73,14 +72,14 @@ class BinaryForm:
 
     def dx(self) -> "BinaryForm":
         d = self.degree
-        return _form_or_zero([self.coeffs[i] * (d - i) for i in range(d)])
+        return _form_or_zero([self.coeffs[i] * (d - i) for i in range(d)] or [0.0])
 
     def dy(self) -> "BinaryForm":
         d = self.degree
-        return _form_or_zero([self.coeffs[i + 1] * (i + 1) for i in range(d)])
+        return _form_or_zero([self.coeffs[i + 1] * (i + 1) for i in range(d)] or [0.0])
 
     def scaled(self, factor) -> "BinaryForm":
-        return BinaryForm(self.coeffs * complex(factor))
+        return _form_or_zero(self.coeffs * complex(factor))
 
     def proportional_to(self, other: "BinaryForm", tol: float = 1e-8) -> bool:
         if self.degree != other.degree:
@@ -93,7 +92,7 @@ class BinaryForm:
 
 
 def form_product(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    return BinaryForm(np.convolve(f.coeffs, g.coeffs))
+    return _form_or_zero(np.convolve(f.coeffs, g.coeffs))
 
 
 def substitute(f: BinaryForm, g) -> BinaryForm:
@@ -113,7 +112,7 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
     for i, c in enumerate(f.coeffs):
         term = c * np.convolve(powers1[d - i], powers2[i])
         out += term
-    return BinaryForm(out)
+    return _form_or_zero(out)
 
 
 def hessian(f: BinaryForm) -> BinaryForm:
@@ -142,8 +141,8 @@ def jacobian_covariant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 
 class _Covariant(BinaryForm):
-    """A covariant value the constructor refuses: the identically zero form
-    of a degree, or a nonzero constant (degree 0)."""
+    """A derived form, which may be one the constructor refuses: the
+    identically zero form of a degree, or a constant (degree 0)."""
 
     def __init__(self, coeffs: np.ndarray):
         self.coeffs = coeffs
@@ -153,7 +152,7 @@ def _form_or_zero(coeffs) -> BinaryForm:
     arr = as_complex_array(coeffs, "BinaryForm")
     if float(np.max(np.abs(arr))) == 0.0:
         return _Covariant(np.zeros(arr.size, dtype=complex))
-    return _Covariant(arr) if arr.size == 1 else BinaryForm(arr)
+    return _Covariant(arr)
 
 
 def cubic_invariant_R(f: BinaryForm) -> complex:
@@ -204,13 +203,13 @@ class SphericalRootSet:
         return f"SphericalRootSet({self.points!r})"
 
 
-def projective_roots(f: BinaryForm, residual_tol: float = 1e-8):
+def projective_roots(f: BinaryForm):
     """All d projective roots as a (finite roots list, infinity count)
     pair, via companion-matrix eigenvalues plus one Newton step.
 
     Roots at infinity are counted by vanishing leading coefficients
     (relative threshold 1e-12).  A root whose refined residual exceeds
-    ``residual_tol`` raises, reporting the residual.
+    1e-8 raises, reporting the residual.
     """
     coeffs = f.coeffs.copy()
     scale = float(np.max(np.abs(coeffs)))
@@ -231,7 +230,7 @@ def projective_roots(f: BinaryForm, residual_tol: float = 1e-8):
         if abs(dz) > 1e-14:
             z = z - fz / dz
         resid = abs(np.polyval(poly, z)) / (1.0 + abs(z)) ** (poly.size - 1)
-        if resid > residual_tol:
+        if resid > 1e-8:
             raise GeometryError(
                 f"root refinement did not converge (residual {resid:.3e})")
         refined.append(complex(z))
@@ -277,50 +276,40 @@ def quartic_pencil_member(f: BinaryForm, lam) -> BinaryForm:
 
 
 def cubic_hessian_cube_lambda() -> float:
-    """Linear-solve oracle: the pencil parameter at which the sextic
-    Q^2 + lambda*R*f^2 of the canonical cubic x^3 - y^3 becomes
-    proportional to the cube of the Hessian."""
+    """The pencil parameter at which the sextic Q^2 + lambda*R*f^2 of the
+    canonical cubic x^3 - y^3 becomes proportional to the cube of the
+    Hessian, read at the x^6 coefficient, where H^3 has no term; raises
+    unless the member at it is proportional to H^3 within 1e-10."""
     f = BinaryForm([1.0, 0.0, 0.0, -1.0])
     h = hessian(f)
     q = jacobian_covariant(f, h)
-    r = cubic_invariant_R(f)
-    q2 = np.convolve(q.coeffs, q.coeffs)
-    f2 = np.convolve(f.coeffs, f.coeffs)
-    h3 = np.convolve(np.convolve(h.coeffs, h.coeffs), h.coeffs)
-    design = np.column_stack([r * f2, -h3])
-    sol, *_ = np.linalg.lstsq(design, -q2, rcond=None)
-    resid = np.linalg.norm(design @ sol + q2) / np.linalg.norm(q2)
-    if resid > 1e-10:
+    lam = -(q.coeffs[0] ** 2) / (cubic_invariant_R(f) * f.coeffs[0] ** 2)
+    if not cubic_pencil_member(f, lam).proportional_to(form_product(form_product(h, h), h), 1e-10):
         raise GeometryError("cubic pencil solve did not close")
-    return float(sol[0].real)
+    return float(lam.real)
 
 
 def quartic_square_pencil(f: Optional[BinaryForm] = None):
-    """Pairing oracle for the quartic pencil i*H + lambda*j*f: the sextic
-    covariant's six roots are paired into quadratics, and a pair is kept
-    when the square of its quadratic lies in the pencil span.  Returns
-    the (lambda, quadratic) list sorted by real part."""
+    """Klein's three squares: the members of the quartic pencil
+    i*H + lambda*j*f that are perfect squares, from the resolvent cubic.
+
+    mu = lambda*j/i runs over the roots of mu^3 - 432 i mu - 1728 j = 0.
+    For j = 0 the one square is i*H itself (lambda = 0); for i = 0 no
+    member is a square.  Returns the (lambda, quadratic) list sorted by
+    (real, imag); refuses a quartic with a repeated root, where
+    4 i^3 - j^2 (27 times the discriminant) vanishes.
+    """
     if f is None:
         f = BinaryForm([1.0, 0.0, 1.0, 0.0, 1.0])
     inv_i, inv_j = quartic_invariants(f)
-    h = hessian(f)
-    t = jacobian_covariant(f, h)
-    finite, ninf = projective_roots(t, 1e-7)
-    roots = [(z, 1.0) for z in finite] + [(1.0, 0.0)] * ninf
-    basis = np.column_stack([inv_i * h.coeffs, inv_j * f.coeffs])
-    found = []
-    for (a1, b1), (a2, b2) in combinations(roots, 2):
-        quad = np.convolve([b1, -a1], [b2, -a2]).astype(complex)
-        square = np.convolve(quad, quad)
-        sol, *_ = np.linalg.lstsq(basis, square, rcond=None)
-        resid = np.linalg.norm(basis @ sol - square) / np.linalg.norm(square)
-        if resid < 1e-8 and abs(sol[0]) > 1e-10 * abs(sol[1]):
-            lam = complex(sol[1] / sol[0])
-            if not any(abs(lam - l) < 1e-7 * (1.0 + abs(lam)) for l, _ in found):
-                found.append((lam, BinaryForm(quad)))
-    found.sort(key=lambda pair: (pair[0].real, pair[0].imag))
-    return found
-
+    if abs(4 * inv_i**3 - inv_j**2) <= 1e-12 * float(np.max(np.abs(f.coeffs))) ** 6:
+        raise GeometryError("degenerate quartic (discriminant ~ 0)")
+    if inv_i == 0:
+        return []
+    mus = np.roots([1, 0, -432 * inv_i, -1728 * inv_j]) if inv_j else []
+    lambdas = sorted((complex(mu * inv_i / inv_j) for mu in mus),
+                     key=lambda lam: (lam.real, lam.imag)) or [0j]
+    return [(lam, perfect_square_root(quartic_pencil_member(f, lam))) for lam in lambdas]
 
 
 def quartic_discriminant(coeffs) -> complex:

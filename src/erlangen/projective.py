@@ -234,8 +234,6 @@ def map_points(matrices: np.ndarray, coords: np.ndarray) -> np.ndarray:
     coordinates of ProjMap(matrices[b]).apply(ProjPoint(coords[b, j])),
     for (B, n, n) matrices and (B, k, n) coordinates.  A row that ProjPoint
     would refuse comes back non-finite or zero (see coords_faulty)."""
-    if not coords.size:
-        return coords
     out = (matrices[:, None] @ coords[..., None])[..., 0]
     return out / np.max(np.abs(out), axis=-1, keepdims=True)
 
@@ -251,8 +249,6 @@ def map_quadrics(inverses: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     each of the (B, q, n, n) quadric matrices of row b, given the (B, n, n)
     inverses M^-1 of the maps' matrices.  A matrix that Quadric would
     refuse comes back non-finite or zero."""
-    if not matrices.size:
-        return matrices
     inv = inverses[:, None]
     out = inv.swapaxes(-1, -2) @ matrices @ inv
     return (out + out.swapaxes(-1, -2)) / 2.0

@@ -1,5 +1,6 @@
 import cmath
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ class TestHessian:
         assert BinaryForm([1.0, 2.0]).dx().coeffs.tolist() == [1.0]
         linear = BinaryForm([1.0, 2.0]), BinaryForm([3.0, 5.0])
         assert jacobian_covariant(*linear).coeffs.tolist() == [-1.0]
+        # a constant stays a degree-0 form, and its derivatives are the zero constant
+        const = hessian(BinaryForm([a, b, c]))
+        assert const.scaled(2).coeffs.tolist() == [2 * (4 * a * c - b * b)]
+        assert substitute(const, [[1, 2], [3, 4]]).coeffs.tolist() == [4 * a * c - b * b]
+        assert const.dx().coeffs.tolist() == const.dy().coeffs.tolist() == [0.0]
+        assert form_product(const, const).coeffs.tolist() == [(4 * a * c - b * b) ** 2]
 
     def test_covariance(self, rng):
         for _ in range(100):
@@ -320,6 +327,41 @@ class TestQuarticPencil:
             assert form_product(quad, quad).proportional_to(member, 1e-7)
             acc = np.convolve(acc, quad.coeffs)
         assert BinaryForm(acc).proportional_to(t, 1e-7)
+
+    def test_resolvent_cubic_gives_the_squares_of_random_quartics(self):
+        # mu = lambda j / i solves mu^3 - 432 i mu - 1728 j = 0, and each
+        # member of the pencil there is the square of its quadratic
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            f = random_form(rng, 4)
+            i, j = quartic_invariants(f)
+            found = quartic_square_pencil(f)
+            assert len(found) == 3
+            for lam, quad in found:
+                assert form_product(quad, quad).proportional_to(quartic_pencil_member(f, lam), 1e-8)
+                mu = lam * j / i
+                terms = (mu**3, 432 * i * mu, 1728 * j)
+                assert abs(terms[0] - terms[1] - terms[2]) <= 1e-8 * sum(map(abs, terms))
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0],
+                                        [0.0, 1.0, 0.0, 0.0, 0.0]],
+                             ids=["x2y2", "x4", "x3y"])
+    def test_repeated_root_quartics_are_refused(self, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=r"^degenerate quartic \(discriminant ~ 0\)$"):
+                quartic_square_pencil(BinaryForm(coeffs))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_harmonic_quartic_has_its_hessian_as_the_one_square(self, sign):
+        f = BinaryForm([1.0, 0.0, 0.0, 0.0, sign])       # x^4 +- y^4: j = 0
+        i, _ = quartic_invariants(f)
+        [(lam, quad)] = quartic_square_pencil(f)
+        assert lam == 0j
+        assert form_product(quad, quad).proportional_to(hessian(f).scaled(i), 1e-12)
+
+    def test_equianharmonic_quartic_has_no_square(self):
+        assert quartic_square_pencil(BinaryForm([1.0, 0.0, 0.0, -1.0, 0.0])) == []   # i = 0
 
     def test_sign_flip_involutions(self, rng):
         # the canonical quartic's pencil members have root quadruples closed

@@ -970,6 +970,13 @@ def test_stacked_action_matches_projmap(dim):
                                   m.apply_hyperplane(Hyperplane(coords[b, j])).coeffs)
             image = m.apply_quadric(Quadric(quadrics[b, j]))
             assert conics[b, j].tobytes() == image.matrix.tobytes()
+    # stacks with no rows, or no maps, keep their shapes
+    for shape in ((30, 0, dim + 1), (0, 3, dim + 1)):
+        empty, maps = np.zeros(shape, dtype=complex), slice(shape[0])
+        assert map_points(forward[maps], empty).shape == shape
+        assert map_hyperplanes(inverse[maps], empty).shape == shape
+        empty_quadrics = np.zeros(shape + (dim + 1,), dtype=complex)
+        assert map_quadrics(inverse[maps], empty_quadrics).shape == shape + (dim + 1,)
 
 
 def test_coordinate_faults_are_the_rows_projpoint_refuses():

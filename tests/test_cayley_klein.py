@@ -320,6 +320,17 @@ class TestInducedDistance:
         q = ProjPoint(a + 0.9 * d)
         assert abs(induced_surface_distance(p, q, SPHERE, center, 1.0)) < 1e-9
 
+    @pytest.mark.parametrize("c,unit", [(0.5, 1), (-0.5, 1), (0.5j, 1j), (-0.5j, 1j)])
+    def test_chart_distance_center_on(self, c, unit):
+        # seen from the north pole, (0.6, 0, 0.8) and (0, 0.6, -0.8) project
+        # stereographically to (3, 0) and (0, 1/3) of the plane z = 0, at
+        # distance sqrt(82)/3; the value is c times it, signed to real part >= 0
+        north = ProjPoint([0.0, 0.0, 1.0, 1.0])
+        p, q = ProjPoint([0.6, 0.0, 0.8, 1.0]), ProjPoint([0.0, 0.6, -0.8, 1.0])
+        for a, b in ((p, q), (q, p)):
+            d = induced_surface_distance(a, b, SPHERE, north, c)
+            assert abs(d - unit * 0.5 * math.sqrt(82) / 3) < 1e-12
+
     def test_center_coinciding_with_point_rejected(self):
         p = ProjPoint([1.0, 0, 0, 1.0])
         q = ProjPoint([0, 1.0, 0, 1.0])

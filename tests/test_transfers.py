@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from erlangen.moebius import INFINITY, MoebiusMap, random_moebius
 from erlangen.projective import ProjMap, ProjPoint, Quadric, cross_ratio, incident, on_quadric
 from erlangen.transfers import (
     CircleCoords,
+    PlueckerLine,
     canonical_conic_point,
     circle_angle,
     circle_to_coords,
@@ -384,3 +386,32 @@ class TestLieMaps:
                 img = m4 @ point_circle(z).u[:4]
                 _, match = proportionality(img, point_circle(w).u[:4])
                 assert match < 1e-8
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: PlueckerLine([1.0, 2.0, 3.0]), "PlueckerLine needs 6 coordinates"),
+    (lambda: PlueckerLine(np.zeros(6)), "PlueckerLine must be nonzero"),
+    (lambda: PlueckerLine([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
+     "coordinates violate the quadric of lines"),
+    (lambda: pluecker_embed(ProjPoint([1.0, 0.0, 1.0]), ProjPoint([0.0, 1.0, 1.0])),
+     "pluecker_embed expects points of P^3"),
+    (lambda: pluecker_embed(ProjPoint([1.0, 0.0, 0.0, 1.0]), ProjPoint([2.0, 0.0, 0.0, 2.0])),
+     "coincident points span no line"),
+    (lambda: pluecker_conjugate(ProjMap(np.eye(3))), "pluecker_conjugate expects a map of P^3"),
+    (lambda: conic_param(Quadric(np.diag([1.0, 1.0, 1.0, -1.0])), ProjPoint([1.0, 0.0, 0.0, 1.0]),
+                         0.0), "conic_param works in P^2"),
+    (lambda: conic_param(Quadric(np.diag([1.0, 1.0, 0.0])), ProjPoint([0.0, 0.0, 1.0]), 0.0),
+     "conic is degenerate"),
+    (lambda: CircleCoords([1.0, 2.0, 3.0]), "CircleCoords needs 5 components"),
+    (lambda: CircleCoords(np.zeros(5)), "CircleCoords must be nonzero"),
+    (lambda: circle_to_coords(0.0, -1.0), "radius must be a finite nonnegative real"),
+    (lambda: line_to_coords(2.0, 0.0), "line normal must be a unit vector"),
+    (lambda: coords_to_point(circle_to_coords(0.0, 1.0)), "coordinates are not a point circle"),
+    (lambda: lie_apply(np.eye(4), point_circle(0.0)), "lie_apply expects a 5x5 matrix"),
+], ids=["PlueckerLine-size", "PlueckerLine-zero", "PlueckerLine-off-quadric",
+        "pluecker_embed-dim", "pluecker_embed-coincident", "pluecker_conjugate",
+        "conic_param-dim", "conic_param-degenerate", "CircleCoords-size", "CircleCoords-zero",
+        "circle_to_coords", "line_to_coords", "coords_to_point", "lie_apply"])
+def test_transfer_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()
