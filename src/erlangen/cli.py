@@ -313,6 +313,8 @@ def _run_orbit(args) -> int:
     _require_group(args)
     _require_seed(args)
     count = args.count if args.count is not None else 10
+    if args.point and args.circle:
+        raise GeometryError("orbit takes --point or --circle, not both")
     if args.circle:
         cx, cy, r = _floats(args.circle, 3, "--circle")
         start = groups.Configuration([moebius.circle_quadric(complex(cx, cy), r)])

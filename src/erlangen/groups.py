@@ -433,13 +433,16 @@ _BLOCK = 64
 
 def _block_bounds(trials: int, first: int):
     """(start, stop) of consecutive blocks covering range(trials): the
-    first holds ``first`` trials and each next one _BLOCK.  Invariance
-    starts with one probe trial, since a witness at trial 0 then costs one
-    element; one at trials 1-63 costs a full second block.  Axiom checks
-    and orbits start at _BLOCK."""
+    first holds ``first`` trials and each next one _BLOCK, and a tail
+    shorter than _BLOCK joins the block of _BLOCK before it, so a block
+    holds fewer than 2 * _BLOCK.  Invariance starts with one probe trial,
+    which takes no tail, since a witness at trial 0 then costs one
+    element.  Axiom checks and orbits start at _BLOCK."""
     start, size = 0, first
     while start < trials:
         stop = min(trials, start + size)
+        if size == _BLOCK and trials - stop < _BLOCK:
+            stop = trials
         yield start, stop
         start, size = stop, _BLOCK
 
@@ -733,8 +736,8 @@ def check_group_axioms(g: GroupDescriptor, seed: int, trials: int,
     not change the element.
 
     Trial i draws from mix_seed(seed, 2i) and mix_seed(seed, 2i + 1).  A
-    blocked group checks blocks of _BLOCK trials on stacks (_axioms_block)
-    and gives the report and errors of the per-trial loop.
+    blocked group checks the blocks of _block_bounds on stacks
+    (_axioms_block), with the report and errors of the per-trial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -825,10 +828,10 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
 
     Trial i draws its configuration from mix_seed(seed, 3i) and its
     transformation from mix_seed(seed, 3i + 1).  A blocked group runs one
-    probe trial, then blocks of 64 (_block_outcomes): most witnesses are
-    at trial 0, and each block has a fixed cost, so one at trials 1-63
-    pays for a full second block.  Its transformations are sampled on
-    stacks.  Where the sampler has ``sample_stacks`` and the property
+    probe trial, then blocks of 64 to 127 (_block_outcomes): most
+    witnesses are at trial 0, and each block has a fixed cost, so one at
+    trials 1-63 pays for a second block.  Its transformations are sampled
+    on stacks.  Where the sampler has ``sample_stacks`` and the property
     ``evaluate_stacks`` (every built-in pair), the configurations are
     sampled on stacks too, mapped by the group's action at once and
     evaluated on the stacks; any other property or sampler runs each
@@ -885,9 +888,9 @@ def _trial(prop, config: Configuration, make):
 def _block_outcomes(prop, g, config_sampler, seed: int, trials: int):
     """Yield (i, outcome of _trial) for each trial i of invariance_test on a
     blocked group, a block of trials at a time (see _stacked_trials): one
-    probe trial, then blocks of _BLOCK.  A witness at trial 0 samples one
-    element and one configuration; one at trials 1-63 pays for a full
-    second block."""
+    probe trial, then the blocks of _block_bounds.  A witness at trial 0
+    samples one element and one configuration; one at trials 1-63 pays
+    for a second block, of up to 127 trials."""
     kind = _KINDS[g.identity.kind]
     for start, elements, faults in _element_blocks(g, seed, trials, 3, 1, 1):
         cseeds = mix_seeds(seed, range(3 * start, 3 * (start + len(faults)), 3))

@@ -239,7 +239,8 @@ class SpherePoint:
 
     def __init__(self, x, y, z):
         self.x, self.y, self.z = float(x), float(y), float(z)
-        n = self.x**2 + self.y**2 + self.z**2
+        # products, not powers: a huge coordinate gives inf, not OverflowError
+        n = self.x * self.x + self.y * self.y + self.z * self.z
         if not np.isfinite(n) or abs(n - 1.0) > 1e-12:
             raise GeometryError("SpherePoint must have unit norm")
 
@@ -262,7 +263,8 @@ def inverse_stereographic(z) -> SpherePoint:
     if z.infinite:
         return SpherePoint(0.0, 0.0, 1.0)
     v = z.value
-    s = abs(v) ** 2
+    # a part above 1e150 would overflow abs(v) ** 2, and s exceeds 1e150
+    s = abs(v) ** 2 if max(abs(v.real), abs(v.imag)) <= 1e150 else np.inf
     if s > 1e150:
         return SpherePoint(0.0, 0.0, 1.0)
     d = s + 1.0

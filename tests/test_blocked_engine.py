@@ -419,25 +419,38 @@ def test_block_sizes():
     g, requested = _counting(builtin_group("projective", 2))
     prop = builtin_property("cross-ratio", 2)
     invariance_test(prop.evaluate, g, prop.sample_config, seed=1, trials=200)
-    assert requested == [1, 64, 64, 64, 7]
+    assert requested == [1, 64, 64, 71]
     del requested[:]
     check_group_axioms(g, seed=1, trials=130)
-    assert requested == [128, 128, 4]
+    assert requested == [128, 132]
     del requested[:]
     orbit_sample(Configuration([ProjPoint([0.1, 0.2, 1.0])]), g, seed=1, count=65)
-    assert requested == [64, 1]
+    assert requested == [65]
+
+
+def test_invariant_run_of_100_trials_takes_two_blocks():
+    g, requested = _counting(builtin_group("projective", 2))
+    prop = builtin_property("cross-ratio", 2)
+    verdict = invariance_test(prop.evaluate, g, prop.sample_config, seed=1, trials=100)
+    assert isinstance(verdict, Invariant)
+    assert requested == [1, 99]
 
 
 @pytest.mark.parametrize("first", [1, groups._BLOCK])
 def test_blocks_are_contiguous_and_full(first):
+    """The blocks cover the run in order; the probe holds one trial, and
+    every other block from _BLOCK to 2 * _BLOCK - 1, unless it is the
+    run's only block besides the probe."""
     for trials in range(1, 301):
         bounds = list(groups._block_bounds(trials, first))
         assert [b for b, _ in bounds] == [0] + [e for _, e in bounds[:-1]]
         assert bounds[-1][1] == trials
         sizes = [e - b for b, e in bounds]
-        assert sizes[0] == min(first, trials)
-        assert all(size == groups._BLOCK for size in sizes[1:-1])
-        assert 0 < sizes[-1] <= groups._BLOCK
+        if first == 1:
+            assert sizes[0] == 1
+            sizes = sizes[1:]
+        smallest = 1 if len(sizes) == 1 else groups._BLOCK
+        assert all(smallest <= size < 2 * groups._BLOCK for size in sizes)
 
 
 # -- errors in trial order ---------------------------------------------------
@@ -1744,13 +1757,13 @@ def test_circle_block_sizes(name):
     g, requested = _counting(builtin_group(name))
     prop = builtin_property("tangency", 2)
     invariance_test(prop.evaluate, g, prop.sample_config, seed=1, trials=70)
-    assert requested == [1, 64, 5]
+    assert requested == [1, 69]
     del requested[:]
     check_group_axioms(g, seed=1, trials=66)
-    assert requested == [128, 4]
+    assert requested == [132]
     del requested[:]
     orbit_sample(Configuration([circle_quadric(0.1, 0.5)]), g, seed=1, count=65)
-    assert requested == [64, 1]
+    assert requested == [65]
 
 
 # bad samples of the circle groups: Moebius coefficient matrices the

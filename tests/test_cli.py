@@ -291,8 +291,10 @@ def test_coordinate_flags_take_a_leading_minus(capsys, flag, argv):
      "circle-coords requires --center re,im and --radius r"),
     (["covariants", "--coeffs", "1,x,0,1"], "--coeffs: cannot parse '1,x,0,1'"),
     (["orbit", "--group", "projective", "--seed", "1"], "orbit requires --point or --circle"),
+    (["orbit", "--group", "moebius", "--seed", "1", "--point", "0.1,0.2", "--circle", "0,0,1"],
+     "orbit takes --point or --circle, not both"),
 ], ids=["stereographic", "inverse-stereographic", "pluecker", "circle-coords",
-        "covariants-coeffs", "orbit-start"])
+        "covariants-coeffs", "orbit-start", "orbit-point-and-circle"])
 def test_verb_refusals(capsys, argv, message):
     """Each verb's own input refusal is a GeometryError, which main()
     reports on stderr with exit code 2 and no output."""
@@ -300,6 +302,44 @@ def test_verb_refusals(capsys, argv, message):
     with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
         cli._RUNNERS[args.verb](args)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# each verb's numeric flags at a plain value: (verb arguments, flag, value)
+_NUMERIC_INPUTS = [
+    *((["distance", "--metric", metric, "--q=0.3,-0.1"], "--p", "0.1,0.2")
+      for metric in ("klein-disk", "elliptic")),
+    *((["distance", "--metric", metric, "--p=0.1,0.2"], "--q", "0.3,-0.1")
+      for metric in ("klein-disk", "elliptic")),
+    (["transfer", "--kind", "stereographic"], "--point", "0.6,0,0.8"),
+    (["transfer", "--kind", "inverse-stereographic"], "--z", "0.3,0.4"),
+    (["transfer", "--kind", "pluecker", "--b=0,1,0,1"], "--a", "1,0,0,1"),
+    (["transfer", "--kind", "pluecker", "--a=1,0,0,1"], "--b", "0,1,0,1"),
+    (["transfer", "--kind", "circle-coords", "--radius=0.5"], "--center", "0.1,0.2"),
+    (["transfer", "--kind", "circle-coords", "--center=0.1,0.2"], "--radius", "0.5"),
+    (["orbit", "--group", "projective", "--seed", "1", "--count", "3"], "--point", "0.1,0.2"),
+    (["orbit", "--group", "moebius", "--seed", "1", "--count", "3"], "--circle", "0.1,0.2,0.5"),
+    (["covariants"], "--coeffs", "1,2,0,-1"),
+    (["covariants"], "--coeffs", "1,0,3,0,2"),
+]
+_EXTREMES = ("1e308", "-1e308", "1e200", "1e-320", "nan", "inf", "0", "-0")
+
+
+@pytest.mark.parametrize("argv", [
+    [*verb, f"{flag}={','.join(parts[:k] + [value] + parts[k + 1:])}"]
+    for verb, flag, plain in _NUMERIC_INPUTS
+    for parts in [plain.split(",")]
+    for k in range(len(parts))
+    for value in _EXTREMES], ids=" ".join)
+# numpy's overflow and inf * 0 warnings go to stderr in a command-line run;
+# this table asks only how main() exits
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_extreme_numbers_get_a_report_or_a_refusal(capsys, argv):
+    """Each coordinate of each numeric flag, at an extreme value, gives a
+    report, a refusal (exit 2) or a failing verdict with its trailer, and
+    no exception escapes main()."""
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 2) or (code == 1 and "RESULT:" in out)
 
 
 def _python(*args):

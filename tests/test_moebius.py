@@ -94,6 +94,15 @@ class TestStereographic:
             assert abs(back.value - z) < 1e-12 * max(1.0, abs(z))
         assert inverse_stereographic(INFINITY).z == 1.0
 
+    @pytest.mark.parametrize("z", [1e200, 1e308 + 1e308j, -1e200j])
+    def test_huge_values_go_to_the_north_pole(self, z):
+        p = inverse_stereographic(z)
+        assert (p.x, p.y, p.z) == (0.0, 0.0, 1.0)
+
+    def test_huge_sphere_coordinates_are_refused(self):
+        with pytest.raises(GeometryError, match="^SpherePoint must have unit norm$"):
+            SpherePoint(1e200, 0, 0)
+
     def test_circle_section_maps_to_circle(self):
         # a circle on the sphere is a plane section; sampled images must
         # fit a circle or line
