@@ -47,6 +47,12 @@ __all__ = [
     "quartic_discriminant",
 ]
 
+# Arithmetic on huge coefficients may overflow.  The derivatives,
+# covariants and invariants compute under this error state, so numpy
+# writes no warning, and a non-finite result meets as_complex_array's
+# refusal instead.
+_OVERFLOW_REFUSED = np.errstate(over="ignore", invalid="ignore")
+
 
 class BinaryForm:
     """Homogeneous binary form by its monomial coefficient vector."""
@@ -70,10 +76,12 @@ class BinaryForm:
         return complex(sum(c * x ** (d - i) * y ** i
                            for i, c in enumerate(self.coeffs)))
 
+    @_OVERFLOW_REFUSED
     def dx(self) -> "BinaryForm":
         d = self.degree
         return _form_or_zero([self.coeffs[i] * (d - i) for i in range(d)] or [0.0])
 
+    @_OVERFLOW_REFUSED
     def dy(self) -> "BinaryForm":
         d = self.degree
         return _form_or_zero([self.coeffs[i + 1] * (i + 1) for i in range(d)] or [0.0])
@@ -115,6 +123,7 @@ def substitute(f: BinaryForm, g) -> BinaryForm:
     return _form_or_zero(out)
 
 
+@_OVERFLOW_REFUSED
 def hessian(f: BinaryForm) -> BinaryForm:
     """Hessian covariant fxx*fyy - fxy^2 (degree 2d - 4).
 
@@ -130,6 +139,7 @@ def hessian(f: BinaryForm) -> BinaryForm:
     return _form_or_zero(val)
 
 
+@_OVERFLOW_REFUSED
 def jacobian_covariant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Functional determinant fx*gy - fy*gx."""
     if f.degree < 1 or g.degree < 1:
@@ -155,15 +165,17 @@ def _form_or_zero(coeffs) -> BinaryForm:
     return _Covariant(arr)
 
 
+@_OVERFLOW_REFUSED
 def cubic_invariant_R(f: BinaryForm) -> complex:
     """Discriminant of a binary cubic; zero exactly at repeated roots."""
     if f.degree != 3:
         raise GeometryError("cubic invariant needs degree 3")
     a, b, c, d = f.coeffs
-    return complex(18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2
-                   - 4 * a * c**3 - 27 * a**2 * d**2)
+    return complex(as_complex_array([18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2
+                                     - 4 * a * c**3 - 27 * a**2 * d**2], "cubic invariant")[0])
 
 
+@_OVERFLOW_REFUSED
 def quartic_invariants(f: BinaryForm) -> tuple:
     """The degree-2 and degree-3 invariants (i, j) of a binary quartic.
 
@@ -172,10 +184,10 @@ def quartic_invariants(f: BinaryForm) -> tuple:
     if f.degree != 4:
         raise GeometryError("quartic invariants need degree 4")
     a, b, c, d, e = f.coeffs
-    inv_i = complex(12 * a * e - 3 * b * d + c * c)
-    inv_j = complex(72 * a * c * e + 9 * b * c * d - 27 * a * d**2
-                    - 27 * e * b**2 - 2 * c**3)
-    return inv_i, inv_j
+    inv_i, inv_j = as_complex_array([12 * a * e - 3 * b * d + c * c,
+                                     72 * a * c * e + 9 * b * c * d - 27 * a * d**2
+                                     - 27 * e * b**2 - 2 * c**3], "quartic invariants")
+    return complex(inv_i), complex(inv_j)
 
 
 class SphericalRootSet:

@@ -325,8 +325,10 @@ def circle_matrices(circles: np.ndarray) -> np.ndarray:
     m = np.zeros(circles.shape[:-1] + (3, 3), dtype=complex)
     m[..., [0, 1], [0, 1]] = 1.0
     m[..., :2, 2] = m[..., 2, :2] = -circles[..., :2]
-    squares = circles * circles
-    m[..., 2, 2] = squares[..., 0] + squares[..., 1] - squares[..., 2]
+    # a huge circle overflows to a non-finite entry, which Quadric refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = circles * circles
+        m[..., 2, 2] = squares[..., 0] + squares[..., 1] - squares[..., 2]
     return m
 
 

@@ -280,7 +280,8 @@ def equal_up_to_scale_stack(v: np.ndarray, w: np.ndarray,
     vk, wk = np.take_along_axis(v, k, 1), np.take_along_axis(w, k, 1)
     wmax = np.max(aw, axis=1)
     ok = (np.abs(vk[:, 0]) != 0.0) & (wmax != 0.0) & ~(np.abs(wk[:, 0]) < 0.5 * wmax)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a pair that is not ok may divide by a zero or subnormal coordinate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vn, wn = v / vk, w / wk
         dev = np.max(np.abs(vn - wn), axis=1)
         return ok & (dev <= tol * np.maximum(1.0, np.max(np.abs(vn), axis=1)))

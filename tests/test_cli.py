@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -293,8 +294,13 @@ def test_coordinate_flags_take_a_leading_minus(capsys, flag, argv):
     (["orbit", "--group", "projective", "--seed", "1"], "orbit requires --point or --circle"),
     (["orbit", "--group", "moebius", "--seed", "1", "--point", "0.1,0.2", "--circle", "0,0,1"],
      "orbit takes --point or --circle, not both"),
+    # (x + y)^3 and (x + y)^4 scaled: finite covariants, overflowing invariants
+    (["covariants", "--coeffs", "1e80,3e80,3e80,1e80"], "cubic invariant: non-finite entries"),
+    (["covariants", "--coeffs", "1e110,4e110,6e110,4e110,1e110"],
+     "quartic invariants: non-finite entries"),
 ], ids=["stereographic", "inverse-stereographic", "pluecker", "circle-coords",
-        "covariants-coeffs", "orbit-start", "orbit-point-and-circle"])
+        "covariants-coeffs", "orbit-start", "orbit-point-and-circle",
+        "covariants-cubic-invariant", "covariants-quartic-invariants"])
 def test_verb_refusals(capsys, argv, message):
     """Each verb's own input refusal is a GeometryError, which main()
     reports on stderr with exit code 2 and no output."""
@@ -322,24 +328,51 @@ _NUMERIC_INPUTS = [
     (["covariants"], "--coeffs", "1,0,3,0,2"),
 ]
 _EXTREMES = ("1e308", "-1e308", "1e200", "1e-320", "nan", "inf", "0", "-0")
+# the spellings of a non-finite value that begin with a minus sign, given
+# after a space to each coordinate flag whose first number they replace
+_SIGNED_SPECIALS = ("-inf", "-Infinity", "-nan", "-NaN")
 
 
 @pytest.mark.parametrize("argv", [
-    [*verb, f"{flag}={','.join(parts[:k] + [value] + parts[k + 1:])}"]
-    for verb, flag, plain in _NUMERIC_INPUTS
-    for parts in [plain.split(",")]
-    for k in range(len(parts))
-    for value in _EXTREMES], ids=" ".join)
-# numpy's overflow and inf * 0 warnings go to stderr in a command-line run;
-# this table asks only how main() exits
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+    *([*verb, f"{flag}={','.join(parts[:k] + [value] + parts[k + 1:])}"]
+      for verb, flag, plain in _NUMERIC_INPUTS
+      for parts in [plain.split(",")]
+      for k in range(len(parts))
+      for value in _EXTREMES),
+    *([*verb, flag, ",".join([value] + plain.split(",")[1:])]
+      for verb, flag, plain in _NUMERIC_INPUTS if flag in cli._COORDINATE_FLAGS
+      for value in _SIGNED_SPECIALS)], ids=" ".join)
 def test_extreme_numbers_get_a_report_or_a_refusal(capsys, argv):
     """Each coordinate of each numeric flag, at an extreme value, gives a
     report, a refusal (exit 2) or a failing verdict with its trailer, and
-    no exception escapes main()."""
-    code, out, _ = run(capsys, *argv)
+    no exception escapes main().  Nothing but the verb's own error line
+    reaches stderr, and a value given after a space means what it means
+    after an equals sign."""
+    code, out, err = run(capsys, *argv)
     assert code in (0, 2) or (code == 1 and "RESULT:" in out)
+    if code == 2:
+        assert re.fullmatch(r"error: [^\n]+\n", err), err
+    else:
+        assert err == ""
+    if not argv[-1].startswith("--"):
+        assert (code, out, err) == run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+
+
+def test_pluecker_of_a_subnormal_point_is_exact(capsys):
+    """The line through (1, 0, 0, 1) and (1e-320, 1, 0, 1): each reported
+    coordinate p_ij = a_i b_j - a_j b_i is the exact one, computed in
+    rationals, rounded to the nearest double."""
+    a, b = (1.0, 0.0, 0.0, 1.0), (1e-320, 1.0, 0.0, 1.0)
+    code, out, err = run(capsys, "transfer", "--kind", "pluecker",
+                         "--a=" + ",".join(map(repr, a)), "--b=" + ",".join(map(repr, b)))
+    assert (code, err) == (0, "")
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    exact = [a[i] * b[j] - a[j] * b[i] for i, j in ((0, 1), (0, 2), (0, 3),
+                                                    (2, 3), (3, 1), (1, 2))]
+    assert exact[2] == 1 - Fraction(1e-320)
+    trailer = parse_report_trailer(out)
+    assert [trailer[f"p{k}"] for k in range(6)] == [float(x) for x in exact] \
+        == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def _python(*args):

@@ -13,6 +13,9 @@ fails here.  Re-record (only for an intended change of output) with
 import argparse
 import contextlib
 import io
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +53,39 @@ def test_golden_invocation(name, code, argv):
     got_code, got_out = invoke(argv)
     assert got_code == code
     assert got_out == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def _fresh_process_cases():
+    """The first case of each verb, a failing verdict of two verbs and a
+    usage error: the exit codes a CI gate reads."""
+    cases, verbs = [], set()
+    for name, code, argv in read_cases()[1]:
+        if argv[0] not in verbs or name in ("violated-affine-distance-d2", "contact-swap-zp",
+                                            "usage-missing-seed"):
+            verbs.add(argv[0])
+            cases.append(pytest.param(name, code, argv, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("name,code,argv", _fresh_process_cases())
+def test_golden_invocation_in_a_fresh_process(name, code, argv):
+    """``python -m erlangen.cli`` runs the entry point, which main() alone
+    does not: it writes the recorded bytes and exits with the recorded
+    code, with nothing on stderr but a usage error's one line."""
+    src = str(GOLDEN.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # stdout into a pipe stays block-buffered, so an exit that skipped the
+    # flush would lose the output
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "erlangen.cli", *argv],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    if code == 2:
+        assert re.fullmatch(rb"error: [^\n]+\n", proc.stderr), proc.stderr
+    else:
+        assert proc.stderr == b""
 
 
 def test_every_verb_map_and_kind_is_recorded():

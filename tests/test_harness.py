@@ -12,7 +12,10 @@ import ast
 import dataclasses
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,45 @@ def test_the_tracer_replaces_descriptor_fields(spans):
     traced_g, traced_p = tracer.group(g), tracer.prop(p)
     assert traced_g.sample.__wrapped__ is g.sample
     assert traced_p.evaluate.__wrapped__ is p.evaluate
+
+
+# The traced pass of perfbench/run.py, in the order it runs: the package
+# imported as perfbench/workloads.setup imports it, the tracer installed
+# over whatever that loaded, one call of each trial loop, the spans folded.
+_TRACED_PASS = """
+import sys
+from erlangen import builtin_group, builtin_property
+
+spans = {"__name__": "spans"}
+exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), spans)
+tracer = spans["Tracer"]()
+g = tracer.group(builtin_group("projective", 2))
+p = tracer.prop(builtin_property("cross-ratio", 2))
+tracer.install()
+try:
+    from erlangen import Configuration, ProjPoint, groups
+    groups.invariance_test(p.evaluate, g, p.sample_config, seed=1, trials=20)
+    groups.check_group_axioms(g, seed=2, trials=10)
+    groups.orbit_sample(Configuration([ProjPoint([0.1, 0.2, 1.0])]), g, seed=3, count=10)
+finally:
+    tracer.uninstall()
+totals = spans["fold"](tracer.take(), spans["new_totals"]())
+print(totals["trials"], totals["inv_trials"], *sorted(totals["layers"]))
+"""
+
+
+def test_the_traced_pass_runs_on_the_package_as_the_harness_loads_it():
+    """In a fresh interpreter, installing the tracer finds every module it
+    wraps, and the folded spans count the trials of all three loops."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _TRACED_PASS, str(SPANS)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    trials, inv_trials, *layers = proc.stdout.split()
+    assert (int(trials), int(inv_trials)) == (20 + 10 + 10, 20)
+    assert {"groups.engine", "groups.contains", "properties.evaluate",
+            "numerics.rng_from"} <= set(layers)
 
 
 def test_every_exported_name_exists():
