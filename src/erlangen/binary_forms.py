@@ -71,11 +71,6 @@ class BinaryForm:
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    def evaluate(self, x, y) -> complex:
-        d = self.degree
-        return complex(sum(c * x ** (d - i) * y ** i
-                           for i, c in enumerate(self.coeffs)))
-
     @_OVERFLOW_REFUSED
     def dx(self) -> "BinaryForm":
         d = self.degree
@@ -94,9 +89,6 @@ class BinaryForm:
             return False
         _, resid = proportionality(self.coeffs, other.coeffs)
         return resid <= tol
-
-    def __repr__(self):
-        return f"BinaryForm({self.coeffs.tolist()!r})"
 
 
 def form_product(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -211,9 +203,6 @@ class SphericalRootSet:
     def as_array(self) -> np.ndarray:
         return np.array([p.as_array() for p in self.points])
 
-    def __repr__(self):
-        return f"SphericalRootSet({self.points!r})"
-
 
 def projective_roots(f: BinaryForm):
     """All d projective roots as a (finite roots list, infinity count)
@@ -290,14 +279,10 @@ def quartic_pencil_member(f: BinaryForm, lam) -> BinaryForm:
 def cubic_hessian_cube_lambda() -> float:
     """The pencil parameter at which the sextic Q^2 + lambda*R*f^2 of the
     canonical cubic x^3 - y^3 becomes proportional to the cube of the
-    Hessian, read at the x^6 coefficient, where H^3 has no term; raises
-    unless the member at it is proportional to H^3 within 1e-10."""
+    Hessian, read at the x^6 coefficient, where H^3 has no term."""
     f = BinaryForm([1.0, 0.0, 0.0, -1.0])
-    h = hessian(f)
-    q = jacobian_covariant(f, h)
+    q = jacobian_covariant(f, hessian(f))
     lam = -(q.coeffs[0] ** 2) / (cubic_invariant_R(f) * f.coeffs[0] ** 2)
-    if not cubic_pencil_member(f, lam).proportional_to(form_product(form_product(h, h), h), 1e-10):
-        raise GeometryError("cubic pencil solve did not close")
     return float(lam.real)
 
 

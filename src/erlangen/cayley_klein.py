@@ -55,9 +55,6 @@ class CKMetric:
         if abs(np.linalg.det(mat)) < 1e-10:
             raise GeometryError("absolute quadric is degenerate")
 
-    def __repr__(self):
-        return f"CKMetric(absolute={self.absolute!r}, c={self.c!r})"
-
 
 def klein_disk_metric() -> CKMetric:
     """Hyperbolic measurement inside x^2 + y^2 = z^2 at unit curvature."""
@@ -256,9 +253,6 @@ class LinearComplex:
         k = klein_quadric().matrix
         val = abs(self.coeffs @ k @ self.coeffs)
         return bool(val / (np.linalg.norm(k) * np.linalg.norm(self.coeffs) ** 2) < tol)
-
-    def __repr__(self):
-        return f"LinearComplex({self.coeffs.tolist()!r})"
 
 
 def line_invariant(l1: LinearComplex, l2: LinearComplex, a: LinearComplex) -> complex:

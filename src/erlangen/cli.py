@@ -60,8 +60,6 @@ def builtin_property(name: str, dimension: int = 2, metric=None):
 
 _CONTACT_MAPS = ("legendre", "swap-zp", "prolonged-shear", "prolonged-quadratic")
 
-#: flags whose value is a comma-separated list of numbers
-_COORDINATE_FLAGS = ("--p", "--q", "--point", "--circle", "--z", "--a", "--b", "--center")
 #: a value that starts with a minus sign and a number as float() reads it:
 #: a digit, a point, or the spellings -inf, -infinity and -nan in any case
 _NEGATIVE = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
@@ -137,13 +135,17 @@ def _floats(text: str, expect: int, what: str) -> list:
     return vals
 
 
-def _joined_coordinates(argv: list) -> list:
-    """The arguments with each coordinate flag joined to a following value
-    that starts with a minus sign ("--q -0.3,0.4" becomes "--q=-0.3,0.4"),
-    which argparse would otherwise take for an option."""
+def _joined_values(parser: argparse.ArgumentParser, argv: list) -> list:
+    """The arguments with each flag that takes one value joined to a
+    following value that starts with a minus sign and a number ("--q
+    -0.3,0.4" becomes "--q=-0.3,0.4"), which argparse would otherwise take
+    for an option.  The flags are those the verbs' parsers declare."""
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for p in verbs.choices.values() for action in p._actions
+             if action.nargs is None for flag in action.option_strings}
     out = []
     for arg in argv:
-        if out and out[-1] in _COORDINATE_FLAGS and _NEGATIVE.match(arg):
+        if out and out[-1] in flags and _NEGATIVE.match(arg):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -354,7 +356,7 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_joined_coordinates(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_joined_values(parser, sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse has already written the usage message
         return int(exc.code) if exc.code else 0

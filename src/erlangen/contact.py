@@ -70,9 +70,6 @@ class LineElement2D:
         if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.p)):
             raise GeometryError("LineElement2D entries must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.p])
-
 
 class FiveMap:
     """Differentiable map on k-tuples (k = 5 for surface elements, 3 for

@@ -197,10 +197,6 @@ class Transformation:
             etype, message = _APPLY_ERRORS[1]
         raise etype(message.format(kind=self.kind, element=type(element).__name__))
 
-    def __repr__(self):
-        flag = ", antilinear" if self.antilinear else ""
-        return f"Transformation({self.kind}, {self.forward.tolist()!r}{flag})"
-
 
 def _element(kind: str, forward, inverse, antilinear) -> Transformation:
     """The Transformation of matrices that the kind's checks have passed."""

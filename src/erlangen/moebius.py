@@ -56,9 +56,6 @@ class ExtendedComplex:
             self.value = z
             self.infinite = False
 
-    def __repr__(self):
-        return "ExtendedComplex(inf)" if self.infinite else f"ExtendedComplex({self.value!r})"
-
     def __eq__(self, other):
         other = as_extended(other)
         if self.infinite or other.infinite:
@@ -113,10 +110,6 @@ class MoebiusMap:
         if fault:
             etype, message = MOEBIUS_FAULTS[fault]
             raise etype(message)
-
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
 
     @property
     def coeff_matrix(self) -> np.ndarray:
@@ -246,9 +239,6 @@ class SpherePoint:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-    def __repr__(self):
-        return f"SpherePoint({self.x!r}, {self.y!r}, {self.z!r})"
 
 
 def stereographic(p: SpherePoint) -> ExtendedComplex:

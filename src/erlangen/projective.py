@@ -103,9 +103,6 @@ class Hyperplane:
     def dim(self) -> int:
         return self.coeffs.size - 1
 
-    def equals(self, other: "Hyperplane", tol: float = DEFAULT_TOL) -> bool:
-        return equal_up_to_scale(self.coeffs, other.coeffs, tol)
-
     def __repr__(self):
         inner = ",".join(repr(z) for z in self.coeffs)
         return f"Hyperplane({inner})"
@@ -133,12 +130,6 @@ class Quadric:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0] - 1
-
-    def evaluate(self, p: ProjPoint) -> complex:
-        return complex(p.coords @ self.matrix @ p.coords)
-
-    def equals(self, other: "Quadric", tol: float = DEFAULT_TOL) -> bool:
-        return equal_up_to_scale(self.matrix, other.matrix, tol)
 
     def __repr__(self):
         return f"Quadric({self.matrix.tolist()!r})"
@@ -200,12 +191,6 @@ class ProjMap:
             raise DimensionMismatch("quadric dimension mismatch")
         inverse = np.linalg.inv(self.matrix)[None]
         return Quadric(map_quadrics(inverse, q.matrix[None, None])[0, 0])
-
-    def equals(self, other: "ProjMap", tol: float = DEFAULT_TOL) -> bool:
-        return equal_up_to_scale(self.matrix, other.matrix, tol)
-
-    def __repr__(self):
-        return f"ProjMap({self.matrix.tolist()!r})"
 
 
 def projmap_faults(stack: np.ndarray) -> np.ndarray:

@@ -43,9 +43,6 @@ class ValueReport:
         self.kind = kind
         self.fields = list(fields)
 
-    def __repr__(self):
-        return f"ValueReport({self.kind!r}, {self.fields!r})"
-
 
 @dataclass(frozen=True)
 class Invariant:

@@ -102,9 +102,6 @@ class PlueckerLine:
     def equals(self, other: "PlueckerLine", tol: float = 1e-10) -> bool:
         return equal_up_to_scale(self.p, other.p, tol)
 
-    def __repr__(self):
-        return f"PlueckerLine({self.p.tolist()!r})"
-
 
 def _klein_value(p) -> complex:
     return complex(p[0] * p[3] + p[1] * p[4] + p[2] * p[5])
@@ -314,9 +311,6 @@ class CircleCoords:
     def equals(self, other: "CircleCoords", tol: float = 1e-10) -> bool:
         return equal_up_to_scale(self.u, other.u, tol)
 
-    def __repr__(self):
-        return f"CircleCoords({self.u.tolist()!r})"
-
 
 def circle_to_coords(center, radius: float, orientation: int = +1) -> CircleCoords:
     """Coordinates of the oriented circle |z - center| = radius.
@@ -362,17 +356,6 @@ class CircleDescription:
         self.orientation = orientation
         self.normal = normal
         self.offset = offset
-
-    def __repr__(self):
-        if self.kind == "circle":
-            return (f"CircleDescription(circle, center={self.center!r}, "
-                    f"radius={self.radius!r}, orientation={self.orientation})")
-        if self.kind == "point":
-            return f"CircleDescription(point, center={self.center!r})"
-        if self.kind == "line":
-            return (f"CircleDescription(line, normal={self.normal!r}, "
-                    f"offset={self.offset!r}, orientation={self.orientation})")
-        return "CircleDescription(point_at_infinity)"
 
 
 def coords_to_circle(c: CircleCoords) -> CircleDescription:

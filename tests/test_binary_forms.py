@@ -474,3 +474,35 @@ def test_a_subnormal_form_is_proportional_only_to_its_multiples():
 def test_degree_and_shape_refusals(call, message):
     with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_forms_of_different_degree_are_not_proportional():
+    assert not BinaryForm([1.0, 0.0]).proportional_to(BinaryForm([1.0, 0.0, 0.0]))
+
+
+def test_a_form_with_every_root_at_infinity_has_them_at_the_north_pole():
+    # y^2: the leading coefficient and the next vanish
+    assert roots_on_sphere(BinaryForm([0.0, 0.0, 1.0])).as_array().tolist() == [[0.0, 0.0, 1.0]] * 2
+
+
+def test_cube_lambda_closes_the_pencil():
+    """The member at the computed parameter is the Hessian cube within 1e-10."""
+    f = EQUATOR_CUBIC
+    h = hessian(f)
+    member = cubic_pencil_member(f, cubic_hessian_cube_lambda())
+    assert member.proportional_to(form_product(form_product(h, h), h), 1e-10)
+
+
+def test_a_vanishing_quartic_pencil_member_is_refused():
+    # x^2 y^2 has i = 1, j = -2 and Hessian -12 x^2 y^2, so i H - 6 j f = 0
+    with pytest.raises(GeometryError, match="^pencil member vanishes identically$"):
+        quartic_pencil_member(BinaryForm([0.0, 0.0, 1.0, 0.0, 0.0]), -6.0)
+
+
+def test_a_double_root_moved_by_the_newton_step_is_refused():
+    """x^4 (x - 3y)^2: the eigenvalue solve finds the double root 3 to
+    within 2e-15, where f and f' are rounding noise, and the Newton step
+    moves it to about 2.75, whose residual is refused."""
+    with pytest.raises(GeometryError,
+                       match=r"^root refinement did not converge \(residual \d\.\d{3}e-\d\d\)$"):
+        roots_on_sphere(BinaryForm([1.0, -6.0, 9.0, 0.0, 0.0, 0.0, 0.0]))

@@ -1,10 +1,11 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
-from erlangen.numerics import GeometryError, proportionality, rng_from
+from erlangen.numerics import DimensionMismatch, GeometryError, proportionality, rng_from
 from erlangen.projective import (
     GeneratorChord,
     Hyperplane,
@@ -420,3 +421,40 @@ class TestLineInvariant:
             except GeometryError:
                 continue
             assert (abs(val) < 1e-8) == (abs(om) < 1e-10)
+
+
+# x0 x1 + x2 x3 = 0, which holds the four basis points; seen from e0, the
+# images of e2 and e3 in the chart have no nonzero coordinate in common
+BASIS_QUADRIC = Quadric(np.array([[0.0, 0.5, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0],
+                                  [0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.5, 0.0]]))
+NOT_A_LINE = LinearComplex([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ck_distance(ProjPoint([0.0, 1.0]), ProjPoint([0.0, 1.0]), klein_disk_metric()),
+     DimensionMismatch, "line/quadric dimension mismatch"),
+    (lambda: ck_angle(Hyperplane([1.0, 0.0]), Hyperplane([0.0, 1.0]), klein_disk_metric()),
+     GeometryError, "angle operands do not match the metric"),
+    (lambda: on_quadric_degeneracy(ProjPoint([1.0, 0.0, 0.0, 1.0]),
+                                   ProjPoint([1.0, 1.0, 0.0, 1.0]), SPHERE),
+     GeometryError, "second point is not on the quadric"),
+    (lambda: induced_surface_distance(ProjPoint([1.0, 0.0, 1.0]), ProjPoint([1.0, 0.0, 0.0, 1.0]),
+                                      SPHERE, ProjPoint([0.0, 1.0, 0.0, 1.0]), 1.0),
+     GeometryError, "dimension mismatch"),
+    (lambda: induced_surface_distance(ProjPoint([1.0, 0.0, 0.0, 1.0]),
+                                      ProjPoint([1.0, 1.0, 0.0, 1.0]),
+                                      SPHERE, ProjPoint([0.0, 1.0, 0.0, 1.0]), 1.0),
+     GeometryError, "both points must lie on the quadric"),
+    (lambda: induced_surface_distance(*(ProjPoint(row) for row in np.eye(4)[[2, 3]]),
+                                      BASIS_QUADRIC, ProjPoint(np.eye(4)[0]), 1.0),
+     GeometryError, "projection degenerate (chart divisor vanishes)"),
+    (lambda: LinearComplex([1.0, 2.0, 3.0]), GeometryError, "LinearComplex needs 6 coordinates"),
+    (lambda: LinearComplex(np.zeros(6)), GeometryError, "LinearComplex must be nonzero"),
+    (lambda: line_invariant(NOT_A_LINE, LinearComplex([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]), NOT_A_LINE),
+     GeometryError, "l1 and l2 must be lines (special complexes)"),
+], ids=["ck_distance", "ck_angle", "on_quadric_degeneracy", "induced-dimension",
+        "induced-off-quadric", "induced-chart-divisor", "LinearComplex-size",
+        "LinearComplex-zero", "line_invariant"])
+def test_cayley_klein_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -284,6 +285,55 @@ def test_coordinate_flags_take_a_leading_minus(capsys, flag, argv):
     assert (code, out, err) == run(capsys, *joined)
 
 
+# every other flag that takes a value, after a space, at a value that
+# starts with a minus sign but that argparse does not read as a number
+# (which it reads only as -D, -D.D or -.D)
+_VALUE_FLAGS = [
+    ("--config", ["axioms", "--group", "projective", "--seed", "1", "--config", "-1.cfg"], 2),
+    ("--seed", ["axioms", "--group", "projective", "--seed", "-1e3"], 2),
+    ("--trials", ["axioms", "--group", "projective", "--seed", "1", "--trials", "-1e3"], 2),
+    ("--tol", ["axioms", "--group", "projective", "--seed", "1", "--tol", "-1e-9"], 2),
+    ("--dimension", ["axioms", "--group", "projective", "--seed", "1", "--dimension", "-2e0"],
+     2),
+    ("--group", ["axioms", "--group", "-inf", "--seed", "1"], 2),
+    ("--property", ["check-invariance", "--group", "projective", "--property", "-inf",
+                    "--seed", "1"], 2),
+    ("--metric", ["distance", "--metric", "-inf", "--p", "0,0", "--q", "0.5,0"], 2),
+    ("--kind", ["transfer", "--kind", "-inf"], 2),
+    ("--radius", ["transfer", "--kind", "circle-coords", "--center", "0,0", "--radius", "-1e5"],
+     2),
+    ("--orientation", ["transfer", "--kind", "circle-coords", "--center", "0,0", "--radius",
+                       "1", "--orientation", "-1e0"], 2),
+    ("--coeffs", ["covariants", "--coeffs", "-1,2,0,1"], 0),
+    ("--map", ["contact-check", "--map", "-inf", "--seed", "1"], 2),
+    ("--samples", ["contact-check", "--map", "legendre", "--seed", "1", "--samples", "-1e1"],
+     2),
+    ("--count", ["orbit", "--group", "projective", "--seed", "1", "--point", "0.1,0.2",
+                 "--count", "-1e1"], 2),
+]
+
+
+@pytest.mark.parametrize("flag,argv,code", _VALUE_FLAGS, ids=[row[0] for row in _VALUE_FLAGS])
+def test_value_flags_take_a_leading_minus(capsys, flag, argv, code):
+    """Any value that starts with a minus sign and a number may follow its
+    flag after a space, and means what it means after an equals sign:
+    the verb runs, or refuses it in its own words or argparse's."""
+    k = argv.index(flag)
+    joined = argv[:k] + [f"{flag}={argv[k + 1]}"] + argv[k + 2:]
+    result = run(capsys, *argv)
+    assert result[0] == code
+    assert result == run(capsys, *joined)
+
+
+def test_every_value_flag_has_a_leading_minus_row():
+    parser = cli._build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {flag for p in verbs.choices.values() for action in p._actions
+                if action.nargs is None for flag in action.option_strings}
+    coordinates = {"--p", "--q", "--point", "--circle", "--z", "--a", "--b", "--center"}
+    assert declared == coordinates | {row[0] for row in _VALUE_FLAGS}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["transfer", "--kind", "stereographic"], "stereographic requires --point x,y,z"),
     (["transfer", "--kind", "inverse-stereographic"], "inverse-stereographic requires --z re,im"),
@@ -340,7 +390,7 @@ _SIGNED_SPECIALS = ("-inf", "-Infinity", "-nan", "-NaN")
       for k in range(len(parts))
       for value in _EXTREMES),
     *([*verb, flag, ",".join([value] + plain.split(",")[1:])]
-      for verb, flag, plain in _NUMERIC_INPUTS if flag in cli._COORDINATE_FLAGS
+      for verb, flag, plain in _NUMERIC_INPUTS
       for value in _SIGNED_SPECIALS)], ids=" ".join)
 def test_extreme_numbers_get_a_report_or_a_refusal(capsys, argv):
     """Each coordinate of each numeric flag, at an extreme value, gives a

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -266,3 +267,45 @@ class TestSampleBlocks:
         v = is_contact_transformation(legendre_map(), seed=1, samples=200)
         assert v.samples_used == 200
         assert sum(sizes) == 200 and max(sizes) <= 64
+
+
+SWAP_XY = (lambda b: b[::-1], lambda b: np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: LineElement2D(float("nan"), 0.0), "LineElement2D entries must be finite"),
+    (lambda: FiveMap(lambda v: v[:2])(np.zeros(5)), "map must return 5-vectors"),
+    (lambda: FiveMap(lambda v: v, lambda v: np.eye(3)).jacobian_at(np.zeros(5)),
+     "analytic jacobian has wrong shape"),
+    (lambda: FiveMap(lambda v: v).compose(FiveMap(lambda v: v, dim=3)),
+     "composition dimension mismatch"),
+    (lambda: pfaffian_residual(SurfaceElement(0.0, 0.0, 0.0, 0.0, 0.0), [1.0, 2.0]),
+     "displacement must have five components"),
+    (lambda: element_family_of_surface(lambda x, y: x * y, 0), "grid must be nonempty"),
+    # the swap of x and y sends the horizontal direction p = 0 to a vertical one
+    (lambda: prolong_plane_map(*SWAP_XY)(np.zeros(3)),
+     "image direction is vertical (extended slope)"),
+    # a map whose image is never finite fails on every sample
+    (lambda: is_contact_transformation(FiveMap(lambda v: np.full(5, np.nan)), 1, 10),
+     "map evaluation failed on more than half the samples"),
+], ids=["LineElement2D", "FiveMap-shape", "FiveMap-jacobian", "FiveMap-compose",
+        "pfaffian_residual", "grid-size", "prolong_plane_map", "non-finite-image"])
+def test_contact_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_constant_map_pulls_the_contact_form_back_to_zero():
+    """Its Jacobian is zero, so the pullback has no direction to align:
+    every sample counts with the largest residual, 1."""
+    v = is_contact_transformation(FiveMap(lambda v: np.zeros(5)), seed=1, samples=10)
+    assert (v.is_contact, v.samples_used, v.max_residual, v.witness_residual) == \
+        (False, 10, 1.0, 1.0)
+
+
+def test_a_grid_of_pairs_gives_one_element_per_pair():
+    """The slopes (p, q) of z = xy at (0.5, 0.25) are (y, x), by central
+    differences."""
+    (e,) = element_family_of_surface(lambda x, y: x * y, [(0.5, 0.25)])
+    assert (e.x, e.y, e.z) == (0.5, 0.25, 0.125)
+    assert abs(e.p - 0.25) < 1e-9 and abs(e.q - 0.5) < 1e-9

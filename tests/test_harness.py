@@ -99,6 +99,10 @@ def test_every_exported_name_exists():
         assert not missing, (name, missing)
 
 
+def test_dir_lists_the_lazy_exports():
+    assert set(erlangen.__all__) <= set(dir(erlangen))
+
+
 def _defaults(tree):
     """(callable name, parameter, position or None) of each parameter with
     a default in a function or method: positions count from after self or

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from erlangen.moebius import (
     stereographic,
     unit_sphere_quadric,
 )
-from erlangen.projective import ProjPoint, on_quadric
+from erlangen.projective import ProjPoint, Quadric, on_quadric
 
 
 class TestExtendedComplex:
@@ -216,3 +218,39 @@ class TestCircleAction:
                     continue
                 pt = ProjPoint([w.value.real, w.value.imag, 1.0])
                 assert on_quadric(pt, qi, 1e-9)
+
+
+def test_finite_extended_values_compare_and_hash_by_value():
+    """Equal finite values are equal and hash equally, so they meet in a set;
+    infinity meets only itself."""
+    assert ExtendedComplex(1 + 2j) == 1 + 2j and ExtendedComplex(1.0) != ExtendedComplex(2.0)
+    assert hash(ExtendedComplex(1 + 2j)) == hash(ExtendedComplex(1.0 + 2.0j))
+    assert len({ExtendedComplex(0.5), ExtendedComplex(0.5 + 0j), INFINITY,
+                ExtendedComplex(infinite=True)}) == 2
+
+
+@pytest.mark.parametrize("z,w,expected", [
+    (INFINITY, INFINITY, 0.0),
+    # a finite point is 2 / sqrt(1 + |z|^2) from the north pole
+    (INFINITY, 0.0, 2.0),
+    (1.0, INFINITY, 2.0 / np.sqrt(2.0)),
+])
+def test_chordal_distance_to_infinity(z, w, expected):
+    assert chordal_distance(z, w) == expected
+
+
+def test_an_affine_map_fixes_infinity():
+    assert MoebiusMap(2, 1, 0, 1).apply(INFINITY) is INFINITY
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: moebius_transform_circle(MoebiusMap(1, 0, 0, 1), Quadric(np.eye(4))),
+     "circle quadrics live in P^2"),
+    (lambda: circle_from_quadric(Quadric(np.eye(4))), "circle quadrics live in P^2"),
+    (lambda: moebius_transform_circle(MoebiusMap(1, 0, 0, 1), Quadric(np.diag([1.0, 2.0, -1.0]))),
+     "conic is not a circle or line"),
+], ids=["moebius_transform_circle-dim", "circle_from_quadric-dim",
+        "moebius_transform_circle-ellipse"])
+def test_circle_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,3 +222,37 @@ class TestIncidence:
             assert on_quadric(p, UNIT_CIRCLE) == on_quadric(q, UNIT_CIRCLE)
             h = Hyperplane(rng.uniform(-1, 1, 3))
             assert incident(p, h, 1e-8) == incident(q, h, 1e-8)
+
+
+P1_POINT = ProjPoint([0.0, 1.0])
+P2_POINT = ProjPoint([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ProjPoint([1.0]), GeometryError, "ProjPoint needs a 1-d vector of length >= 2"),
+    (lambda: ProjPoint(np.eye(2)), GeometryError, "ProjPoint needs a 1-d vector of length >= 2"),
+    (lambda: Hyperplane([1.0]), GeometryError, "Hyperplane needs a 1-d vector of length >= 2"),
+    (lambda: Hyperplane([0.0, 0.0]), GeometryError,
+     "Hyperplane coefficients must not all vanish"),
+    (lambda: Quadric(np.ones((2, 3))), GeometryError,
+     "Quadric needs a square matrix of size >= 2"),
+    (lambda: ProjMap(np.eye(3)).apply_hyperplane(Hyperplane([1.0, 0.0])), DimensionMismatch,
+     "hyperplane dimension mismatch"),
+    (lambda: ProjMap(np.eye(3)).apply_quadric(Quadric(np.eye(2))), DimensionMismatch,
+     "quadric dimension mismatch"),
+    (lambda: cross_ratio(P2_POINT, P2_POINT, P2_POINT, P1_POINT), DimensionMismatch,
+     "cross-ratio points live in different spaces"),
+    (lambda: line_quadric_intersections(P2_POINT, ProjPoint([1.0, 0.0, 1.0]), Quadric(np.eye(2))),
+     DimensionMismatch, "line/quadric dimension mismatch"),
+    (lambda: on_quadric(P1_POINT, UNIT_CIRCLE), DimensionMismatch,
+     "point/quadric dimension mismatch"),
+    (lambda: incident(P1_POINT, Hyperplane([1.0, 0.0, 0.0])), DimensionMismatch,
+     "point/hyperplane dimension mismatch"),
+    (lambda: meet_point(Hyperplane([1.0, 0.0]), Hyperplane([0.0, 1.0])), DimensionMismatch,
+     "meet_point is a P^2 operation"),
+], ids=["ProjPoint-size", "ProjPoint-ndim", "Hyperplane-size", "Hyperplane-zero",
+        "Quadric-shape", "apply_hyperplane", "apply_quadric", "cross_ratio",
+        "line_quadric_intersections", "on_quadric", "incident", "meet_point"])
+def test_projective_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -12,6 +12,7 @@ digests are those of the image bytes.
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +313,40 @@ def test_ck_distance_is_undefined_off_its_domain(points, reason):
     prop = builtin_property("ck-distance", 2, "klein-disk")
     with pytest.raises(PropertyUndefined, match=f"^{reason}$"):
         prop.evaluate(Configuration([ProjPoint(p) for p in points]))
+
+
+@pytest.mark.parametrize("name,points,reason", [
+    ("euclidean-distance", [[0.1, 0.2, 1.0]], "needs two points"),
+    ("angle", [[0.1, 0.2, 1.0], [0.3, 0.1, 1.0]], "needs three points"),
+    ("cross-ratio", [[0.0, 0.0, 1.0], [0.1, 0.0, 1.0], [0.2, 0.0, 1.0]], "needs four points"),
+    ("collinearity", [[0.1, 0.2, 1.0], [0.3, 0.1, 1.0]], "needs three points"),
+    ("collinearity", [[0.0, 1.0], [0.1, 1.0], [0.2, 1.0]], "all points of P^1 are collinear"),
+    ("euclidean-distance", [[0.1, 0.2, 1.0], [0.3, 1.0]], "elements live in different spaces"),
+])
+def test_a_configuration_the_property_cannot_read_is_undefined(name, points, reason):
+    prop = builtin_property(name, 2)
+    with pytest.raises(PropertyUndefined, match=f"^{re.escape(reason)}$"):
+        prop.evaluate(Configuration([ProjPoint(p) for p in points]))
+
+
+def test_an_element_of_no_configuration_type_is_refused():
+    t = builtin_group("projective").sample(1)
+    with pytest.raises(GeometryError, match="^projective transformation not applicable to float$"):
+        t.apply(3.0)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("no trailer", "no RESULT: trailer found"),
+    ("RESULT:   ", "empty trailer"),
+])
+def test_a_text_without_a_trailer_is_refused(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_report_trailer(text)
+
+
+def test_trailer_booleans_are_read_as_booleans():
+    assert parse_report_trailer("RESULT: ok a=true b=false") == {
+        "verdict": "ok", "a": True, "b": False}
 
 
 def test_ck_distance_takes_the_elliptic_metric_and_refuses_another():

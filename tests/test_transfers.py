@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from erlangen.numerics import GeometryError, proportionality
+from erlangen.numerics import GeometryError, equal_up_to_scale, proportionality
 from erlangen.moebius import INFINITY, MoebiusMap, random_moebius
 from erlangen.projective import ProjMap, ProjPoint, Quadric, cross_ratio, incident, on_quadric
 from erlangen.transfers import (
@@ -30,6 +30,7 @@ from erlangen.transfers import (
     point_circle,
     random_inversive_map,
     random_lie_map,
+    stereographic_circle_fit,
     tangency_residual,
 )
 
@@ -415,3 +416,56 @@ class TestLieMaps:
 def test_transfer_refusals(call, message):
     with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call,message", [
+    # x^2 - y^2 + 1e-9 z^2 passes the determinant test, and from (0:0:1)
+    # the line to (1:1:0) meets it to second order
+    (lambda: conic_param(Quadric(np.diag([1.0, -1.0, 1e-9])), ProjPoint([0.0, 0.0, 1.0]), 1.0),
+     "parametrizing line degenerates on this conic"),
+    (lambda: conic_param_inverse(UNIT_CIRCLE, ProjPoint([1.0, 0.0, 1.0]),
+                                 ProjPoint([0.0, 0.0, 1.0])), "point must lie on the conic"),
+    # the line pair xy = 0 holds two coordinate axes, which give no base point
+    (lambda: hesse_line(Quadric(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])),
+                        0.0, 1.0), "conic is degenerate"),
+    (lambda: hesse_line(Quadric(np.eye(4)), 0.0, 1.0), "could not find a base point on the conic"),
+], ids=["conic_param-line-in-conic", "conic_param_inverse-off-conic", "hesse_line-line-pair",
+        "hesse_line-dim"])
+def test_conic_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_circular_point_on_the_parametrizing_line_is_its_own_image():
+    """From (0:1:1) the parameter i points at (1:i:0), which lies on every
+    circle, so the line meets the circle there a second time."""
+    assert conic_param(UNIT_CIRCLE, ProjPoint([0.0, 1.0, 1.0]), 1j).coords.tolist() == [1, 1j, 0]
+
+
+def test_the_center_has_the_parameter_of_its_tangent():
+    center = ProjPoint([0.6, 0.8, 1.0])
+    t = conic_param_inverse(UNIT_CIRCLE, center, center)
+    # the tangent at (0.6, 0.8) runs along (-0.8, 0.6), slope -3/4
+    assert abs(t.value + 0.75) < 1e-15
+    assert conic_param(UNIT_CIRCLE, center, t).equals(center)
+
+
+def test_the_point_at_parameter_infinity_round_trips():
+    """From (0.6, 0.8) the parameter infinity is the vertical line, which
+    meets the circle again at (0.6, -0.8)."""
+    center = ProjPoint([0.6, 0.8, 1.0])
+    p = conic_param(UNIT_CIRCLE, center, INFINITY)
+    assert p.equals(ProjPoint([0.6, -0.8, 1.0]))
+    assert conic_param_inverse(UNIT_CIRCLE, center, p).infinite
+
+
+def test_hesse_line_takes_infinity_on_either_side():
+    one, other = hesse_line(UNIT_CIRCLE, INFINITY, 0.0), hesse_line(UNIT_CIRCLE, 0.0, INFINITY)
+    assert equal_up_to_scale(one.coeffs, other.coeffs)
+    assert equal_up_to_scale(one.coeffs, [1.0, 0.0, 0.0])
+
+
+def test_a_circle_fit_through_infinity_is_a_line():
+    """0, 1, -2 and infinity lie on the real axis, y = 0: A = a = C = 0."""
+    params, resid = stereographic_circle_fit([0.0, 1.0, -2.0, INFINITY])
+    assert equal_up_to_scale(params, [0.0, 0.0, 1.0, 0.0]) and resid < 1e-15
