@@ -222,15 +222,20 @@ def projective_roots(f: BinaryForm):
     if poly.size <= 1:
         return [], lead_zero
     roots = np.roots(poly)
-    # one Newton refinement step
     dpoly = np.polyder(poly)
+
+    def residual(z):
+        return abs(np.polyval(poly, z)) / (1.0 + abs(z)) ** (poly.size - 1)
+
     refined = []
     for z in roots:
-        fz = np.polyval(poly, z)
-        dz = np.polyval(dpoly, z)
+        # one Newton step, kept only where it lowers the residual: at a
+        # multiple root f and f' are rounding noise and the step can move
+        # an accurate root away
+        resid, dz = residual(z), np.polyval(dpoly, z)
         if abs(dz) > 1e-14:
-            z = z - fz / dz
-        resid = abs(np.polyval(poly, z)) / (1.0 + abs(z)) ** (poly.size - 1)
+            step = z - np.polyval(poly, z) / dz
+            z, resid = min((z, resid), (step, residual(step)), key=lambda pair: pair[1])
         if resid > 1e-8:
             raise GeometryError(
                 f"root refinement did not converge (residual {resid:.3e})")

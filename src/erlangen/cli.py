@@ -16,11 +16,7 @@ import importlib.util
 import re
 import sys
 
-import numpy as np
-
 from .names import BUILTIN_GROUP_NAMES, METRIC_NAMES, PROPERTY_NAMES
-from .numerics import GeometryError
-from .reports import ValueReport, format_number, serialize_report
 
 __all__ = ["main", "entrypoint", "builtin_property"]
 
@@ -42,9 +38,10 @@ def _deferred(name: str):
     return sys.modules[fullname]
 
 
-(binary_forms, cayley_klein, config, contact, groups, moebius, projective, properties,
- transfers) = map(_deferred, ("binary_forms", "cayley_klein", "config", "contact", "groups",
-                              "moebius", "projective", "properties", "transfers"))
+(binary_forms, cayley_klein, config, contact, groups, moebius, numerics, projective, properties,
+ reports, transfers) = map(_deferred, ("binary_forms", "cayley_klein", "config", "contact",
+                                       "groups", "moebius", "numerics", "projective",
+                                       "properties", "reports", "transfers"))
 
 
 # The verbs build groups and properties through these module-level names,
@@ -129,9 +126,9 @@ def _floats(text: str, expect: int, what: str) -> list:
     try:
         vals = [float(tok) for tok in text.split(",")]
     except ValueError:
-        raise GeometryError(f"{what}: expected comma-separated numbers, got {text!r}")
+        raise numerics.GeometryError(f"{what}: expected comma-separated numbers, got {text!r}")
     if len(vals) != expect:
-        raise GeometryError(f"{what}: expected {expect} numbers, got {len(vals)}")
+        raise numerics.GeometryError(f"{what}: expected {expect} numbers, got {len(vals)}")
     return vals
 
 
@@ -172,13 +169,13 @@ def _merge_defaults(args, tol: float = 1e-9):
 
 def _require_group(args):
     if args.group is None:
-        raise GeometryError("--group is required (flag or config file)")
+        raise numerics.GeometryError("--group is required (flag or config file)")
 
 
 def _require_seed(args):
     if args.seed is None:
-        raise GeometryError("randomized commands require an explicit --seed "
-                            "(flag or config file)")
+        raise numerics.GeometryError("randomized commands require an explicit --seed "
+                                     "(flag or config file)")
     config.check_seed(args.seed)
 
 
@@ -190,7 +187,7 @@ def _run_check_invariance(args) -> int:
     group = builtin_group(args.group, args.dimension)
     verdict = groups.invariance_test(prop.evaluate, group, prop.sample_config,
                                      seed=args.seed, trials=args.trials, tol=args.tol)
-    sys.stdout.write(serialize_report(verdict))
+    sys.stdout.write(reports.serialize_report(verdict))
     return 0 if verdict.invariant else 1
 
 
@@ -201,7 +198,7 @@ def _run_axioms(args) -> int:
     _require_seed(args)
     group = builtin_group(args.group, args.dimension)
     report = groups.check_group_axioms(group, seed=args.seed, trials=args.trials, tol=args.tol)
-    sys.stdout.write(serialize_report(report))
+    sys.stdout.write(reports.serialize_report(report))
     return 0 if report.ok else 1
 
 
@@ -211,50 +208,50 @@ def _run_distance(args) -> int:
     if args.metric == "klein-disk":
         for flag, (x, y) in (("--p", (px, py)), ("--q", (qx, qy))):
             if not x * x + y * y < 1.0:
-                raise GeometryError(f"{flag}: klein-disk points must lie inside the "
-                                    f"unit disk x^2 + y^2 < 1, got {x},{y}")
+                raise numerics.GeometryError(f"{flag}: klein-disk points must lie inside "
+                                             f"the unit disk x^2 + y^2 < 1, got {x},{y}")
     metric = cayley_klein.METRICS[args.metric]()
     value = cayley_klein.ck_distance(projective.ProjPoint([px, py, 1.0]),
                                      projective.ProjPoint([qx, qy, 1.0]), metric)
-    report = ValueReport("distance", [("metric", args.metric), ("value", abs(value))])
-    sys.stdout.write(serialize_report(report))
+    report = reports.ValueReport("distance", [("metric", args.metric), ("value", abs(value))])
+    sys.stdout.write(reports.serialize_report(report))
     return 0
 
 
 def _run_transfer(args) -> int:
     if args.kind == "stereographic":
         if not args.point:
-            raise GeometryError("stereographic requires --point x,y,z")
+            raise numerics.GeometryError("stereographic requires --point x,y,z")
         x, y, z = _floats(args.point, 3, "--point")
         w = moebius.stereographic(moebius.SpherePoint(x, y, z))
-        value = "inf" if w.infinite else format_number(w.value)
-        report = ValueReport("transfer", [("kind", "stereographic"),
-                                          ("value", value)])
+        value = "inf" if w.infinite else reports.format_number(w.value)
+        report = reports.ValueReport("transfer", [("kind", "stereographic"),
+                                                  ("value", value)])
     elif args.kind == "inverse-stereographic":
         if not args.z:
-            raise GeometryError("inverse-stereographic requires --z re,im")
+            raise numerics.GeometryError("inverse-stereographic requires --z re,im")
         re, im = _floats(args.z, 2, "--z")
         p = moebius.inverse_stereographic(complex(re, im))
-        report = ValueReport("transfer", [("kind", "inverse-stereographic"),
-                                          ("x", p.x), ("y", p.y), ("z", p.z)])
+        report = reports.ValueReport("transfer", [("kind", "inverse-stereographic"),
+                                                  ("x", p.x), ("y", p.y), ("z", p.z)])
     elif args.kind == "pluecker":
         if not args.a or not args.b:
-            raise GeometryError("pluecker requires --a and --b (4 numbers each)")
+            raise numerics.GeometryError("pluecker requires --a and --b (4 numbers each)")
         a = projective.ProjPoint(_floats(args.a, 4, "--a"))
         b = projective.ProjPoint(_floats(args.b, 4, "--b"))
         line = transfers.pluecker_embed(a, b)
         fields = [("kind", "pluecker")]
         fields += [(f"p{i}", line.p[i]) for i in range(6)]
-        report = ValueReport("transfer", fields)
+        report = reports.ValueReport("transfer", fields)
     else:
         if args.center is None or args.radius is None:
-            raise GeometryError("circle-coords requires --center re,im and --radius r")
+            raise numerics.GeometryError("circle-coords requires --center re,im and --radius r")
         re, im = _floats(args.center, 2, "--center")
         coords = transfers.circle_to_coords(complex(re, im), args.radius, args.orientation)
         fields = [("kind", "circle-coords")]
         fields += [(f"u{i+1}", coords.u[i]) for i in range(5)]
-        report = ValueReport("transfer", fields)
-    sys.stdout.write(serialize_report(report))
+        report = reports.ValueReport("transfer", fields)
+    sys.stdout.write(reports.serialize_report(report))
     return 0
 
 
@@ -262,7 +259,7 @@ def _run_covariants(args) -> int:
     try:
         coeffs = [complex(tok.strip().replace(" ", "")) for tok in args.coeffs.split(",")]
     except ValueError:
-        raise GeometryError(f"--coeffs: cannot parse {args.coeffs!r}")
+        raise numerics.GeometryError(f"--coeffs: cannot parse {args.coeffs!r}")
     form = binary_forms.BinaryForm(coeffs)
     if form.degree == 3:
         h = binary_forms.hessian(form)
@@ -278,12 +275,14 @@ def _run_covariants(args) -> int:
         fields += [(f"hessian_{i}", h.coeffs[i]) for i in range(len(h.coeffs))]
         fields += [(f"sextic_{i}", t.coeffs[i]) for i in range(len(t.coeffs))]
     else:
-        raise GeometryError("covariants verb handles cubics and quartics")
-    sys.stdout.write(serialize_report(ValueReport("covariants", fields)))
+        raise numerics.GeometryError("covariants verb handles cubics and quartics")
+    sys.stdout.write(reports.serialize_report(reports.ValueReport("covariants", fields)))
     return 0
 
 
 def _contact_map(name: str):
+    import numpy as np
+
     if name == "legendre":
         return contact.legendre_map()
     if name == "swap-zp":
@@ -309,7 +308,7 @@ def _run_contact_check(args) -> int:
     samples = args.samples if args.samples is not None else 40
     verdict = contact.is_contact_transformation(_contact_map(args.map_name),
                                                 seed=args.seed, samples=samples, tol=args.tol)
-    sys.stdout.write(serialize_report(verdict))
+    sys.stdout.write(reports.serialize_report(verdict))
     return 0 if verdict.is_contact else 1
 
 
@@ -319,7 +318,7 @@ def _run_orbit(args) -> int:
     _require_seed(args)
     count = args.count if args.count is not None else 10
     if args.point and args.circle:
-        raise GeometryError("orbit takes --point or --circle, not both")
+        raise numerics.GeometryError("orbit takes --point or --circle, not both")
     if args.circle:
         cx, cy, r = _floats(args.circle, 3, "--circle")
         start = groups.Configuration([moebius.circle_quadric(complex(cx, cy), r)])
@@ -327,18 +326,18 @@ def _run_orbit(args) -> int:
         coords = _floats(args.point, args.dimension, "--point") + [1.0]
         start = groups.Configuration([projective.ProjPoint(coords)])
     else:
-        raise GeometryError("orbit requires --point or --circle")
+        raise numerics.GeometryError("orbit requires --point or --circle")
     group = builtin_group(args.group, args.dimension)
     images = groups.orbit_sample(start, group, seed=args.seed, count=count)
     fields = [("group", args.group), ("count", count)]
     for i, img in enumerate(images):
         el = img[0]
         if isinstance(el, projective.ProjPoint):
-            desc = ":".join(format_number(z) for z in el.normalized())
+            desc = ":".join(reports.format_number(z) for z in el.normalized())
         else:
-            desc = ",".join(format_number(z) for z in el.matrix.ravel())
+            desc = ",".join(reports.format_number(z) for z in el.matrix.ravel())
         fields.append((f"image_{i}", desc))
-    sys.stdout.write(serialize_report(ValueReport("orbit", fields)))
+    sys.stdout.write(reports.serialize_report(reports.ValueReport("orbit", fields)))
     return 0
 
 
@@ -362,12 +361,17 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _RUNNERS[args.verb](args)
-    except (GeometryError, config.ConfigError, ValueError) as exc:
+    except (numerics.GeometryError, config.ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 
 
 def entrypoint() -> None:
+    # A CLI process runs no cyclic collection.  Most of what a verb
+    # allocates is the modules of numpy, numpy.random and the package,
+    # which no collection frees, and a verb leaves the same cyclic garbage
+    # (argparse's parser) whatever its work, so nothing left behind grows.
+    gc.disable()
     code = main(sys.argv[1:])
     # The verdict is written; what is left is interpreter shutdown, whose
     # cyclic collections would walk the ~20k objects that numpy and this

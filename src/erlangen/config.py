@@ -7,7 +7,7 @@ keys are errors: a typo must never silently fall back to a default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Frozen
 
 __all__ = ["RunConfig", "ConfigError", "check_seed", "check_tolerance", "load_config",
            "parse_config_text"]
@@ -35,23 +35,19 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    trials: int
-    tolerance: float
-    group: str
-    dimension: int
+class RunConfig(Frozen):
+    __slots__ = ("seed", "trials", "tolerance", "group", "dimension")
 
-    def __post_init__(self):
-        if self.trials < 1:
+    def __init__(self, seed: int, trials: int, tolerance: float, group: str, dimension: int):
+        if trials < 1:
             raise ConfigError("trials must be >= 1")
-        check_tolerance(self.tolerance)
-        check_seed(self.seed)
-        if self.dimension < 1:
+        check_tolerance(tolerance)
+        check_seed(seed)
+        if dimension < 1:
             raise ConfigError("dimension must be >= 1")
-        if not self.group.replace("_", "").replace("-", "").isalnum():
-            raise ConfigError(f"group is not an identifier: {self.group!r}")
+        if not group.replace("_", "").replace("-", "").isalnum():
+            raise ConfigError(f"group is not an identifier: {group!r}")
+        self._set(seed, trials, tolerance, group, dimension)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:

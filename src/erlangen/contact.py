@@ -10,12 +10,12 @@ checks the line-element characterization of plane point-transformations.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .numerics import GeometryError, mix_seeds, rng_stack
+from .records import Frozen
 from .reports import ContactVerdict
 
 __all__ = [
@@ -37,38 +37,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurfaceElement:
+class SurfaceElement(Frozen):
     """A space point with an attached tangent-plane direction."""
 
-    x: float
-    y: float
-    z: float
-    p: float
-    q: float
+    __slots__ = ("x", "y", "z", "p", "q")
 
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z, self.p, self.q):
+    def __init__(self, x: float, y: float, z: float, p: float, q: float):
+        for v in (x, y, z, p, q):
             if not np.isfinite(v):
                 raise GeometryError("SurfaceElement entries must be finite")
+        self._set(x, y, z, p, q)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z, self.p, self.q])
 
 
-@dataclass(frozen=True)
-class LineElement2D:
+class LineElement2D(Frozen):
     """A plane point with an attached direction slope; vertical directions
     carry the extended-slope flag instead of a numeric slope."""
 
-    x: float
-    y: float
-    p: float = 0.0
-    vertical: bool = False
+    __slots__ = ("x", "y", "p", "vertical")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.p)):
+    def __init__(self, x: float, y: float, p: float = 0.0, vertical: bool = False):
+        if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(p)):
             raise GeometryError("LineElement2D entries must be finite")
+        self._set(x, y, p, vertical)
 
 
 class FiveMap:

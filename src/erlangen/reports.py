@@ -8,15 +8,9 @@ serialize to identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
-
 import numpy as np
 
-if TYPE_CHECKING:
-    from array import array
-
-    from .groups import Configuration, Transformation
+from .records import Frozen, Record
 
 __all__ = ["Invariant", "Violated", "AxiomReport", "ContactVerdict", "ValueReport",
            "serialize_report", "parse_report_trailer", "format_number"]
@@ -44,52 +38,54 @@ class ValueReport:
         self.fields = list(fields)
 
 
-@dataclass(frozen=True)
-class Invariant:
+class Invariant(Frozen):
     """No counterexample in the executed trials (statistical only)."""
 
-    trials_executed: int
-    trials_skipped: int
-    tol: float
+    __slots__ = ("trials_executed", "trials_skipped", "tol")
+
+    def __init__(self, trials_executed: int, trials_skipped: int, tol: float):
+        self._set(trials_executed, trials_skipped, tol)
 
     @property
     def invariant(self) -> bool:
         return True
 
 
-@dataclass(frozen=True)
-class Violated:
-    """A reproducible counterexample to invariance."""
+class Violated(Frozen):
+    """A reproducible counterexample to invariance: the witness trial's
+    seeds, the values before and after, and its groups.Configuration and
+    groups.Transformation."""
 
-    trial: int
-    config_seed: int
-    transform_seed: int
-    before: object
-    after: object
-    config: Configuration
-    transformation: Transformation
-    trials_executed: int
-    tol: float
+    __slots__ = ("trial", "config_seed", "transform_seed", "before", "after", "config",
+                 "transformation", "trials_executed", "tol")
+
+    def __init__(self, trial: int, config_seed: int, transform_seed: int, before, after,
+                 config, transformation, trials_executed: int, tol: float):
+        self._set(trial, config_seed, transform_seed, before, after, config, transformation,
+                  trials_executed, tol)
 
     @property
     def invariant(self) -> bool:
         return False
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of randomized group-axiom checking.
 
     Failure lists hold (trial index, seed1, seed2) triples; re-running
-    the sampler on the recorded seeds reproduces the witnesses.
+    the sampler on the recorded seeds reproduces the witnesses.  Each list
+    starts empty unless given.
     """
 
-    group: str
-    trials: int
-    tol: float
-    closure_failures: list = field(default_factory=list)
-    inverse_failures: list = field(default_factory=list)
-    identity_failures: list = field(default_factory=list)
+    __slots__ = ("group", "trials", "tol", "closure_failures", "inverse_failures",
+                 "identity_failures")
+
+    def __init__(self, group: str, trials: int, tol: float, closure_failures=None,
+                 inverse_failures=None, identity_failures=None):
+        self._set(group, trials, tol,
+                  [] if closure_failures is None else closure_failures,
+                  [] if inverse_failures is None else inverse_failures,
+                  [] if identity_failures is None else identity_failures)
 
     @property
     def total_failures(self) -> int:
@@ -101,24 +97,22 @@ class AxiomReport:
         return self.total_failures == 0
 
 
-@dataclass
-class ContactVerdict:
+class ContactVerdict(Record):
     """Outcome of the united-position preservation check.
 
     ``factors`` holds the per-sample proportionality factor rho of the
     pulled-back form against the original one (rho may vary by point), as
-    doubles, 8 bytes a sample;
+    an array.array of doubles, 8 bytes a sample;
     a failed sample is recorded with its point and residual.
     """
 
-    is_contact: bool
-    samples_used: int
-    max_residual: float
-    tol: float
-    seed: int
-    factors: array
-    witness_point: Optional[np.ndarray] = None
-    witness_residual: Optional[float] = None
+    __slots__ = ("is_contact", "samples_used", "max_residual", "tol", "seed", "factors",
+                 "witness_point", "witness_residual")
+
+    def __init__(self, is_contact: bool, samples_used: int, max_residual: float, tol: float,
+                 seed: int, factors, witness_point=None, witness_residual=None):
+        self._set(is_contact, samples_used, max_residual, tol, seed, factors, witness_point,
+                  witness_residual)
 
 
 def _trailer(verdict: str, pairs) -> str:

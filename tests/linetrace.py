@@ -24,20 +24,18 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "erlangen"
 
-_OUT_OF_PROCESS = ("runs only in the fresh-process tests: its gc.freeze() would freeze the "
-                   "session's objects")
+_OUT_OF_PROCESS = ("runs only in the fresh-process tests: its gc.disable() and gc.freeze() "
+                   "would switch the session's collector off and freeze its objects")
 _PADE = ("a scipy whose Pade kernel does not load or allocate; goes when the form groups "
          "sample by the Cayley transform (ROADMAP item 10)")
 
 #: lines that never run in process, by design: (file, function, line text, reason)
 UNRUN = [
+    ("cli.py", "entrypoint", "gc.disable()", _OUT_OF_PROCESS),
     ("cli.py", "entrypoint", "code = main(sys.argv[1:])", _OUT_OF_PROCESS),
     ("cli.py", "entrypoint", "gc.freeze()", _OUT_OF_PROCESS),
     ("cli.py", "entrypoint", "sys.exit(code)", _OUT_OF_PROCESS),
     ("cli.py", "<module>", "entrypoint()", "the __main__ guard of `python -m erlangen.cli`"),
-    ("reports.py", "<module>", "from array import array", "a TYPE_CHECKING import"),
-    ("reports.py", "<module>", "from .groups import Configuration, Transformation",
-     "a TYPE_CHECKING import"),
     ("numerics.py", "_pade_kernel", "except ImportError:", _PADE),
     ("numerics.py", "_pade_kernel", "return None", _PADE),
     ("numerics.py", "expm_stack",

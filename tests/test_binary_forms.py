@@ -16,6 +16,7 @@ from erlangen.binary_forms import (
     hessian,
     jacobian_covariant,
     perfect_square_root,
+    projective_roots,
     quartic_discriminant,
     quartic_invariants,
     quartic_pencil_member,
@@ -499,10 +500,32 @@ def test_a_vanishing_quartic_pencil_member_is_refused():
         quartic_pencil_member(BinaryForm([0.0, 0.0, 1.0, 0.0, 0.0]), -6.0)
 
 
-def test_a_double_root_moved_by_the_newton_step_is_refused():
+def test_a_double_root_keeps_its_eigenvalue_where_the_newton_step_moves_it_away():
     """x^4 (x - 3y)^2: the eigenvalue solve finds the double root 3 to
     within 2e-15, where f and f' are rounding noise, and the Newton step
-    moves it to about 2.75, whose residual is refused."""
+    would move it to about 2.75; the step is not taken."""
+    finite, at_infinity = projective_roots(BinaryForm([1.0, -6.0, 9.0, 0.0, 0.0, 0.0, 0.0]))
+    assert at_infinity == 0
+    assert sorted(abs(z) for z in finite)[-2:] == pytest.approx([3.0, 3.0], abs=1e-7)
+
+
+@pytest.mark.parametrize("m", range(19))
+def test_every_root_of_a_double_root_times_a_power_of_x_is_found(m):
+    """(x - 3y)^2 x^m: 13 of these 19 forms were once refused; each root
+    now leaves a residual of the normalized polynomial below 1e-16."""
+    form = BinaryForm([1.0, -6.0, 9.0] + [0.0] * m)
+    finite, at_infinity = projective_roots(form)
+    poly = form.coeffs / 9.0
+    assert (len(finite), at_infinity) == (m + 2, 0)
+    assert sorted(abs(z) for z in finite) == pytest.approx([0.0] * m + [3.0, 3.0], abs=1e-7)
+    assert max(abs(np.polyval(poly, z)) / (1 + abs(z)) ** (m + 2) for z in finite) < 1e-16
+    assert roots_on_sphere(form).as_array().shape == (m + 2, 3)
+
+
+def test_a_root_the_eigenvalue_solve_gets_wrong_is_refused(monkeypatch):
+    """(x - 3y)^2 with the eigenvalue solve replaced by one that returns 2
+    for a root: the Newton step lowers its residual only to 2e-3."""
+    monkeypatch.setattr(np, "roots", lambda poly: np.array([3.0, 2.0]))
     with pytest.raises(GeometryError,
                        match=r"^root refinement did not converge \(residual \d\.\d{3}e-\d\d\)$"):
-        roots_on_sphere(BinaryForm([1.0, -6.0, 9.0, 0.0, 0.0, 0.0, 0.0]))
+        roots_on_sphere(BinaryForm([1.0, -6.0, 9.0]))

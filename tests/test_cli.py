@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import gc
+import io
 import math
 import os
 import re
@@ -557,3 +560,83 @@ def test_contact_check_runs_no_group_module():
     assert code == 0
     for module in ("groups", "projective", "moebius", "transfers", "properties"):
         assert f"erlangen.{module}" not in ran
+
+
+# -- start-up and shutdown -----------------------------------------------------
+
+def test_value_verbs_import_no_dataclasses():
+    """distance, transfer and covariants build no record class that a
+    dataclass decorator would generate code for, so none imports it."""
+    argvs = [argv for argv in TOUR if argv[0] in ("distance", "transfer", "covariants")]
+    argvs += [("transfer", "--kind", "pluecker", "--a=1,0,2,1", "--b=0,1,-1,3"),
+              ("transfer", "--kind", "stereographic", "--point=0.6,0,0.8"),
+              ("transfer", "--kind", "inverse-stereographic", "--z=0.5,1"),
+              ("covariants", "--coeffs=1,0,1,0,1")]
+    proc = _python("-c", f"""
+import contextlib, io, sys
+import erlangen.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(list(argv)) for argv in {argvs!r}]
+print(*codes, "dataclasses" in sys.modules)
+""")
+    assert proc.stdout.split() == ["0"] * len(argvs) + ["False"], proc.stderr
+
+
+#: (argv, the flag that sets how much work the verb does)
+_WORK = [
+    (("check-invariance", "--group", "projective", "--property", "cross-ratio", "--seed=1"),
+     "--trials"),
+    (("check-invariance", "--group", "projective", "--property", "ck-distance",
+      "--metric", "klein-disk", "--seed=1"), "--trials"),
+    (("check-invariance", "--group", "affine", "--property", "euclidean-distance",
+      "--seed=1"), "--trials"),
+    (("check-invariance", "--group", "moebius", "--property", "cross-ratio", "--seed=1"),
+     "--trials"),
+    (("axioms", "--group", "principal", "--seed=1"), "--trials"),
+    (("orbit", "--group", "moebius", "--circle=0.1,0.2,0.8", "--seed=1"), "--count"),
+    (("contact-check", "--map", "legendre", "--seed=3"), "--samples"),
+]
+
+
+def _cyclic_garbage_after(argv):
+    """(exit code, objects the next collection frees) of cli.main(argv)
+    run with the collector off, as entrypoint runs it."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        return code, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("argv, flag", _WORK, ids=["-".join(argv[:5]) for argv, _ in _WORK])
+def test_a_verb_leaves_cyclic_garbage_that_does_not_grow_with_its_work(argv, flag):
+    """entrypoint runs a verb with the collector off; what the verb leaves
+    for the collector is the same at 20 and at 400 units of work.  A first
+    run may load modules, so it is not counted."""
+    _cyclic_garbage_after(argv + (f"{flag}=20",))
+    small = _cyclic_garbage_after(argv + (f"{flag}=20",))
+    large = _cyclic_garbage_after(argv + (f"{flag}=400",))
+    assert small[0] == large[0] in (0, 1, 2)
+    assert small[1] == large[1]
+
+
+def test_entrypoint_turns_the_collector_off_before_main():
+    """entrypoint, which the console script and `python -m erlangen.cli`
+    both call, switches the collector off before main() runs, and before
+    anything has loaded numpy, and leaves it off."""
+    proc = _python("-c", """
+import gc, sys
+import erlangen.cli as cli
+seen = []
+cli.main = lambda argv: seen.append((gc.isenabled(), "numpy" in sys.modules)) or 0
+try:
+    cli.entrypoint()
+except SystemExit as exc:
+    print(exc.code, *seen[0], gc.isenabled())
+""")
+    assert proc.stdout.split() == ["0", "False", "False", "False"], proc.stderr

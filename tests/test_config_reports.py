@@ -1,14 +1,26 @@
+import pickle
 import re
+from array import array
 
 import numpy as np
 import pytest
 
 from erlangen.config import ConfigError, RunConfig, load_config, parse_config_text
-from erlangen.contact import is_contact_transformation, legendre_map, swap_zp_map
+from erlangen.contact import (
+    LineElement2D,
+    SurfaceElement,
+    is_contact_transformation,
+    legendre_map,
+    swap_zp_map,
+)
 from erlangen.groups import builtin_group, check_group_axioms, invariance_test
 from erlangen.properties import builtin_property
 from erlangen.reports import (
+    AxiomReport,
+    ContactVerdict,
+    Invariant,
     ValueReport,
+    Violated,
     format_number,
     parse_report_trailer,
     serialize_report,
@@ -152,3 +164,63 @@ class TestReports:
         for x in (1e-9, 0.1, 3.0, float(np.pi), 1234567890.123456789):
             assert float(format_number(x)) == x
         assert complex(format_number(1 + 2j)) == 1 + 2j
+
+
+#: one of each record, built afresh on each call, with its repr
+_RECORDS = [
+    (lambda: Invariant(40, 2, 1e-9),
+     "Invariant(trials_executed=40, trials_skipped=2, tol=1e-09)"),
+    (lambda: Violated(3, 11, 12, 0.5, 0.75, None, None, 3, 1e-9),
+     "Violated(trial=3, config_seed=11, transform_seed=12, before=0.5, after=0.75, "
+     "config=None, transformation=None, trials_executed=3, tol=1e-09)"),
+    (lambda: AxiomReport("moebius", 40, 1e-8, closure_failures=[(1, 2, 3)],
+                         inverse_failures=[], identity_failures=[(4, 5, 6)]),
+     "AxiomReport(group='moebius', trials=40, tol=1e-08, closure_failures=[(1, 2, 3)], "
+     "inverse_failures=[], identity_failures=[(4, 5, 6)])"),
+    (lambda: ContactVerdict(True, 20, 1e-12, 1e-9, 1, array("d", [1.0, 2.0])),
+     "ContactVerdict(is_contact=True, samples_used=20, max_residual=1e-12, tol=1e-09, "
+     "seed=1, factors=array('d', [1.0, 2.0]), witness_point=None, witness_residual=None)"),
+    (lambda: RunConfig(42, 100, 1e-9, "principal", 2),
+     "RunConfig(seed=42, trials=100, tolerance=1e-09, group='principal', dimension=2)"),
+    (lambda: SurfaceElement(0.5, -1.0, 2.0, 0.25, 0.0),
+     "SurfaceElement(x=0.5, y=-1.0, z=2.0, p=0.25, q=0.0)"),
+    (lambda: LineElement2D(0.5, -1.0, 2.0),
+     "LineElement2D(x=0.5, y=-1.0, p=2.0, vertical=False)"),
+]
+_FROZEN = (Invariant, Violated, RunConfig, SurfaceElement, LineElement2D)
+_IDS = [repr_text.partition("(")[0] for _, repr_text in _RECORDS]
+
+
+@pytest.mark.parametrize("make, repr_text", _RECORDS, ids=_IDS)
+def test_a_record_compares_shows_and_pickles_by_its_fields(make, repr_text):
+    record = make()
+    assert repr(record) == repr_text
+    assert record == make() and not record != make()
+    assert record != repr_text and record != ()
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record and repr(copy) == repr_text
+
+
+@pytest.mark.parametrize("make, repr_text", _RECORDS, ids=_IDS)
+def test_a_frozen_record_refuses_assignment_and_hashes_by_its_fields(make, repr_text):
+    record, first = make(), repr_text.partition("(")[2].partition("=")[0]
+    if not isinstance(record, _FROZEN):
+        setattr(record, first, None)
+        assert getattr(record, first) is None and record != make()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        return
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{first}'$"):
+        setattr(record, first, None)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{first}'$"):
+        delattr(record, first)
+    assert repr(record) == repr_text
+    assert hash(record) == hash(make())
+    assert len({record, make()}) == 1
+
+
+def test_records_differ_by_a_field_and_start_with_lists_of_their_own():
+    assert Invariant(40, 2, 1e-9) != Invariant(40, 3, 1e-9)
+    assert AxiomReport("moebius", 40, 1e-8) == AxiomReport("moebius", 40, 1e-8, [], [], [])
+    assert AxiomReport("moebius", 40, 1e-8).closure_failures is not \
+        AxiomReport("moebius", 40, 1e-8).closure_failures

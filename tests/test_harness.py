@@ -11,6 +11,7 @@ that no call sets and for imports that nothing uses.
 import ast
 import dataclasses
 import importlib
+import json
 import math
 import os
 import pkgutil
@@ -89,6 +90,62 @@ def test_the_traced_pass_runs_on_the_package_as_the_harness_loads_it():
     assert (int(trials), int(inv_trials)) == (20 + 10 + 10, 20)
     assert {"groups.engine", "groups.contains", "properties.evaluate",
             "numerics.rng_from"} <= set(layers)
+
+
+def _fresh(code, *args):
+    """A fresh interpreter running ``code`` on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_the_cli_import_registers_every_traced_module_and_loads_no_numpy(spans):
+    """perfbench/child.py installs the tracer right after ``import
+    erlangen.cli``, so every module the tracer wraps must be in
+    sys.modules then, while the import itself loads no numpy."""
+    modules = sorted({module for module, _, _ in spans["FUNCTIONS"]})
+    proc = _fresh(f"""
+import sys
+import erlangen.cli
+print("numpy" in sys.modules, *[m in sys.modules for m in {modules!r}])
+""")
+    assert proc.stdout.split() == ["False"] + ["True"] * len(modules), proc.stderr
+
+
+# The traced CLI child, perfbench/child.py cli, over the CLI tour in one
+# interpreter: erlangen.cli imported, the tracer installed over what that
+# import registered, the group and property builders wrapped.
+_TRACED_CLI = """
+import contextlib, io, json, sys
+import erlangen.cli as cli
+
+spans = {"__name__": "spans"}
+exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), spans)
+tracer = spans["Tracer"]()
+tracer.install()
+make_group, make_prop = cli.builtin_group, cli.builtin_property
+cli.builtin_group = lambda *a, **k: tracer.group(make_group(*a, **k))
+cli.builtin_property = lambda *a, **k: tracer.prop(make_prop(*a, **k))
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(*codes)
+print(*sorted({span[0] for span in tracer.take()}))
+"""
+
+
+def test_the_traced_cli_child_runs_the_tour():
+    from test_cli import TOUR
+
+    proc = _fresh(_TRACED_CLI, str(SPANS), json.dumps(TOUR))
+    assert proc.returncode == 0, proc.stderr
+    codes, names = proc.stdout.splitlines()
+    assert len(codes.split()) == len(TOUR)
+    assert set(codes.split()) <= {"0", "1"}
+    assert {"groups.engine", "properties.evaluate", "numerics.rng_from",
+            "reports.serialize_report"} <= set(names.split())
 
 
 def test_every_exported_name_exists():
