@@ -27,6 +27,7 @@ import numpy as np
 
 from .numerics import GeometryError, as_complex_array, proportionality
 from .moebius import SpherePoint, inverse_stereographic
+from .records import trusted
 
 __all__ = [
     "BinaryForm",
@@ -142,19 +143,13 @@ def jacobian_covariant(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return _form_or_zero(val)
 
 
-class _Covariant(BinaryForm):
+def _form_or_zero(coeffs) -> BinaryForm:
     """A derived form, which may be one the constructor refuses: the
     identically zero form of a degree, or a constant (degree 0)."""
-
-    def __init__(self, coeffs: np.ndarray):
-        self.coeffs = coeffs
-
-
-def _form_or_zero(coeffs) -> BinaryForm:
     arr = as_complex_array(coeffs, "BinaryForm")
     if float(np.max(np.abs(arr))) == 0.0:
-        return _Covariant(np.zeros(arr.size, dtype=complex))
-    return _Covariant(arr)
+        arr = np.zeros(arr.size, dtype=complex)
+    return trusted(BinaryForm, arr)
 
 
 @_OVERFLOW_REFUSED

@@ -18,7 +18,7 @@ import sys
 
 from .names import BUILTIN_GROUP_NAMES, METRIC_NAMES, PROPERTY_NAMES
 
-__all__ = ["main", "entrypoint", "builtin_property"]
+__all__ = ["main", "entrypoint", "builtin_group", "builtin_property"]
 
 
 def _deferred(name: str):
@@ -68,23 +68,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="geometry-as-group computational kernel")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
+    def add_common(p, *options):
+        """--config, --seed and those of --trials, --tol and --dimension
+        that the verb reads."""
         p.add_argument("--config", help="key = value config file with defaults")
-        p.add_argument("--seed", type=int, default=None,
-                       help="64-bit seed (required for randomized verbs)")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--dimension", type=int, default=None)
+        p.add_argument("--seed", type=int, help="64-bit seed (required for randomized verbs)")
+        for option in options:
+            p.add_argument(f"--{option}", type=float if option == "tol" else int)
 
     p = sub.add_parser("check-invariance", help="randomized invariance check")
     p.add_argument("--group", choices=BUILTIN_GROUP_NAMES)
     p.add_argument("--property", required=True, dest="prop", choices=PROPERTY_NAMES)
     p.add_argument("--metric", choices=METRIC_NAMES)
-    add_common(p)
+    add_common(p, "trials", "tol", "dimension")
 
     p = sub.add_parser("axioms", help="randomized group-axiom check")
     p.add_argument("--group", choices=BUILTIN_GROUP_NAMES)
-    add_common(p)
+    add_common(p, "trials", "tol", "dimension")
 
     p = sub.add_parser("distance", help="projective measurement of a point pair")
     p.add_argument("--metric", required=True, choices=METRIC_NAMES)
@@ -109,15 +109,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contact-check", help="contact-transformation verification")
     p.add_argument("--map", required=True, dest="map_name", choices=_CONTACT_MAPS)
-    p.add_argument("--samples", type=int, default=None)
-    add_common(p)
+    p.add_argument("--samples", type=int, default=40)
+    add_common(p, "tol")
 
     p = sub.add_parser("orbit", help="sample the orbit of a configuration")
     p.add_argument("--group", choices=BUILTIN_GROUP_NAMES)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, default=10)
     p.add_argument("--point", help="x,y[,z] configuration point")
     p.add_argument("--circle", help="cx,cy,r configuration circle")
-    add_common(p)
+    add_common(p, "dimension")
 
     return parser
 
@@ -150,29 +150,21 @@ def _joined_values(parser: argparse.ArgumentParser, argv: list) -> list:
 
 
 def _merge_defaults(args, tol: float = 1e-9):
-    """Flag > config file > hard default, with seed mandatory; ``tol`` is
-    the verb's default tolerance."""
-    cfg = config.load_config(args.config) if getattr(args, "config", None) else None
-    if getattr(args, "seed", None) is None and cfg is not None:
-        args.seed = cfg.seed
-    if getattr(args, "trials", None) is None:
-        args.trials = cfg.trials if cfg is not None else 100
-    if getattr(args, "tol", None) is None:
-        args.tol = cfg.tolerance if cfg is not None else tol
-    config.check_tolerance(args.tol)
-    if getattr(args, "dimension", None) is None:
-        args.dimension = cfg.dimension if cfg is not None else 2
-    if getattr(args, "group", None) is None and cfg is not None:
-        args.group = cfg.group
-    return args
-
-
-def _require_group(args):
-    if args.group is None:
+    """Fill each option the verb declares from its flag, else the config
+    file, else the hard default (``tol`` is the verb's tolerance); then
+    check the tolerance, and require the group, where the verb takes one,
+    and the seed."""
+    cfg = config.load_config(args.config) if args.config else None
+    declared = vars(args)
+    for option, key, default in (("seed", "seed", None), ("trials", "trials", 100),
+                                 ("tol", "tolerance", tol), ("dimension", "dimension", 2),
+                                 ("group", "group", None)):
+        if option in declared and declared[option] is None:
+            declared[option] = getattr(cfg, key) if cfg is not None else default
+    if "tol" in declared:
+        config.check_tolerance(args.tol)
+    if "group" in declared and args.group is None:
         raise numerics.GeometryError("--group is required (flag or config file)")
-
-
-def _require_seed(args):
     if args.seed is None:
         raise numerics.GeometryError("randomized commands require an explicit --seed "
                                      "(flag or config file)")
@@ -181,8 +173,6 @@ def _require_seed(args):
 
 def _run_check_invariance(args) -> int:
     _merge_defaults(args)
-    _require_group(args)
-    _require_seed(args)
     prop = builtin_property(args.prop, dimension=args.dimension, metric=args.metric)
     group = builtin_group(args.group, args.dimension)
     verdict = groups.invariance_test(prop.evaluate, group, prop.sample_config,
@@ -194,8 +184,6 @@ def _run_check_invariance(args) -> int:
 def _run_axioms(args) -> int:
     # axiom checks default to the looser 1e-8 membership tolerance
     _merge_defaults(args, tol=1e-8)
-    _require_group(args)
-    _require_seed(args)
     group = builtin_group(args.group, args.dimension)
     report = groups.check_group_axioms(group, seed=args.seed, trials=args.trials, tol=args.tol)
     sys.stdout.write(reports.serialize_report(report))
@@ -304,19 +292,14 @@ def _contact_map(name: str):
 
 def _run_contact_check(args) -> int:
     _merge_defaults(args)
-    _require_seed(args)
-    samples = args.samples if args.samples is not None else 40
-    verdict = contact.is_contact_transformation(_contact_map(args.map_name),
-                                                seed=args.seed, samples=samples, tol=args.tol)
+    verdict = contact.is_contact_transformation(_contact_map(args.map_name), seed=args.seed,
+                                                samples=args.samples, tol=args.tol)
     sys.stdout.write(reports.serialize_report(verdict))
     return 0 if verdict.is_contact else 1
 
 
 def _run_orbit(args) -> int:
     _merge_defaults(args)
-    _require_group(args)
-    _require_seed(args)
-    count = args.count if args.count is not None else 10
     if args.point and args.circle:
         raise numerics.GeometryError("orbit takes --point or --circle, not both")
     if args.circle:
@@ -328,8 +311,8 @@ def _run_orbit(args) -> int:
     else:
         raise numerics.GeometryError("orbit requires --point or --circle")
     group = builtin_group(args.group, args.dimension)
-    images = groups.orbit_sample(start, group, seed=args.seed, count=count)
-    fields = [("group", args.group), ("count", count)]
+    images = groups.orbit_sample(start, group, seed=args.seed, count=args.count)
+    fields = [("group", args.group), ("count", args.count)]
     for i, img in enumerate(images):
         el = img[0]
         if isinstance(el, projective.ProjPoint):

@@ -73,26 +73,19 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if key not in values:
             raise ConfigError(f"{source}: missing key {key!r}")
 
-    def parse_int(key):
+    def parse(key, convert, noun):
         text_value, lineno = values[key]
         try:
-            return int(text_value, 10)
+            return convert(text_value)
         except ValueError:
-            raise ConfigError(f"{source}:{lineno}: {key} must be an integer, "
+            raise ConfigError(f"{source}:{lineno}: {key} must be {noun}, "
                               f"got {text_value!r}") from None
 
-    def parse_float(key):
-        text_value, lineno = values[key]
-        try:
-            return float(text_value)
-        except ValueError:
-            raise ConfigError(f"{source}:{lineno}: {key} must be a number, "
-                              f"got {text_value!r}") from None
-
-    # the parsers' errors carry the source already; RunConfig's get it here
-    fields = dict(seed=parse_int("seed"), trials=parse_int("trials"),
-                  tolerance=parse_float("tolerance"), group=values["group"][0],
-                  dimension=parse_int("dimension"))
+    # the parser's errors carry the source already; RunConfig's get it here
+    fields = dict(seed=parse("seed", int, "an integer"),
+                  trials=parse("trials", int, "an integer"),
+                  tolerance=parse("tolerance", float, "a number"), group=values["group"][0],
+                  dimension=parse("dimension", int, "an integer"))
     try:
         return RunConfig(**fields)
     except ConfigError as exc:

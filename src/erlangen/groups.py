@@ -65,7 +65,6 @@ from .projective import (
     ProjMap,
     ProjPoint,
     Quadric,
-    _trusted,
     coords_faulty,
     map_hyperplanes,
     map_points,
@@ -83,6 +82,7 @@ from .moebius import (
 )
 from .transfers import random_pentaspherical_stack
 from .names import BUILTIN_GROUP_NAMES
+from .records import trusted
 from .reports import AxiomReport, Invariant, Violated
 
 __all__ = [
@@ -169,10 +169,11 @@ class Transformation:
         forward, inverse = [_checked(spec, x, faults)
                             for x in spec.compose(self._stacks(), other._stacks())]
         _raise_first(spec, np.stack(faults, axis=1))
-        return _element(self.kind, forward[0], inverse[0], self.antilinear != other.antilinear)
+        return trusted(Transformation, self.kind, forward[0], inverse[0],
+                       self.antilinear != other.antilinear)
 
     def invert(self) -> "Transformation":
-        return _element(self.kind, self.inverse_map, self.forward, self.antilinear)
+        return trusted(Transformation, self.kind, self.inverse_map, self.forward, self.antilinear)
 
     def approx_equal(self, other: "Transformation", tol: float = 1e-9) -> bool:
         return (self.kind == other.kind and self.antilinear == other.antilinear
@@ -196,13 +197,6 @@ class Transformation:
         else:
             etype, message = _APPLY_ERRORS[1]
         raise etype(message.format(kind=self.kind, element=type(element).__name__))
-
-
-def _element(kind: str, forward, inverse, antilinear) -> Transformation:
-    """The Transformation of matrices that the kind's checks have passed."""
-    t = object.__new__(Transformation)
-    t.kind, t.forward, t.inverse_map, t.antilinear = kind, forward, inverse, bool(antilinear)
-    return t
 
 
 #: the types of configuration elements, and the attribute holding each one's
@@ -701,7 +695,8 @@ def _block_element(kind: _Kind, elements, faults: np.ndarray, k: int) -> Transfo
     inverse, antilinear), or the error of its first failed check."""
     if faults[k]:
         raise _error(kind, faults[k])
-    return _element(kind.name, *(x[k] for x in elements))
+    forward, inverse, antilinear = elements
+    return trusted(Transformation, kind.name, forward[k], inverse[k], bool(antilinear[k]))
 
 
 def _element_blocks(g: GroupDescriptor, seed: int, trials: int, stride: int, offset: int,
@@ -1020,8 +1015,8 @@ def orbit_sample(c: Configuration, g: GroupDescriptor, seed: int,
             else:
                 # a flagged row goes through its constructor, which raises
                 # its error here, as the scalar apply does
-                orbit.append(_trusted(Configuration, tuple(
-                    etype(rows[k]) if flagged[k] else _trusted(etype, rows[k])
+                orbit.append(trusted(Configuration, tuple(
+                    etype(rows[k]) if flagged[k] else trusted(etype, rows[k])
                     for etype, rows, flagged in images)))
     return orbit
 

@@ -135,16 +135,6 @@ class Quadric:
         return f"Quadric({self.matrix.tolist()!r})"
 
 
-def _trusted(cls, data):
-    """The instance of a class of one slot that holds ``data``, built
-    without its constructor's checks: a ProjPoint, Hyperplane or Quadric of
-    a complex array that passed them on a stack (coords_faulty, and exact
-    symmetry for a Quadric), or a Configuration of a tuple of those."""
-    instance = object.__new__(cls)
-    setattr(instance, cls.__slots__[0], data)
-    return instance
-
-
 #: messages of the value checks of ProjMap.__init__, indexed by the codes
 #: projmap_faults returns (0: passed)
 PROJMAP_FAULTS = ("", "ProjMap: non-finite entries", "ProjMap matrix must not vanish",

@@ -56,6 +56,7 @@ from erlangen.projective import (
     map_points,
     map_quadrics,
 )
+from erlangen.records import trusted
 from erlangen.groups import (
     _ELEMENT_TYPES,
     _KINDS,
@@ -209,7 +210,7 @@ def test_stacked_membership_matches_the_scalar_tests(name, dim):
             verdicts = g.contains_matrices(candidates, tol)
             assert list(verdicts) == [reference_contains(name, m, tol) for m in candidates]
             # contains reads only the forward matrix
-            wrapped = [groups._element("projective", m, m, False) for m in candidates]
+            wrapped = [trusted(Transformation, "projective", m, m, False) for m in candidates]
             assert list(verdicts) == [g.contains(t, tol) for t in wrapped]
         # the figure check keeps the verdicts of the tests it replaced
         assert list(g.contains_matrices(candidates, 1e-8)) == [

@@ -73,11 +73,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
-        ["axioms", "--group", "euclidean_isometries"],
-        ["check-invariance", "--group", "affine", "--property", "euclidean-distance"],
+        ["axioms", "--group", "euclidean_isometries", "--trials", "20"],
+        ["check-invariance", "--group", "affine", "--property", "euclidean-distance",
+         "--trials", "20"],
         ["contact-check", "--map", "legendre"]])
     def test_tolerance_must_be_positive_and_finite(self, capsys, argv, tol):
-        code, out, err = run(capsys, *argv, "--trials", "20", "--seed", "1", "--tol", tol)
+        code, out, err = run(capsys, *argv, "--seed", "1", "--tol", tol)
         assert (code, out) == (2, "")
         assert "tolerance must be positive and finite" in err
 
@@ -335,6 +336,69 @@ def test_every_value_flag_has_a_leading_minus_row():
                 if action.nargs is None for flag in action.option_strings}
     coordinates = {"--p", "--q", "--point", "--circle", "--z", "--a", "--b", "--center"}
     assert declared == coordinates | {row[0] for row in _VALUE_FLAGS}
+
+
+#: the options each verb declares, besides --help
+_VERB_OPTIONS = {
+    "check-invariance": {"--group", "--property", "--metric", "--config", "--seed", "--trials",
+                         "--tol", "--dimension"},
+    "axioms": {"--group", "--config", "--seed", "--trials", "--tol", "--dimension"},
+    "distance": {"--metric", "--p", "--q"},
+    "transfer": {"--kind", "--point", "--z", "--a", "--b", "--center", "--radius",
+                 "--orientation"},
+    "covariants": {"--coeffs"},
+    "contact-check": {"--map", "--samples", "--config", "--seed", "--tol"},
+    "orbit": {"--group", "--count", "--point", "--circle", "--config", "--seed", "--dimension"},
+}
+
+
+def test_each_verb_declares_only_the_options_it_reads():
+    parser = cli._build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {verb: {flag for action in p._actions for flag in action.option_strings}
+            - {"-h", "--help"} for verb, p in verbs.choices.items()} == _VERB_OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--group", "projective", "--seed", "1", "--point", "0.1,0.2", "--trials", "5"],
+    ["orbit", "--group", "projective", "--seed", "1", "--point", "0.1,0.2", "--tol", "1e-3"],
+    ["contact-check", "--map", "legendre", "--seed", "1", "--trials", "5"],
+    ["contact-check", "--map", "legendre", "--seed", "1", "--dimension", "3"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_an_option_the_verb_does_not_read_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-invariance", "--property", "cross-ratio"],
+    ["axioms", "--trials", "10"],
+    ["orbit", "--point", "0.1,0.2"],
+    ["contact-check", "--map", "legendre"],
+], ids=lambda argv: argv[0])
+def test_inputs_resolve_config_then_tolerance_then_group_then_seed(capsys, tmp_path, argv):
+    """With every fault present, each run reports the first fault left,
+    in the order config file, tolerance, group, seed, and the run with
+    every fault mended gives a verdict."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("grup = principal\n", encoding="utf-8")
+    # (faulty arguments, mended arguments, refusal)
+    faults = [(["--config", str(bad)], [], f"{bad}:1: unknown key 'grup'")]
+    if "--tol" in _VERB_OPTIONS[argv[0]]:
+        faults.append((["--tol", "0"], ["--tol", "1e-6"], "tolerance must be positive and finite"))
+    if "--group" in _VERB_OPTIONS[argv[0]]:
+        faults.append(([], ["--group", "principal"], "--group is required (flag or config file)"))
+    faults.append(([], ["--seed", "5"],
+                   "randomized commands require an explicit --seed (flag or config file)"))
+    for k in range(len(faults) + 1):
+        args = [*argv, *(arg for _, mended, _ in faults[:k] for arg in mended),
+                *(arg for faulty, _, _ in faults[k:] for arg in faulty)]
+        code, out, err = run(capsys, *args)
+        if k < len(faults):
+            assert (code, out, err) == (2, "", f"error: {faults[k][2]}\n")
+        else:
+            assert (code, err) == (0, "") and "RESULT:" in out
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -13,7 +13,16 @@ from erlangen.contact import (
     legendre_map,
     swap_zp_map,
 )
-from erlangen.groups import builtin_group, check_group_axioms, invariance_test
+from erlangen.binary_forms import BinaryForm, form_product, hessian, jacobian_covariant
+from erlangen.groups import (
+    Configuration,
+    Transformation,
+    builtin_group,
+    check_group_axioms,
+    invariance_test,
+    orbit_sample,
+)
+from erlangen.projective import Hyperplane, ProjPoint, Quadric
 from erlangen.properties import builtin_property
 from erlangen.reports import (
     AxiomReport,
@@ -224,3 +233,21 @@ def test_records_differ_by_a_field_and_start_with_lists_of_their_own():
     assert AxiomReport("moebius", 40, 1e-8) == AxiomReport("moebius", 40, 1e-8, [], [], [])
     assert AxiomReport("moebius", 40, 1e-8).closure_failures is not \
         AxiomReport("moebius", 40, 1e-8).closure_failures
+
+
+def test_derived_forms_and_elements_are_instances_of_their_public_classes():
+    """The forms, elements and orbit images built without their
+    constructors' checks are plain instances of the public classes."""
+    f = BinaryForm([1, 0, 0, -1])
+    derived = [hessian(f), jacobian_covariant(f, hessian(f)), f.dx(), f.dy(), f.scaled(2),
+               form_product(f, f), hessian(BinaryForm([1, 3, 3, 1])), BinaryForm([1, 2]).dx()]
+    assert [type(g) for g in derived] == [BinaryForm] * len(derived)
+    assert not any(hasattr(g, "__dict__") for g in derived)
+    g = builtin_group("projective", 2)
+    t = g.sample(1)
+    assert type(t.compose(g.sample(2))) is Transformation and type(t.invert()) is Transformation
+    start = Configuration([ProjPoint([0.1, 0.2, 1.0]), Hyperplane([1.0, 2.0, 0.5]),
+                           Quadric(np.diag([1.0, 1.0, -1.0]))])
+    images = orbit_sample(start, g, seed=3, count=4)
+    assert [type(c) for c in images] == [Configuration] * 4
+    assert {tuple(type(e) for e in c) for c in images} == {(ProjPoint, Hyperplane, Quadric)}
