@@ -20,10 +20,10 @@ the batch of one of that code.  For descriptors with the block fields
 ``sample_matrices``/``contains_matrices`` (all seven built-in groups)
 the trial loops sample, validate, invert, compose and check a block of
 trials at once on stacked matrices, and map configurations a block at a
-time: the orbit's, and the invariance trials' where the sampler and the
-property have stacked forms, as every built-in one does (see
-invariance_test).  Each trial still draws from its own generators, so
-verdicts, witness seeds, errors and output bytes are those of the
+time.  Each block of invariance trials is compared on its stacks, and
+only the trials that run alone or disagree there run per-trial Python
+(see invariance_test).  Each trial still draws from its own generators,
+so verdicts, witness seeds, errors and output bytes are those of the
 per-trial loop, which every other descriptor runs.
 
 Each built-in group (_GROUPS) is the stabiliser of a figure among its
@@ -261,7 +261,8 @@ class GroupDescriptor:
     tol)`` returns the (B,) verdicts of ``contains`` on forward matrices that
     passed the kind's checks, which it does not repeat.  With both set,
     check_group_axioms, invariance_test and orbit_sample work on blocks of
-    trials and call neither ``sample`` nor ``contains`` per trial.
+    trials and call neither ``sample`` nor ``contains`` per trial.  The
+    per-trial loops stay as the reference the block path is tested against.
     """
 
     name: str
@@ -812,98 +813,98 @@ def invariance_test(prop: Callable[[Configuration], object], g: GroupDescriptor,
     """Randomized falsification of "prop is invariant under g".
 
     Numeric property values are compared with relative tolerance;
-    boolean values must match exactly.  A property may raise
+    boolean values must match exactly (_agree).  A property may raise
     PropertyUndefined to skip a trial; if more than 90% of trials are
     skipped the sampler does not fit the property and an error is
     raised.
 
     Trial i draws its configuration from mix_seed(seed, 3i) and its
     transformation from mix_seed(seed, 3i + 1).  A blocked group runs one
-    probe trial, then blocks of 64 to 127 (_block_outcomes): most
-    witnesses are at trial 0, and each block has a fixed cost, so one at
-    trials 1-63 pays for a second block.  Its transformations are sampled
-    on stacks.  Where the sampler has ``sample_stacks`` and the property
-    ``evaluate_stacks`` (every built-in pair), the configurations are
-    sampled on stacks too, mapped by the group's action at once and
-    evaluated on the stacks; any other property or sampler runs each
-    trial alone.  The verdict, and any error, are those of the per-trial
-    loop, which every other group runs.
+    probe trial, where most witnesses are, then the blocks of
+    _block_bounds, and each block is sampled, mapped, evaluated and
+    compared on stacks (_stacked_trials).  Any other group runs each
+    trial as a block of one that runs alone.  Only the trials that run
+    alone or disagree on the stacks run per-trial Python, in trial order,
+    so the verdict, and any error, are those of the per-trial loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if g.blocked:
-        outcomes = _block_outcomes(prop, g, config_sampler, seed, trials)
-    else:
-        outcomes = ((i, _trial(prop, config_sampler(mix_seed(seed, 3 * i)),
-                               partial(g.sample, mix_seed(seed, 3 * i + 1))))
-                    for i in range(trials))
+    kind = _KINDS[g.identity.kind]
+    blocks = (_element_blocks(g, seed, trials, 3, 1, 1) if g.blocked
+              else ((i, None, [0]) for i in range(trials)))
     skipped = 0
-    executed = 0
-    for i, outcome in outcomes:
-        if outcome is None:
-            skipped += 1
-            continue
-        executed += 1
-        before, after, witness = outcome
-        if isinstance(before, (bool, np.bool_)) or isinstance(after, (bool, np.bool_)):
-            agree = bool(before) == bool(after)
-        else:
-            b, a = complex(before), complex(after)
-            agree = abs(b - a) <= tol * max(1.0, abs(b), abs(a))
-        if not agree:
-            config, t = witness()
-            return Violated(trial=i, config_seed=mix_seed(seed, 3 * i),
-                            transform_seed=mix_seed(seed, 3 * i + 1),
-                            before=before, after=after, config=config,
-                            transformation=t, trials_executed=executed, tol=tol)
+    for start, elements, faults in blocks:
+        cseeds = mix_seeds(seed, range(3 * start, 3 * (start + len(faults)), 3))
+        alone, skip, agree, before, after, config = _stacked_trials(
+            prop, kind, config_sampler, cseeds, elements, faults, tol)
+        for k in np.flatnonzero(alone | ~(skip | agree)).tolist():
+            i = start + k
+            if alone[k]:
+                c = config_sampler(cseeds[k])
+                t = (g.sample(mix_seed(seed, 3 * i + 1)) if elements is None
+                     else _block_element(kind, elements, faults, k))
+                try:
+                    b, a = prop(c), prop(transform_configuration(t, c))
+                except PropertyUndefined:
+                    skip[k] = True
+                    continue
+            else:
+                b, a = before[k], after[k]
+            if not _agree(b, a, tol):
+                if not alone[k]:
+                    c = config_sampler.configuration(*(x[k] for x in config))
+                    t = _block_element(kind, elements, faults, k)
+                return Violated(trial=i, config_seed=cseeds[k],
+                                transform_seed=mix_seed(seed, 3 * i + 1), before=b, after=a,
+                                config=c, transformation=t, tol=tol,
+                                trials_executed=i + 1 - skipped - int(skip[:k + 1].sum()))
+        skipped += int(skip.sum())
     if skipped > 0.9 * trials:
         raise GeometryError(
             f"property undefined on {skipped}/{trials} samples (sampler mismatch)")
-    return Invariant(trials_executed=executed, trials_skipped=skipped, tol=tol)
+    return Invariant(trials_executed=trials - skipped, trials_skipped=skipped, tol=tol)
 
 
-def _trial(prop, config: Configuration, make):
-    """One trial of invariance_test on a configuration: None if the property
-    is undefined on it or its image, else (before, after, witness), where
-    witness() returns the configuration and the transformation make()
-    returns."""
-    t = make()
-    try:
-        before = prop(config)
-        after = prop(transform_configuration(t, config))
-    except PropertyUndefined:
-        return None
-    return before, after, lambda: (config, t)
+def _agree(before, after, tol: float) -> bool:
+    """Whether two property values agree: the comparison that decides."""
+    if isinstance(before, (bool, np.bool_)) or isinstance(after, (bool, np.bool_)):
+        return bool(before) == bool(after)
+    b, a = complex(before), complex(after)
+    return abs(b - a) <= tol * max(1.0, abs(b), abs(a))
 
 
-def _block_outcomes(prop, g, config_sampler, seed: int, trials: int):
-    """Yield (i, outcome of _trial) for each trial i of invariance_test on a
-    blocked group, a block of trials at a time (see _stacked_trials): one
-    probe trial, then the blocks of _block_bounds.  A witness at trial 0
-    samples one element and one configuration; one at trials 1-63 pays
-    for a second block, of up to 127 trials."""
-    kind = _KINDS[g.identity.kind]
-    for start, elements, faults in _element_blocks(g, seed, trials, 3, 1, 1):
-        cseeds = mix_seeds(seed, range(3 * start, 3 * (start + len(faults)), 3))
-        alone, outcome = _stacked_trials(prop, kind, config_sampler, cseeds, elements, faults)
-        for k, cseed in enumerate(cseeds):
-            make = partial(_block_element, kind, elements, faults, k)
-            yield start + k, (_trial(prop, config_sampler(cseed), make) if alone[k]
-                              else outcome(k, make))
+def _stacked_agree(before: np.ndarray, after: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the rows of two stacks of values where _agree holds and
+    raises nothing; it may leave such rows out, but adds none.  Values
+    are cast as complex() casts them, and a dtype that cannot be cast
+    agrees nowhere.  Python's max skips a NaN, as np.fmax does, and its
+    abs raises OverflowError where a modulus of finite parts overflows."""
+    if before.dtype == bool:
+        return before == after
+    if not np.can_cast(before.dtype, complex):
+        return np.zeros(len(before), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        b, a = before.astype(complex), after.astype(complex)
+        parts = np.array([b - a, b, a])
+        d, mb, ma = moduli = complex_abs(parts)
+        agree = d <= tol * np.fmax(1.0, np.fmax(mb, ma))
+        return agree & ~(np.isfinite(parts) & np.isinf(moduli)).any(axis=0)
 
 
-def _stacked_trials(prop, kind: _Kind, config_sampler, cseeds, elements, faults):
-    """(alone, outcome): the mask of a block's trials that run alone as
-    _trial, which raises the per-trial loop's error at its trial, and
-    outcome(k, make) of each other trial k.  The configurations are sampled
-    and mapped on stacks, and the functional is evaluated on them.  A trial
-    runs alone where the scalar objects would refuse its configuration,
-    element or image (an image only where the property is defined before).
-    Every trial does where the sampler has no ``sample_stacks`` or the
-    property no ``evaluate_stacks``, or where either raises: both may be
-    user code, whose error belongs to its trial."""
-    everyone = np.ones(len(cseeds), dtype=bool), None
-    if not (hasattr(config_sampler, "sample_stacks") and hasattr(prop, "evaluate_stacks")):
+def _stacked_trials(prop, kind: _Kind, config_sampler, cseeds, elements, faults, tol: float):
+    """(alone, undefined, agree, before, after, config) of a block of
+    invariance trials: the masks of the trials that run alone, as the
+    per-trial loop runs them, and of the others whose property is
+    undefined before or after, or whose values _stacked_agree; those
+    values as Python scalars; and the configuration stacks, which are
+    mapped and evaluated on stacks.  A trial runs alone where the scalar
+    objects would refuse its configuration, element or image (an image
+    only where the property is defined before), and every trial does
+    without block fields (``elements`` None), ``evaluate_stacks`` or
+    ``sample_stacks``, or where either raises: both may be user code."""
+    b = len(cseeds)
+    everyone = (np.ones(b, dtype=bool), *np.zeros((2, b), dtype=bool), None, None, None)
+    if elements is None or not hasattr(prop, "evaluate_stacks"):
         return everyone
     try:
         config = config_sampler.sample_stacks(cseeds)
@@ -920,14 +921,11 @@ def _stacked_trials(prop, kind: _Kind, config_sampler, cseeds, elements, faults)
         values, undefined = prop.evaluate_stacks(*stacks)
     except Exception:
         return everyone
-    b = len(cseeds)
     # an image is made only when the property is defined before
     alone |= (undefined[:b] == 0) & refused
-    undefined = undefined[:b] | undefined[b:]
-    before, after = values[:b].tolist(), values[b:].tolist()
-    return alone, lambda k, make: None if undefined[k] else (
-        before[k], after[k], lambda: (config_sampler.configuration(*(x[k] for x in config)),
-                                      make()))
+    before, after = values[:b], values[b:]
+    return (alone, ((undefined[:b] | undefined[b:]) != 0) & ~alone,
+            _stacked_agree(before, after, tol), before.tolist(), after.tolist(), config)
 
 
 def _faulty(stacks) -> np.ndarray:

@@ -60,8 +60,10 @@ from erlangen.records import trusted
 from erlangen.groups import (
     _ELEMENT_TYPES,
     _KINDS,
+    _agree,
     _sampled,
     _slot,
+    _stacked_agree,
     BUILTIN_GROUP_NAMES,
     Configuration,
     GroupDescriptor,
@@ -1708,25 +1710,52 @@ def test_a_hyperplane_under_a_moebius_map_raises_at_its_trial():
             tangency.evaluate, per_trial(g), sampler, seed, trials)) == expected
 
 
+#: ROADMAP item 2's table: per group in the plane, the verdict on each
+#: property of PROPERTY_NAMES, ck-distance once per metric of METRIC_NAMES
+ITEM_2_TABLE = {
+    "euclidean_isometries": "inv inv inv inv inv inv VIOL VIOL",
+    "principal": "VIOL inv inv inv inv inv VIOL VIOL",
+    "affine": "VIOL VIOL inv inv mism inv VIOL VIOL",
+    "projective": "VIOL VIOL inv inv mism inv VIOL VIOL",
+    "moebius": "VIOL VIOL mism n/a inv VIOL VIOL VIOL",
+    "inversive_pentaspherical": "n/a n/a n/a n/a inv n/a n/a n/a",
+    "lie_sphere_extended": "n/a n/a n/a n/a n/a n/a n/a n/a",
+}
+
+
+def _recording_stacked_trials(monkeypatch):
+    """Patch groups._stacked_trials to append, per block, the block's
+    elements and the arrays it returns."""
+    blocks = []
+    stacked_trials = groups._stacked_trials
+
+    def recording(prop, kind, config_sampler, cseeds, elements, faults, tol):
+        arrays = stacked_trials(prop, kind, config_sampler, cseeds, elements, faults, tol)
+        blocks.append((elements, arrays))
+        return arrays
+
+    monkeypatch.setattr(groups, "_stacked_trials", recording)
+    return blocks
+
+
 def test_every_builtin_cell_takes_the_stacked_path(monkeypatch):
-    taken = []
-    block_outcomes = groups._block_outcomes
-
-    def recording(*args):
-        taken.append(args[1].name)
-        return block_outcomes(*args)
-
-    monkeypatch.setattr(groups, "_block_outcomes", recording)
-    for name in BUILTIN_GROUP_NAMES:
-        for prop_name in PROPERTY_NAMES:
-            metric = "klein-disk" if prop_name == "ck-distance" else None
+    """Each block samples its elements on stacks, and in every cell with a
+    verdict some trial is evaluated and compared there, not alone."""
+    assert tuple(ITEM_2_TABLE) == BUILTIN_GROUP_NAMES
+    blocks = _recording_stacked_trials(monkeypatch)
+    columns = [(name, None) for name in PROPERTY_NAMES if name != "ck-distance"] + [
+        ("ck-distance", metric) for metric in names.METRIC_NAMES]
+    for name, row in ITEM_2_TABLE.items():
+        for (prop_name, metric), verdict in zip(columns, row.split(), strict=True):
             prop = builtin_property(prop_name, 2, metric)
-            del taken[:]
+            del blocks[:]
             _outcome_of(lambda: invariance_test(prop.evaluate, builtin_group(name),
                                                 prop.sample_config, 1, 3))
-            assert taken == [name]
+            assert blocks and all(elements is not None for elements, _ in blocks)
+            if verdict in ("inv", "VIOL"):
+                assert not np.concatenate([arrays[0] for _, arrays in blocks]).all()
     # one mechanism: the kind's action, looked up in one table
-    source = inspect.getsource(block_outcomes)
+    source = inspect.getsource(invariance_test)
     assert "_KINDS[g.identity.kind]" in source
     assert not any(word in source for word in ('"projective"', '"moebius"',
                                                '"pentaspherical"', ".kind =="))
@@ -2060,3 +2089,108 @@ def test_wrapped_functional_errors_in_trial_order(bad_row):
         prop = builtin_property(prop_name, 2)
         _same_as_per_trial(lambda c: prop.evaluate(c), builtin_group(name, 2),
                            _triangle_or(bad_row), range(12), 30)
+
+
+# -- the comparison on stacks, and the counts before a late witness -------------
+
+
+class _NaNSampler(Sampler):
+    """A sampler whose stacked rows may hold a NaN, which its configuration
+    replaces by 0.5: such a trial runs alone, and its property is defined
+    or not as on any other."""
+
+    @staticmethod
+    def configuration(points, hyperplanes, quadrics):
+        return Sampler.configuration(np.where(np.isnan(points), 0.5, points), hyperplanes,
+                                     quadrics)
+
+
+def _nan_triangle(rng):
+    points = np.ones((3, 3))
+    points[:, :2] = rng.uniform(-1.0, 1.0, size=(3, 2))
+    if rng.random() < 0.2:
+        points[2, 0] = np.nan
+    return points, (), ()
+
+
+def _far_abscissa(points, hyperplanes, quadrics):
+    """|p0 p1|, plus the abscissa of p2 where |p0 p2| > 2.3, which breaks
+    its invariance under isometries on about one trial in 100; undefined
+    where |p0 p1| < 0.5."""
+    xy = (points[..., :2] / points[..., 2:]).real
+    d01, d02 = (np.hypot(*(xy[:, 0] - xy[:, j]).T) for j in (1, 2))
+    values = d01 + np.where(d02 > 2.3, xy[:, 2, 0], 0.0)
+    return values.astype(complex), np.where(d01 < 0.5, 1, 0)
+
+
+def test_a_late_witness_matches_the_per_trial_loop(monkeypatch):
+    """A witness in the second block (trials 1-64) or in the merged last
+    block (129-199) of 200 trials comes after trials skipped on the stacks
+    and trials that run alone, executed or skipped: its trial, seeds and
+    counts are the per-trial loop's."""
+    blocks = _recording_stacked_trials(monkeypatch)
+    prop, sampler = Functional(_far_abscissa, ("", "too close")), _NaNSampler(2, _nan_triangle)
+    g = builtin_group("euclidean_isometries", 2)
+    for seed, witness in ((3, 53), (2, 182), (10, 199)):
+        del blocks[:]
+        assert invariance_test(prop, g, sampler, seed, 200).trial == witness
+        start = sum(len(arrays[0]) for _, arrays in blocks[:-1])
+        alone, skip = (x[:witness - start] for x in blocks[-1][1][:2])
+        assert start in (1, 129)
+        assert (alone & ~skip).any() and (alone & skip).any() and (~alone & skip).any()
+    _same_as_per_trial(prop, g, sampler, [0, 3, 2, 10], 200)
+
+
+def _object_values(points, hyperplanes, quadrics):
+    """A custom functional's values as an object stack, of Python scalars;
+    cast to complex, False and 1e-12 would agree."""
+    values = np.array([1.0 + 2.0j, False, 1e-12, 1.0 + 2.0j], dtype=object)
+    return values, np.zeros(len(values), dtype=np.int8)
+
+
+_OBJECT_STACK = Functional(_object_values, ("",)).evaluate_stacks(None, None, None)[0]
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("before,after", [
+    (np.array([True, True, False, False]), np.array([True, False, True, False])),
+    (np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0, 0.0])),
+    (np.array([0.0j, complex(-0.0, -0.0)]), np.array([complex(-0.0, 0.0), 0.0j])),
+    # at tol * max(1, |b|, |a|), and one ulp over, for tol = 2^-20
+    (np.array([0.0, 0.0, 4.0, 4.0]),
+     np.array([2.0 ** -20, np.nextafter(2.0 ** -20, 1.0), 4.0 - 2.0 ** -18,
+               np.nextafter(4.0 - 2.0 ** -18, 0.0)])),
+    (np.array([0.0j, 0.0j]), np.array([2.0 ** -20 * 1j, np.nextafter(2.0 ** -20, 1.0) * 1j])),
+    (np.array([_INF, _INF, -_INF, _NAN, _NAN, 1.0]),
+     np.array([_INF, 2.0, 5.0, _NAN, 1.0, _INF])),
+    # Python's max skips the NaN of |nan+0j|, np.maximum would not
+    (np.array([complex(_NAN, 0.0), complex(_NAN, 0.0), complex(_NAN, _INF)]),
+     np.array([complex(0.0, _INF), _INF * 1j, complex(0.0, _INF)])),
+    # abs() raises OverflowError where a modulus of finite parts overflows
+    (np.array([complex(1.5e308, 1.5e308), 1e308, 1.5e308j]),
+     np.array([complex(1.5e308, 1.5e308), -1e308, -1.5e308j])),
+    # int64 differences wrap, their complex casts do not
+    (np.array([2 ** 62, 2 ** 62 + 1, 2 ** 63 - 1, -2 ** 63, 2 ** 63 - 1]),
+     np.array([2 ** 62 + 1, -2 ** 62, -2 ** 63, 2 ** 63 - 1, 2 ** 63 - 2])),
+    (np.array([1.0, 1.0 + 1e-10, 3.0, -2.5, 1e300]), np.array([1.0, 1.0, 3.0 + 1e-8, 2.5, 1e300])),
+    (_OBJECT_STACK, _OBJECT_STACK[::-1]),
+])
+def test_the_stacked_comparison_never_agrees_where_the_scalar_one_does_not(before, after):
+    """_stacked_agree against _agree on each row's Python scalars, as
+    invariance_test compares them; a raising _agree counts as "disagree".
+    It filters the rows for the scalar comparison, which decides, so it may
+    say "disagree" more often, but on bool, float and complex stacks it
+    says the same."""
+    tol = 2.0 ** -20
+    stacked = _stacked_agree(before, after, tol).tolist()
+    scalar = []
+    for b, a in zip(before.tolist(), after.tolist()):
+        try:
+            scalar.append(_agree(b, a, tol))
+        except OverflowError:
+            scalar.append(False)
+    assert all(s <= c for s, c in zip(stacked, scalar, strict=True))
+    if before.dtype.kind in "bfc":
+        assert stacked == scalar
+    if before.dtype == object:
+        assert not any(stacked) and any(scalar)

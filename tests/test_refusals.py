@@ -366,16 +366,18 @@ def test_a_report_of_an_unknown_type_is_refused():
 
 
 def test_a_sampler_of_another_dimension_takes_the_block_path(monkeypatch):
+    """Its trial raises alone, with an element of the probe block's stacks."""
     taken = []
-    block_outcomes = groups._block_outcomes
+    stacked_trials = groups._stacked_trials
 
-    def recording(*args):
-        taken.append(args[1].name)
-        return block_outcomes(*args)
+    def recording(prop, kind, config_sampler, cseeds, elements, faults, tol):
+        arrays = stacked_trials(prop, kind, config_sampler, cseeds, elements, faults, tol)
+        taken.append((kind.name, len(elements[0]), arrays[0].tolist()))
+        return arrays
 
-    monkeypatch.setattr(groups, "_block_outcomes", recording)
+    monkeypatch.setattr(groups, "_stacked_trials", recording)
     _run("angle", 1, builtin_group("projective", 3), 0)
-    assert taken == ["projective"]
+    assert taken == [("projective", 1, [True])]
 
 
 @pytest.mark.parametrize("matrix,message", [
